@@ -23,7 +23,6 @@ from .algebra import (
     GradedClassExpression,
     chern_numbers_of_product,
     evaluate,
-    multiply,
     total_chern_of_product,
 )
 from .fibersum import (

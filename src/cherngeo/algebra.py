@@ -70,10 +70,6 @@ class GradedClassExpression:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "GradedClassExpression":
-        return cls()
-
-    @classmethod
     def unit(cls) -> "GradedClassExpression":
         return cls({(): 1})
 
@@ -178,10 +174,6 @@ def one() -> GradedClassExpression:
     return GradedClassExpression.unit()
 
 
-def multiply(a: GradedClassExpression, b: GradedClassExpression) -> GradedClassExpression:
-    return a * b
-
-
 def total_chern_of_product(x: str, s: str) -> GradedClassExpression:
     """Total Chern class of (4-manifold x) x (surface s), fully expanded.
 
@@ -262,7 +254,7 @@ def chern_numbers_of_product(
 ) -> ChernTriple:
     """Chern numbers of (4-manifold) x (surface), by symbolic expansion.
 
-    Everything is computed from the Whitney product via multiply/evaluate;
+    Everything is computed from the Whitney product via products and evaluate;
     no closed form appears on this path, which is what makes it usable as
     an independent oracle.
     """

@@ -5,6 +5,12 @@ their torus fibrations, the ruled surface S^2 x S^2 viewed as a sphere
 fibration without singular fibers, and knot-surgered elliptic surfaces
 E(k)_K whose fibration has fiber genus 2g + k - 1 for a fibered knot of
 genus g.  A generic family admits arbitrary user-supplied invariants.
+
+Each named family is one entry of :data:`FAMILIES`, which the CLI's block
+specifications, catalog records and the realization search all read: a new
+family is one registry entry, plus an entry of :data:`FAMILY_ALIASES` if it
+has a short name.  Generic blocks are the one special case, because their
+CLI flags differ from their JSON keys.
 """
 
 from __future__ import annotations
@@ -17,10 +23,8 @@ from .invariants import (
     block_from_json,
     block_to_json,
     complete_invariants,
-    euler_from_fibration,
+    json_field,
 )
-
-FAMILIES = ("elliptic", "ruled-spheres", "knot-surgered-elliptic", "generic")
 
 
 def elliptic_surface(m: int) -> LefschetzBlock:
@@ -90,18 +94,40 @@ def generic_block(
     )
 
 
+# family name -> (constructor, its integer parameters in order, the range of
+# each parameter that a search enumerates, as a function of SearchBounds)
+FAMILIES = {
+    "elliptic": (elliptic_surface, ("m",), lambda b: (range(1, b.max_m + 1),)),
+    "ruled-spheres": (ruled_spheres, (), lambda b: ()),
+    "knot-surgered-elliptic": (
+        knot_surgered_elliptic,
+        ("k", "knot_genus"),
+        lambda b: (range(1, b.max_k + 1), range(b.max_knot_genus + 1)),
+    ),
+}
+FAMILY_ALIASES = {"knot-elliptic": "knot-surgered-elliptic"}
+
+
+def family_name(name: str) -> str:
+    """The registry name of a family name or alias; unknown names raise ValueError."""
+    canonical = FAMILY_ALIASES.get(name, name) if isinstance(name, str) else None
+    if canonical not in FAMILIES:
+        known = ", ".join([*FAMILIES, *FAMILY_ALIASES])
+        raise ValueError(f"unknown block family {name!r} (known: {known})")
+    return canonical
+
+
 def block_from_family(record: dict) -> LefschetzBlock:
-    """Instantiate one catalog record, e.g. {"family": "elliptic", "m": 2}."""
-    family = record.get("family")
-    if family == "elliptic":
-        return elliptic_surface(int(record["m"]))
-    if family == "ruled-spheres":
-        return ruled_spheres()
-    if family == "knot-surgered-elliptic":
-        return knot_surgered_elliptic(int(record["k"]), int(record["knot_genus"]))
+    """Instantiate one catalog record, e.g. {"family": "elliptic", "m": 2}.
+
+    A record without "family", or with family "generic", is an explicit
+    block object (:func:`cherngeo.invariants.block_from_json`).
+    """
+    family = record.get("family", "generic")
     if family == "generic":
         return block_from_json(record)
-    raise ValueError(f"unknown block family {family!r}")
+    build, params, _ = FAMILIES[family_name(family)]
+    return build(*(json_field(record, p) for p in params))
 
 
 def default_catalog() -> list[LefschetzBlock]:
@@ -119,11 +145,13 @@ def load_catalog(path: str | Path) -> list[LefschetzBlock]:
     if not isinstance(data, list):
         raise ValueError("catalog file must contain a JSON array")
     blocks = []
-    for record in data:
-        if "family" in record:
+    for index, record in enumerate(data):
+        try:
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got {record!r}")
             blocks.append(block_from_family(record))
-        else:
-            blocks.append(block_from_json(record))
+        except ValueError as exc:
+            raise ValueError(f"catalog entry {index}: {exc}") from None
     return blocks
 
 

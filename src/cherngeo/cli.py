@@ -43,13 +43,8 @@ class UsageError(Exception):
     pass
 
 
-_FAMILY_ALIASES = {
-    "elliptic": "elliptic",
-    "ruled-spheres": "ruled-spheres",
-    "knot-elliptic": "knot-surgered-elliptic",
-    "knot-surgered-elliptic": "knot-surgered-elliptic",
-    "generic": "generic",
-}
+# generic's CLI flags, in the order of generic_block's parameters
+_GENERIC_FLAGS = ("chi", "c1sq", "genus", "n")
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -60,76 +55,53 @@ def _parse_int(token: str, what: str) -> int:
 
 
 def _build_block(family: str, params: dict) -> LefschetzBlock:
+    """One block from a family name or alias as typed and its parsed flags."""
+    if family == "generic":
+        build, names = catalog_mod.generic_block, _GENERIC_FLAGS
+        extra = (not params.pop("not_simply_connected", False),)
+    else:
+        build, names, _ = catalog_mod.FAMILIES[catalog_mod.family_name(family)]
+        extra = ()
+    for key in params:
+        if key not in names:
+            raise UsageError(f"{family} has no option --{key.replace('_', '-')}")
+    if any(name not in params for name in names):
+        flags = " ".join(f"--{name.replace('_', '-')}" for name in names)
+        raise UsageError(f"{family} requires {flags}")
     try:
-        if family == "elliptic":
-            if "m" not in params:
-                raise UsageError("elliptic requires --m")
-            return catalog_mod.elliptic_surface(params["m"])
-        if family == "ruled-spheres":
-            return catalog_mod.ruled_spheres()
-        if family == "knot-surgered-elliptic":
-            if "k" not in params or "knot_genus" not in params:
-                raise UsageError("knot-elliptic requires --k and --knot-genus")
-            return catalog_mod.knot_surgered_elliptic(params["k"], params["knot_genus"])
-        if family == "generic":
-            for key in ("chi", "c1sq", "genus", "n"):
-                if key not in params:
-                    raise UsageError("generic requires --chi --c1sq --genus --n")
-            return catalog_mod.generic_block(
-                params["chi"],
-                params["c1sq"],
-                params["genus"],
-                params["n"],
-                params.get("simply_connected", True),
-            )
+        return build(*(params[name] for name in names), *extra)
     except ValueError as exc:  # bad parameter values from the constructors
         raise UsageError(str(exc))
-    raise UsageError(f"unknown family {family!r}")
 
 
 def parse_block_specs(tokens: list[str]) -> list[LefschetzBlock]:
-    """Parse a flat token list into blocks: FAMILY [--param value]..."""
-    blocks: list[LefschetzBlock] = []
-    family = None
-    params: dict = {}
+    """Parse a flat token list into blocks: FAMILY [--param value | --param=value]..."""
+    specs: list[tuple[str, dict]] = []
     i = 0
     while i < len(tokens):
         tok = tokens[i]
-        if tok in _FAMILY_ALIASES:
-            if family is not None:
-                blocks.append(_build_block(family, params))
-            family, params = _FAMILY_ALIASES[tok], {}
+        if tok == "generic" or tok in catalog_mod.FAMILIES or tok in catalog_mod.FAMILY_ALIASES:
+            specs.append((tok, {}))
             i += 1
         elif tok.startswith("--"):
-            if family is None:
+            if not specs:
                 raise UsageError(f"option {tok} given before any block family")
-            key = tok[2:].replace("-", "_")
+            name, has_value, value = tok.partition("=")
+            key = name[2:].replace("-", "_")
             if key == "not_simply_connected":
-                params["simply_connected"] = False
+                specs[-1][1][key] = True
+                i += 1
+            elif has_value:
+                specs[-1][1][key] = _parse_int(value, name)
                 i += 1
             else:
                 if i + 1 >= len(tokens):
                     raise UsageError(f"option {tok} needs a value")
-                params[key] = _parse_int(tokens[i + 1], tok)
+                specs[-1][1][key] = _parse_int(tokens[i + 1], tok)
                 i += 2
         else:
             raise UsageError(f"unexpected token {tok!r} in block specification")
-    if family is not None:
-        blocks.append(_build_block(family, params))
-    return blocks
-
-
-def _extract_flag(tokens: list[str], name: str, takes_value: bool):
-    """Remove one occurrence of a flag from a token list; returns its value."""
-    if name not in tokens:
-        return (None, tokens) if takes_value else (False, tokens)
-    idx = tokens.index(name)
-    if takes_value:
-        if idx + 1 >= len(tokens):
-            raise UsageError(f"option {name} needs a value")
-        value = tokens[idx + 1]
-        return value, tokens[:idx] + tokens[idx + 2 :]
-    return True, tokens[:idx] + tokens[idx + 1 :]
+    return [_build_block(family, params) for family, params in specs]
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -174,8 +146,8 @@ def _print_triple(triple: ChernTriple, fmt: str) -> None:
         print(f"c1c2  = {triple.c1c2}")
 
 
-def _check_format(fmt, allowed, default):
-    fmt = fmt or default
+def _check_format(fmt, allowed):
+    fmt = fmt or allowed[0]
     if fmt not in allowed:
         raise UsageError(f"--format must be one of {'/'.join(allowed)}, got {fmt!r}")
     return fmt
@@ -184,15 +156,12 @@ def _check_format(fmt, allowed, default):
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_block(tokens: list[str]) -> int:
-    fmt, tokens = _extract_flag(tokens, "--format", True)
-    fmt = _check_format(fmt, ("human", "json"), "human")
-    blocks = parse_block_specs(tokens)
-    if len(blocks) != 1:
+def _cmd_block(args: argparse.Namespace) -> int:
+    if len(args.blocks) != 1:
         raise UsageError("block expects exactly one block specification")
-    block = blocks[0]
+    block = args.blocks[0]
     violations = validate_block(block)
-    _print_block(block, fmt)
+    _print_block(block, args.format)
     if violations:
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)
@@ -200,31 +169,22 @@ def _cmd_block(tokens: list[str]) -> int:
     return 0
 
 
-def _cmd_product(tokens: list[str]) -> int:
-    fmt, tokens = _extract_flag(tokens, "--format", True)
-    fmt = _check_format(fmt, ("human", "json"), "human")
-    genus, tokens = _extract_flag(tokens, "--surface-genus", True)
-    if genus is None:
-        raise UsageError("product requires --surface-genus")
-    blocks = parse_block_specs(tokens)
-    if len(blocks) != 1:
+def _cmd_product(args: argparse.Namespace) -> int:
+    if len(args.blocks) != 1:
         raise UsageError("product expects exactly one block specification")
-    surface = SurfaceInvariants(_parse_int(genus, "--surface-genus"))
-    triple = chern_numbers_of_product(blocks[0].invariants, surface)
-    _print_triple(triple, fmt)
+    surface = SurfaceInvariants(args.surface_genus)
+    triple = chern_numbers_of_product(args.blocks[0].invariants, surface)
+    _print_triple(triple, args.format)
     return 0
 
 
-def _cmd_fibersum(tokens: list[str]) -> int:
-    fmt, tokens = _extract_flag(tokens, "--format", True)
-    fmt = _check_format(fmt, ("human", "json"), "human")
-    oracle, tokens = _extract_flag(tokens, "--oracle", False)
-    blocks = parse_block_specs(tokens)
-    if len(blocks) != 2:
+def _cmd_fibersum(args: argparse.Namespace) -> int:
+    if len(args.blocks) != 2:
         raise UsageError("fibersum expects exactly two block specifications")
-    triple = halic_construction(blocks[0], blocks[1])
-    if oracle:
-        symbolic = halic_construction_via_oracle(blocks[0], blocks[1])
+    block1, block2 = args.blocks
+    triple = halic_construction(block1, block2)
+    if args.oracle:
+        symbolic = halic_construction_via_oracle(block1, block2)
         if symbolic != triple:
             print(
                 f"oracle mismatch: closed form {triple.to_json()} vs symbolic {symbolic.to_json()}",
@@ -232,12 +192,11 @@ def _cmd_fibersum(tokens: list[str]) -> int:
             )
             return 1
         print("oracle: agreed", file=sys.stderr)
-    _print_triple(triple, fmt)
+    _print_triple(triple, args.format)
     return 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    fmt = _check_format(args.format, ("human", "json"), "human")
     parts = args.target.split(",")
     if len(parts) != 3:
         raise UsageError("--target must be c3,c1cubed,c1c2")
@@ -259,7 +218,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 genus=_parse_range(args.generic_genus),
             )
         bounds = SearchBounds(
-            families=tuple(args.families.split(",")),
+            families=tuple(args.families.split(",")) if args.families else (),
             max_m=args.max_m,
             max_k=args.max_k,
             max_knot_genus=args.max_knot_genus,
@@ -270,7 +229,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     for message in obstruction:
         print(f"obstruction: {message}", file=sys.stderr)
     results = search_realizations(target, bounds)
-    if fmt == "json":
+    if args.format == "json":
         payload = [
             {
                 "block1": _block_record(r.block1),
@@ -293,9 +252,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    fmt = _check_format(args.format, ("human", "json"), "human")
     cls = classify_geography_point(args.chi, args.c1sq)
-    if fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -321,12 +279,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    fmt = _check_format(args.format, ("csv", "svg"), "csv")
     chi_range = _parse_range(args.chi)
     c1sq_range = _parse_range(args.c1sq)
     if chi_range[1] < chi_range[0] or c1sq_range[1] < c1sq_range[0]:
         raise UsageError("plot ranges must be non-empty")
-    if fmt == "csv":
+    if args.format == "csv":
         content = plot_mod.grid_csv(chi_range, c1sq_range)
     else:
         try:
@@ -342,12 +299,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    fmt = _check_format(args.format, ("human", "json"), "human")
     if args.catalog:
         blocks = catalog_mod.load_catalog(args.catalog)
     else:
         blocks = catalog_mod.default_catalog()
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps([_block_record(b) for b in blocks], sort_keys=True))
     else:
         for block in blocks:
@@ -359,6 +315,16 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
+# Subcommands whose leftover arguments are block specifications: name -> (help, run).
+_BLOCK_COMMANDS = {
+    "block": ("show a building block and its derived invariants", _cmd_block),
+    "product": ("Chern numbers of a block times a surface", _cmd_product),
+    "fibersum": ("Chern numbers of the fiber-summed 6-manifold", _cmd_fibersum),
+}
+# --format values of every subcommand but plot; the first is the default.
+_TEXT_FORMATS = ("human", "json")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cherngeo",
@@ -366,17 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("block", "show a building block and its derived invariants"),
-        ("product", "Chern numbers of a block times a surface"),
-        ("fibersum", "Chern numbers of the fiber-summed 6-manifold"),
-    ):
-        p = sub.add_parser(name, help=helptext, add_help=True)
-        p.add_argument("tokens", nargs=argparse.REMAINDER)
+    # Block specifications are left over by parse_known_args; allow_abbrev=False
+    # keeps a block flag from being read as an abbreviation of these options.
+    for name, (helptext, run) in _BLOCK_COMMANDS.items():
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        p.set_defaults(run=run, formats=_TEXT_FORMATS)
+    sub.choices["product"].add_argument("--surface-genus", type=int, required=True)
+    sub.choices["fibersum"].add_argument("--oracle", action="store_true")
 
     p = sub.add_parser("search", help="find block pairs realizing a target triple")
     p.add_argument("--target", required=True, help="target triple c3,c1cubed,c1c2")
-    p.add_argument("--families", default="elliptic,ruled-spheres,knot-surgered-elliptic")
+    p.add_argument("--families", default=",".join(catalog_mod.FAMILIES))
     p.add_argument("--max-m", type=int, default=5)
     p.add_argument("--max-k", type=int, default=5)
     p.add_argument("--max-knot-genus", type=int, default=4)
@@ -384,23 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generic-c1sq", help="generic grid c1^2 range a..b")
     p.add_argument("--generic-genus", help="generic grid fiber-genus range a..b")
     p.add_argument("--config", help="JSON file with search bounds")
-    p.add_argument("--format", default=None)
+    p.set_defaults(run=_cmd_search, formats=_TEXT_FORMATS)
 
     p = sub.add_parser("classify", help="classify a point of the (chi_h, c1^2) plane")
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--c1sq", type=int, required=True)
-    p.add_argument("--format", default=None)
+    p.set_defaults(run=_cmd_classify, formats=_TEXT_FORMATS)
 
     p = sub.add_parser("plot", help="emit a CSV grid or SVG chart of the plane")
     p.add_argument("--chi", required=True, help="chi_h range a..b")
     p.add_argument("--c1sq", required=True, help="c1^2 range a..b")
-    p.add_argument("--format", default=None)
     p.add_argument("--output", default=None)
+    p.set_defaults(run=_cmd_plot, formats=("csv", "svg"))
 
     p = sub.add_parser("catalog", help="list the built-in or a user catalog")
     p.add_argument("--catalog", default=None)
-    p.add_argument("--format", default=None)
+    p.set_defaults(run=_cmd_catalog, formats=_TEXT_FORMATS)
 
+    # Checked by _check_format rather than by choices, so that a bad value is a usage error.
+    for p in sub.choices.values():
+        p.add_argument("--format", default=None)
     return parser
 
 
@@ -429,23 +398,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args, specs = parser.parse_known_args(_merge_negative_values(list(argv)))
+    if specs and args.command not in _BLOCK_COMMANDS:
+        parser.error(f"unrecognized arguments: {' '.join(specs)}")
     try:
-        if args.command == "block":
-            return _cmd_block(list(args.tokens))
-        if args.command == "product":
-            return _cmd_product(list(args.tokens))
-        if args.command == "fibersum":
-            return _cmd_fibersum(list(args.tokens))
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args.format = _check_format(args.format, args.formats)
+        if args.command in _BLOCK_COMMANDS:
+            args.blocks = parse_block_specs(specs)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -169,12 +169,22 @@ def block_to_json(block: LefschetzBlock) -> dict:
     }
 
 
+def json_field(record: dict, key: str, kind=int):
+    """``kind(record[key])``; a missing field or a failed conversion raises ValueError."""
+    if key not in record:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return kind(record[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"field {key!r} must be {kind.__name__}, got {record[key]!r}") from None
+
+
 def block_from_json(data: dict) -> LefschetzBlock:
     """Load a block; derived invariants are recomputed, never trusted."""
     return LefschetzBlock(
-        name=str(data["name"]),
-        invariants=complete_invariants(int(data["chi_h"]), int(data["c1_sq"])),
-        fiber_genus=int(data["fiber_genus"]),
-        singular_fibers=int(data["singular_fibers"]),
-        simply_connected=bool(data["simply_connected"]),
+        name=json_field(data, "name", str),
+        invariants=complete_invariants(json_field(data, "chi_h"), json_field(data, "c1_sq")),
+        fiber_genus=json_field(data, "fiber_genus"),
+        singular_fibers=json_field(data, "singular_fibers"),
+        simply_connected=json_field(data, "simply_connected", bool),
     )

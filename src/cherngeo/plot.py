@@ -8,23 +8,28 @@ grid points stays exact and integer-valued in :mod:`cherngeo.geography`.
 
 from __future__ import annotations
 
-from .geography import classify_geography_point
+from .geography import REGIONS, classify_geography_point
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 56
 
-_REGION_FILLS = [
-    # (label, lower line as (slope, intercept), upper line, fill color)
-    ("many basic classes", (0, 0), (1, -3), "#cfe8ff"),
-    ("one basic class", (1, -3), (2, -6), "#d8f2d0"),
-    ("general type", (2, -6), (9, 0), "#fdeccc"),
-]
+_FILLS = {"many-basic-classes": "#cfe8ff", "one-basic-class": "#d8f2d0", "general-type": "#fdeccc"}
 
+_SIGNATURE_LINE = (8, 0)  # sigma = c1^2 - 8*chi_h vanishes on it
+
+
+def _line_title(line: tuple[int, int]) -> str:
+    a, b = line
+    text = "c1^2 = " + ("chi_h" if a == 1 else f"{a}*chi_h")
+    text += f" - {-b}" if b < 0 else f" + {b}" if b > 0 else ""
+    return text + " (sigma = 0)" if line == _SIGNATURE_LINE else text
+
+
+# The solid lines, top to bottom: the upper line of every region and the
+# signature line.  c1^2 = 0 is drawn as the axis and the elliptic line.
 _LINES = [
-    ((9, 0), "c1^2 = 9*chi_h"),
-    ((8, 0), "c1^2 = 8*chi_h (sigma = 0)"),
-    ((2, -6), "c1^2 = 2*chi_h - 6"),
-    ((1, -3), "c1^2 = chi_h - 3"),
+    (line, _line_title(line))
+    for line in sorted({upper for _, _, upper in REGIONS} | {_SIGNATURE_LINE}, reverse=True)
 ]
 
 
@@ -72,7 +77,7 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
         '<g clip-path="url(#plotarea)">',
     ]
 
-    for label, (lo_a, lo_b), (hi_a, hi_b), fill in _REGION_FILLS:
+    for label, (lo_a, lo_b), (hi_a, hi_b) in REGIONS:
         pts = [
             (px(chi_lo), py(lo_a * chi_lo + lo_b)),
             (px(chi_hi), py(lo_a * chi_hi + lo_b)),
@@ -80,7 +85,10 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
             (px(chi_lo), py(hi_a * chi_lo + hi_b)),
         ]
         point_str = " ".join(f"{x},{y}" for x, y in pts)
-        parts.append(f'<polygon points="{point_str}" fill="{fill}"><title>{label}</title></polygon>')
+        parts.append(
+            f'<polygon points="{point_str}" fill="{_FILLS[label]}">'
+            f"<title>{label.replace('-', ' ')}</title></polygon>"
+        )
 
     for (a, b), label in _LINES:
         parts.append(
