@@ -50,6 +50,7 @@ from .geography import (
     classify_geography_point,
     construction_obstruction,
     halic_divisibility_check,
+    plane_obstruction,
     search_realizations,
 )
 

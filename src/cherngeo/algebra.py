@@ -10,10 +10,14 @@ Evaluation pairs a homogeneous top-degree expression with the fundamental
 class of a product of factors.  Monomials whose per-factor degree exceeds
 the factor dimension vanish; expressions of the wrong total degree are
 rejected rather than truncated, so derivation errors surface in tests.
+An expression is resolved once against a layout (which factor names are
+4-manifolds, which are surfaces) into an :class:`EvaluationPlan`, which is
+then applied to the invariants of any product with that layout.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -204,49 +208,107 @@ class EvaluationContext:
         return 4 * len(self.four_manifolds) + 2 * len(self.surfaces)
 
 
-def _evaluate_monomial(mono: Monomial, ctx: EvaluationContext) -> int:
+# One invariant of one factor: (factor name, attribute of its record), the
+# attribute being "c1_sq" or "c2" of a 4-manifold or "euler" of a surface.
+Invariant = tuple[str, str]
+
+
+class EvaluationPlan:
+    """A top-degree expression resolved against a layout, ready to apply.
+
+    ``terms`` holds (coefficient, product) pairs; a product names one
+    invariant per factor of the layout.  Monomials that vanish on the layout
+    are gone.  No two terms share a product: a 4-manifold's c1^2 and c2 are
+    different invariants, a surface has only c1, and a monomial touching two
+    4-manifolds is rejected.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Iterable[tuple[int, tuple[Invariant, ...]]]):
+        self.terms = tuple(terms)
+
+    def apply(self, factors: Mapping[str, object]) -> int:
+        """The value of the expression; ``factors`` maps factor names to records."""
+        total = 0
+        for coeff, product in self.terms:
+            for name, attr in product:
+                coeff *= getattr(factors[name], attr)
+            total += coeff
+        return total
+
+
+def _resolve_monomial(
+    mono: Monomial, four_manifolds: tuple[str, ...], surfaces: tuple[str, ...]
+) -> tuple[Invariant, ...] | None:
+    """The product of invariants a monomial pairs to, or None where it vanishes."""
     by_source: dict[str, list[ClassGenerator]] = {}
     for gen in mono:
         by_source.setdefault(gen.source, []).append(gen)
 
     for source in by_source:
-        if source not in ctx.four_manifolds and source not in ctx.surfaces:
+        if source not in four_manifolds and source not in surfaces:
             raise DimensionMismatchError(
                 f"generator factor {source!r} is not part of the ambient product"
             )
-    touched = [s for s in by_source if s in ctx.four_manifolds]
+    touched = [s for s in by_source if s in four_manifolds]
     if len(touched) > 1:
         raise DimensionMismatchError(
             "monomials mixing two 4-manifold factors are not supported"
         )
 
-    value = 1
-    for name, inv in ctx.four_manifolds.items():
+    product = []
+    for name in four_manifolds:
         part = by_source.get(name, [])
         if sum(g.degree for g in part) != 4:
-            return 0  # part misses or exceeds the factor's top degree
+            return None  # part misses or exceeds the factor's top degree
         kinds = sorted(g.kind for g in part)
-        if kinds == ["c1", "c1"]:
-            value *= inv.c1_sq
-        else:  # ["c2"]
-            value *= inv.c2
-    for name, surf in ctx.surfaces.items():
+        product.append((name, "c1_sq" if kinds == ["c1", "c1"] else "c2"))
+    for name in surfaces:
         part = by_source.get(name, [])
         if sum(g.degree for g in part) != 2:
-            return 0  # c1(S)^2 and higher vanish, as does an absent factor
-        value *= surf.euler
-    return value
+            return None  # c1(S)^2 and higher vanish, as does an absent factor
+        product.append((name, "euler"))
+    return tuple(product)
 
 
-def evaluate(expr: GradedClassExpression, ctx: EvaluationContext) -> int:
-    """Pair a top-degree expression with the fundamental class of the product."""
-    dim = ctx.real_dimension
+def compile_expression(
+    expr: GradedClassExpression, four_manifolds: Iterable[str] = (), surfaces: Iterable[str] = ()
+) -> EvaluationPlan:
+    """Resolve a top-degree expression once for a layout of factor names.
+
+    The layout names the 4-manifold factors and the surface factors of the
+    product (disjoint names); the plan applies to every product with it.
+    """
+    four_manifolds, surfaces = tuple(four_manifolds), tuple(surfaces)
+    dim = 4 * len(four_manifolds) + 2 * len(surfaces)
     wrong = {d for d in expr.degrees() if d != dim}
     if wrong:
         raise DimensionMismatchError(
             f"expression has degree(s) {sorted(wrong)} but the ambient dimension is {dim}"
         )
-    return sum(coeff * _evaluate_monomial(mono, ctx) for mono, coeff in expr.terms.items())
+    terms = []
+    for mono, coeff in expr.terms.items():
+        product = _resolve_monomial(mono, four_manifolds, surfaces)
+        if product is not None:
+            terms.append((coeff, product))
+    return EvaluationPlan(terms)
+
+
+def evaluate(expr: GradedClassExpression, ctx: EvaluationContext) -> int:
+    """Pair a top-degree expression with the fundamental class of the product."""
+    plan = compile_expression(expr, ctx.four_manifolds, ctx.surfaces)
+    return plan.apply({**ctx.four_manifolds, **ctx.surfaces})
+
+
+@functools.cache
+def _product_plans() -> tuple[EvaluationPlan, EvaluationPlan, EvaluationPlan]:
+    """Plans for c3, c1^3 and c1c2 of X x S, expanded on first use, not at import."""
+    total = total_chern_of_product("X", "S")
+    first = total.graded_part(2)
+    second = total.graded_part(4)
+    top = total.graded_part(6)
+    return tuple(compile_expression(e, ("X",), ("S",)) for e in (top, first ** 3, first * second))
 
 
 def chern_numbers_of_product(
@@ -254,17 +316,11 @@ def chern_numbers_of_product(
 ) -> ChernTriple:
     """Chern numbers of (4-manifold) x (surface), by symbolic expansion.
 
-    Everything is computed from the Whitney product via products and evaluate;
-    no closed form appears on this path, which is what makes it usable as
-    an independent oracle.
+    Everything is computed from the Whitney product via products and
+    evaluation plans; no closed form appears on this path, which is what
+    makes it usable as an independent oracle.  The expansion runs once per
+    process; each call only applies the plans.
     """
-    ctx = EvaluationContext(four_manifolds={"X": x}, surfaces={"S": s})
-    total = total_chern_of_product("X", "S")
-    first = total.graded_part(2)
-    second = total.graded_part(4)
-    top = total.graded_part(6)
-    return ChernTriple(
-        c3=evaluate(top, ctx),
-        c1_cubed=evaluate(first ** 3, ctx),
-        c1c2=evaluate(first * second, ctx),
-    )
+    c3, c1_cubed, c1c2 = _product_plans()
+    factors = {"X": x, "S": s}
+    return ChernTriple(c3.apply(factors), c1_cubed.apply(factors), c1c2.apply(factors))

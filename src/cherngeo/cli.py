@@ -26,6 +26,7 @@ from .geography import (
     SearchBounds,
     classify_geography_point,
     construction_obstruction,
+    plane_obstruction,
     search_realizations,
 )
 from .invariants import (
@@ -196,13 +197,24 @@ def _cmd_fibersum(args: argparse.Namespace) -> int:
     return 0
 
 
+# search flags that set a bound; a --config file sets all bounds instead.
+_BOUND_FLAGS = (
+    "families", "max_m", "max_k", "max_knot_genus",
+    "generic_chi", "generic_c1sq", "generic_genus",
+)
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     parts = args.target.split(",")
     if len(parts) != 3:
         raise UsageError("--target must be c3,c1cubed,c1c2")
     target = ChernTriple(*(_parse_int(p, "--target") for p in parts))
 
+    given = [flag for flag in _BOUND_FLAGS if getattr(args, flag) is not None]
     if args.config:
+        if given:
+            flags = ", ".join("--" + flag.replace("_", "-") for flag in given)
+            raise UsageError(f"--config cannot be combined with {flags}")
         with open(args.config, "r", encoding="utf-8") as fh:
             bounds = SearchBounds.from_json(json.load(fh))
     else:
@@ -217,16 +229,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 c1_sq=_parse_range(args.generic_c1sq),
                 genus=_parse_range(args.generic_genus),
             )
-        bounds = SearchBounds(
-            families=tuple(args.families.split(",")) if args.families else (),
-            max_m=args.max_m,
-            max_k=args.max_k,
-            max_knot_genus=args.max_knot_genus,
-            generic=generic,
-        )
+        # Flags not given fall back to the SearchBounds defaults.
+        limits = {
+            flag: getattr(args, flag) for flag in ("max_m", "max_k", "max_knot_genus")
+            if getattr(args, flag) is not None
+        }
+        if args.families is not None:
+            limits["families"] = tuple(args.families.split(",")) if args.families else ()
+        bounds = SearchBounds(generic=generic, **limits)
 
-    obstruction = construction_obstruction(target)
-    for message in obstruction:
+    for message in construction_obstruction(target) + plane_obstruction(target):
         print(f"obstruction: {message}", file=sys.stderr)
     results = search_realizations(target, bounds)
     if args.format == "json":
@@ -342,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="find block pairs realizing a target triple")
     p.add_argument("--target", required=True, help="target triple c3,c1cubed,c1c2")
-    p.add_argument("--families", default=",".join(catalog_mod.FAMILIES))
-    p.add_argument("--max-m", type=int, default=5)
-    p.add_argument("--max-k", type=int, default=5)
-    p.add_argument("--max-knot-genus", type=int, default=4)
+    p.add_argument("--families", help="comma-separated family names (default: all)")
+    p.add_argument("--max-m", type=int)
+    p.add_argument("--max-k", type=int)
+    p.add_argument("--max-knot-genus", type=int)
     p.add_argument("--generic-chi", help="generic grid chi_h range a..b")
     p.add_argument("--generic-c1sq", help="generic grid c1^2 range a..b")
     p.add_argument("--generic-genus", help="generic grid fiber-genus range a..b")

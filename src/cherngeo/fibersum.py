@@ -11,6 +11,7 @@ test.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import algebra
@@ -39,20 +40,25 @@ class CrossSectionInvariants:
     c2: int
 
 
+@functools.cache
+def _cross_section_plans() -> tuple[algebra.EvaluationPlan, algebra.EvaluationPlan]:
+    """Plans for c1^2 and c2 of S1 x S2, expanded on first use, not at import."""
+    first = algebra.c1("S1") + algebra.c1("S2")
+    return (
+        algebra.compile_expression(first * first, surfaces=("S1", "S2")),
+        algebra.compile_expression(algebra.c1("S1") * algebra.c1("S2"), surfaces=("S1", "S2")),
+    )
+
+
 def cross_section_of_surfaces(g1: int, g2: int) -> CrossSectionInvariants:
     """Invariants of the product surface S1 x S2, via the class algebra.
 
     c2 is the top Chern class c1(S1)c1(S2); c1^2 is (c1(S1)+c1(S2))^2.
     Both are evaluated symbolically rather than hard-coded.
     """
-    ctx = algebra.EvaluationContext(
-        surfaces={"S1": SurfaceInvariants(g1), "S2": SurfaceInvariants(g2)}
-    )
-    first = algebra.c1("S1") + algebra.c1("S2")
-    return CrossSectionInvariants(
-        c1_sq=algebra.evaluate(first * first, ctx),
-        c2=algebra.evaluate(algebra.c1("S1") * algebra.c1("S2"), ctx),
-    )
+    c1_sq, c2 = _cross_section_plans()
+    factors = {"S1": SurfaceInvariants(g1), "S2": SurfaceInvariants(g2)}
+    return CrossSectionInvariants(c1_sq.apply(factors), c2.apply(factors))
 
 
 def fiber_sum_corrections(

@@ -2,7 +2,8 @@
 
 The divisibility conditions (c3 and c1^3 even, c1c2 divisible by 24) are
 necessary for any symplectic 6-manifold; the fiber-sum construction adds
-the stronger obstruction that c1^3 be divisible by 6.  The search inverts
+the stronger obstruction that c1^3 be divisible by 6, and its triples all
+lie on the plane 3*c3 = 3*c1c2 - c1^3.  The search inverts
 the closed-form construction over bounded family parameters.  The plane
 classifier reproduces the standard region picture of 4-manifold geography
 in the (chi_h, c1^2) plane; region boundaries are closed on both sides,
@@ -70,6 +71,17 @@ def construction_obstruction(t: ChernTriple) -> list[str]:
     return out
 
 
+def plane_obstruction(t: ChernTriple) -> list[str]:
+    """The plane 3*c3 = 3*c1c2 - c1^3 that every triple of the construction lies on.
+
+    Returns one message naming both sides when the triple is off the plane;
+    the sides are compared times three, so that no division enters.
+    """
+    if 3 * t.c3 == 3 * t.c1c2 - t.c1_cubed:
+        return []
+    return [f"3*c3 = {3 * t.c3} differs from 3*c1c2 - c1^3 = {3 * t.c1c2 - t.c1_cubed}"]
+
+
 @dataclass(frozen=True)
 class GenericGrid:
     """Inclusive ranges for brute-force generic blocks in the search."""
@@ -77,6 +89,12 @@ class GenericGrid:
     chi_h: tuple[int, int]
     c1_sq: tuple[int, int]
     genus: tuple[int, int]
+
+    def __post_init__(self):
+        for key in ("chi_h", "c1_sq", "genus"):
+            lo, hi = getattr(self, key)
+            if lo > hi:
+                raise ValueError(f"generic grid range {key!r} is empty: {lo} > {hi}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +111,9 @@ class SearchBounds:
         if not isinstance(self.families, (list, tuple)):
             raise ValueError(f"families must be a list of family names, got {self.families!r}")
         object.__setattr__(self, "families", tuple(family_name(f) for f in self.families))
+        for key in ("max_m", "max_k", "max_knot_genus"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key!r} must be non-negative, got {getattr(self, key)}")
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchBounds":
@@ -149,7 +170,7 @@ def search_realizations(target: ChernTriple, bounds: SearchBounds) -> list[Reali
     candidate list.  Every hit is recomputed through the independent
     symbolic path before emission.
     """
-    if construction_obstruction(target):
+    if construction_obstruction(target) or plane_obstruction(target):
         return []
     blocks = candidate_blocks(bounds)
     results: list[Realization] = []

@@ -104,7 +104,7 @@ class ChernTriple:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChernTriple":
-        return cls(int(data["c3"]), int(data["c1_cubed"]), int(data["c1c2"]))
+        return cls(json_field(data, "c3"), json_field(data, "c1_cubed"), json_field(data, "c1c2"))
 
 
 def euler_from_fibration(genus: int, singular_fibers: int) -> int:

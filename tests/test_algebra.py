@@ -1,5 +1,11 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cherngeo.algebra import (
     ClassGenerator,
@@ -9,11 +15,17 @@ from cherngeo.algebra import (
     c1,
     c2,
     chern_numbers_of_product,
+    compile_expression,
     evaluate,
     one,
     total_chern_of_product,
 )
-from cherngeo.invariants import SurfaceInvariants, complete_invariants
+from cherngeo.invariants import (
+    ChernTriple,
+    FourManifoldInvariants,
+    SurfaceInvariants,
+    complete_invariants,
+)
 
 
 def _ctx_xs(chi_h, c1_sq, genus):
@@ -193,3 +205,141 @@ def test_product_matches_closed_forms(g, chi_h, c1_sq):
     assert t.c3 == inv.euler * f
     assert t.c1_cubed == 3 * f * inv.c1_sq
     assert t.c1c2 == f * (inv.c1_sq + inv.euler)
+
+
+# -- compiled plans against the per-monomial reference ----------------------
+
+
+def _reference_monomial(mono, ctx):
+    """Slow reference: pair one monomial with the product, factor by factor."""
+    by_source = {}
+    for gen in mono:
+        by_source.setdefault(gen.source, []).append(gen)
+
+    for source in by_source:
+        if source not in ctx.four_manifolds and source not in ctx.surfaces:
+            raise DimensionMismatchError(
+                f"generator factor {source!r} is not part of the ambient product"
+            )
+    touched = [s for s in by_source if s in ctx.four_manifolds]
+    if len(touched) > 1:
+        raise DimensionMismatchError(
+            "monomials mixing two 4-manifold factors are not supported"
+        )
+
+    value = 1
+    for name, inv in ctx.four_manifolds.items():
+        part = by_source.get(name, [])
+        if sum(g.degree for g in part) != 4:
+            return 0  # part misses or exceeds the factor's top degree
+        kinds = sorted(g.kind for g in part)
+        if kinds == ["c1", "c1"]:
+            value *= inv.c1_sq
+        else:  # ["c2"]
+            value *= inv.c2
+    for name, surf in ctx.surfaces.items():
+        part = by_source.get(name, [])
+        if sum(g.degree for g in part) != 2:
+            return 0  # c1(S)^2 and higher vanish, as does an absent factor
+        value *= surf.euler
+    return value
+
+
+def _reference_evaluate(expr, ctx):
+    dim = ctx.real_dimension
+    wrong = {d for d in expr.degrees() if d != dim}
+    if wrong:
+        raise DimensionMismatchError(f"expression has degree(s) {sorted(wrong)}")
+    return sum(coeff * _reference_monomial(mono, ctx) for mono, coeff in expr.terms.items())
+
+
+_SURFACES = ("S1", "S2")
+
+
+def _top_monomials(n_surfaces):
+    """Every monomial of top degree on X x S1 x ... ; most of them vanish."""
+    gens = [ClassGenerator("X", "c1"), ClassGenerator("X", "c2")]
+    gens += [ClassGenerator(s, "c1") for s in _SURFACES[:n_surfaces]]
+    dim = 4 + 2 * n_surfaces
+    return [
+        mono
+        for length in range(1, dim // 2 + 1)
+        for mono in itertools.combinations_with_replacement(gens, length)
+        if sum(g.degree for g in mono) == dim
+    ]
+
+
+_TOP_MONOMIALS = [_top_monomials(n) for n in range(3)]
+
+
+@st.composite
+def top_degree_cases(draw):
+    """A random top-degree expression and random invariants of X and 0-2 surfaces."""
+    n = draw(st.integers(0, 2))
+    terms = draw(
+        st.dictionaries(st.sampled_from(_TOP_MONOMIALS[n]), st.integers(-50, 50), max_size=8)
+    )
+    # independent values, so that a plan reading the wrong field shows
+    x = FourManifoldInvariants(*draw(st.lists(st.integers(-99, 99), min_size=5, max_size=5)))
+    surfaces = {s: SurfaceInvariants(draw(st.integers(0, 9))) for s in _SURFACES[:n]}
+    return GradedClassExpression(terms), EvaluationContext({"X": x}, surfaces)
+
+
+_VANISHING = (c1("X") ** 3 + 5 * (c2("X") * c1("X")) - c1("S1") ** 3
+              + 7 * (c1("X") * c1("S1") ** 2))
+
+
+@given(case=top_degree_cases())
+@example(case=(_VANISHING, EvaluationContext({"X": complete_invariants(2, 3)},
+                                            {"S1": SurfaceInvariants(0)})))
+def test_compiled_evaluation_matches_reference(case):
+    expr, ctx = case
+    assert evaluate(expr, ctx) == _reference_evaluate(expr, ctx)
+    plan = compile_expression(expr, ctx.four_manifolds, ctx.surfaces)
+    products = [product for _, product in plan.terms]
+    assert len(set(products)) == len(products)  # monomials resolve injectively
+    assert all(coeff for coeff, _ in plan.terms)
+    assert all(len(p) == 1 + len(ctx.surfaces) for p in products)
+    # nonzero invariants everywhere, so that only a vanishing monomial pairs to 0
+    probe = EvaluationContext(
+        {"X": FourManifoldInvariants(1, 1, 1, 3, 5)}, dict.fromkeys(ctx.surfaces, SurfaceInvariants(0))
+    )
+    if all(_reference_monomial(m, probe) == 0 for m in expr.terms):
+        assert plan.terms == ()
+
+
+def _reference_product(x, s):
+    ctx = EvaluationContext({"X": x}, {"S": s})
+    total = total_chern_of_product("X", "S")
+    first, second = total.graded_part(2), total.graded_part(4)
+    return ChernTriple(
+        _reference_evaluate(total.graded_part(6), ctx),
+        _reference_evaluate(first ** 3, ctx),
+        _reference_evaluate(first * second, ctx),
+    )
+
+
+def test_cached_product_plans_serve_each_record():
+    a = (complete_invariants(2, 0), SurfaceInvariants(0))
+    b = (complete_invariants(1, 8), SurfaceInvariants(3))
+    first = chern_numbers_of_product(*a)
+    second = chern_numbers_of_product(*b)
+    again = chern_numbers_of_product(*a)
+    assert first == again == _reference_product(*a)
+    assert second == _reference_product(*b)
+    assert first != second
+
+
+def test_importing_the_cli_builds_no_plan():
+    code = (
+        "import cherngeo.cli\n"
+        "from cherngeo import algebra, fibersum\n"
+        "print(algebra._product_plans.cache_info().currsize,"
+        " fibersum._cross_section_plans.cache_info().currsize)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["0", "0"]

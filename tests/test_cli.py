@@ -98,6 +98,16 @@ def test_search_obstruction(capsys):
     assert "divisible by 6" in err
 
 
+def test_search_off_plane_obstruction(capsys):
+    code, out, err = run(capsys, "search", "--target", "26,0,24")
+    assert code == 0
+    assert out == ""
+    assert err == (
+        "obstruction: 3*c3 = 78 differs from 3*c1c2 - c1^3 = 72\n"
+        "no realizations found\n"
+    )
+
+
 def test_search_divisibility_failure(capsys):
     code, _, err = run(capsys, "search", "--target", "0,0,1")
     assert code == 0

@@ -3,8 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from cherngeo.catalog import elliptic_surface, knot_surgered_elliptic, ruled_spheres
-from cherngeo.fibersum import halic_construction
+from cherngeo import geography
+from cherngeo.catalog import (
+    elliptic_surface,
+    generic_block,
+    knot_surgered_elliptic,
+    ruled_spheres,
+)
+from cherngeo.fibersum import halic_construction, halic_construction_via_oracle
 from cherngeo.geography import (
     GenericGrid,
     SearchBounds,
@@ -12,9 +18,15 @@ from cherngeo.geography import (
     classify_geography_point,
     construction_obstruction,
     halic_divisibility_check,
+    plane_obstruction,
     search_realizations,
 )
-from cherngeo.invariants import ChernTriple, LefschetzBlock, complete_invariants
+from cherngeo.invariants import (
+    ChernTriple,
+    LefschetzBlock,
+    complete_invariants,
+    validate_block,
+)
 
 
 def test_divisibility_examples():
@@ -144,6 +156,47 @@ def test_construction_outputs_satisfy_divisibility_on_grid():
         assert t.c1_cubed % 6 == 0
         count += 1
     assert count >= 1000
+
+
+# -- the plane 3*c3 = 3*c1c2 - c1^3 -------------------------------------------
+
+
+@st.composite
+def valid_blocks(draw):
+    """A block of a named family, or a generic block with a consistent fibration."""
+    family = draw(st.sampled_from(("elliptic", "ruled-spheres", "knot", "generic")))
+    if family == "elliptic":
+        return elliptic_surface(draw(st.integers(1, 8)))
+    if family == "ruled-spheres":
+        return ruled_spheres()
+    if family == "knot":
+        return knot_surgered_elliptic(draw(st.integers(1, 6)), draw(st.integers(0, 4)))
+    chi, genus, n = draw(st.integers(0, 10)), draw(st.integers(0, 6)), draw(st.integers(0, 60))
+    c1_sq = 12 * chi - 2 * (2 - 2 * genus) - n  # the Euler number 2(2-2g)+n
+    return generic_block(chi, c1_sq, genus, n, n > 2 * genus)
+
+
+@given(b1=valid_blocks(), b2=valid_blocks())
+def test_oracle_triples_lie_on_the_plane(b1, b2):
+    assert validate_block(b1) == [] and validate_block(b2) == []
+    t = halic_construction_via_oracle(b1, b2)
+    assert 3 * t.c3 == 3 * t.c1c2 - t.c1_cubed
+    assert plane_obstruction(t) == []
+    off = ChernTriple(t.c3 + 2, t.c1_cubed, t.c1c2)
+    (message,) = plane_obstruction(off)
+    assert f"3*c3 = {3 * off.c3} " in message
+    assert f"3*c1c2 - c1^3 = {3 * off.c1c2 - off.c1_cubed}" in message
+
+
+def test_off_plane_target_skips_the_scan(monkeypatch):
+    target = ChernTriple(26, 0, 24)  # passes every divisibility check
+    assert construction_obstruction(target) == []
+
+    def no_scan(bounds):
+        raise AssertionError("an off-plane target must not enumerate candidates")
+
+    monkeypatch.setattr(geography, "candidate_blocks", no_scan)
+    assert search_realizations(target, SearchBounds()) == []
 
 
 # -- classifier --------------------------------------------------------------

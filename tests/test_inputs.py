@@ -1,8 +1,9 @@
-"""Family names, block flags and malformed files at the input boundary.
+"""Family names, block flags, search bounds and malformed files at the input boundary.
 
 Family names and aliases are checked against ``catalog.FAMILIES``; every
-malformed catalog or search config exits 1 with one line that names the
-offending entry or field, never with a traceback.
+malformed catalog or search config, negative search limit or empty grid
+range exits 1 with one line that names the offending entry or field, never
+with a traceback; ``search --config`` together with a bound flag exits 2.
 """
 
 import json
@@ -17,8 +18,8 @@ from cherngeo.catalog import (
 )
 from cherngeo.cli import main, parse_block_specs
 from cherngeo.fibersum import halic_construction
-from cherngeo.geography import SearchBounds
-from cherngeo.invariants import block_to_json
+from cherngeo.geography import GenericGrid, SearchBounds
+from cherngeo.invariants import ChernTriple, block_to_json
 
 
 def run(capsys, *argv):
@@ -117,3 +118,116 @@ def test_malformed_files_exit_with_one_line(capsys, tmp_path, command, content, 
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+# -- search bounds: --config against flags, empty ranges, negative limits ----
+
+BOUND_FLAGS = [
+    ("--families", "elliptic"),
+    ("--max-m", "2"),
+    ("--max-k", "2"),
+    ("--max-knot-genus", "1"),
+    ("--generic-chi", "0..1"),
+    ("--generic-c1sq", "0..1"),
+    ("--generic-genus", "0..1"),
+]
+
+
+@pytest.mark.parametrize("flag, value", BOUND_FLAGS)
+def test_search_config_with_a_bound_flag_is_usage_error(capsys, tmp_path, flag, value):
+    config = tmp_path / "bounds.json"
+    config.write_text(json.dumps({"families": ["elliptic"], "max_m": 2}))
+    argv = ["search", "--target", "24,0,24", "--config", str(config), flag, value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err
+
+
+def test_search_config_conflict_names_every_flag(capsys, tmp_path):
+    config = tmp_path / "bounds.json"
+    config.write_text("{}")
+    argv = ["search", "--target", "24,0,24", "--config", str(config),
+            "--families", "ruled-spheres", "--max-k", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "usage error: --config cannot be combined with --families, --max-k\n"
+
+
+def test_search_flags_default_to_search_bounds(capsys, tmp_path):
+    config = tmp_path / "bounds.json"
+    config.write_text("{}")
+    by_default = run(capsys, "search", "--target", "24,0,24")
+    by_config = run(capsys, "search", "--target", "24,0,24", "--config", str(config))
+    defaults = SearchBounds()
+    explicit = run(
+        capsys, "search", "--target", "24,0,24", "--families", ",".join(defaults.families),
+        "--max-m", str(defaults.max_m), "--max-k", str(defaults.max_k),
+        "--max-knot-genus", str(defaults.max_knot_genus),
+    )
+    assert by_default == by_config == explicit
+    assert by_default[0] == 0 and by_default[1]
+
+
+@pytest.mark.parametrize("field", ["max_m", "max_k", "max_knot_genus"])
+def test_search_bounds_reject_negative_limits(field):
+    with pytest.raises(ValueError, match=repr(field)):
+        SearchBounds(**{field: -1})
+    assert getattr(SearchBounds(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("field", ["chi_h", "c1_sq", "genus"])
+def test_generic_grid_rejects_empty_ranges(field):
+    ranges = {"chi_h": (0, 1), "c1_sq": (0, 1), "genus": (0, 1), field: (3, 1)}
+    with pytest.raises(ValueError, match=repr(field)):
+        GenericGrid(**ranges)
+    assert GenericGrid(**{**ranges, field: (1, 1)})
+
+
+GRID_FLAGS = ["--generic-chi", "0..2", "--generic-c1sq", "0..2", "--generic-genus", "0..1"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--max-m", "-3", "--families", "elliptic"], "'max_m'"),
+        (["--max-knot-genus", "-1"], "'max_knot_genus'"),
+        ([*GRID_FLAGS[:5], "3..1"], "'genus'"),
+        (["--generic-chi", "5..0", *GRID_FLAGS[2:]], "'chi_h'"),
+    ],
+)
+def test_search_bad_bounds_on_argv_exit_1(capsys, argv, field):
+    code, out, err = run(capsys, "search", "--target", "24,0,24", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        ({"max_m": -3}, "'max_m'"),
+        ({"max_k": -1}, "'max_k'"),
+        ({"generic": {"chi_h": [0, 2], "c1_sq": [2, 0], "genus": [0, 1]}}, "'c1_sq'"),
+    ],
+)
+def test_search_bad_bounds_in_config_exit_1(capsys, tmp_path, content, field):
+    config = tmp_path / "bounds.json"
+    config.write_text(json.dumps(content))
+    code, out, err = run(capsys, "search", "--target", "24,0,24", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"c1_cubed": 0, "c1c2": 24}, "'c3'"),
+        ({"c3": 24, "c1_cubed": "zero", "c1c2": 24}, "'c1_cubed'"),
+        ({"c3": 24, "c1_cubed": 0, "c1c2": None}, "'c1c2'"),
+    ],
+)
+def test_chern_triple_from_json_names_the_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        ChernTriple.from_json(data)
