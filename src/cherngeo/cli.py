@@ -15,6 +15,7 @@ lists are canonically ordered.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -185,7 +186,8 @@ def _cmd_fibersum(args: argparse.Namespace) -> int:
     block1, block2 = args.blocks
     triple = halic_construction(block1, block2)
     if args.oracle:
-        symbolic = halic_construction_via_oracle(block1, block2)
+        # halic_construction has validated both blocks.
+        symbolic = halic_construction_via_oracle(block1, block2, check=False)
         if symbolic != triple:
             print(
                 f"oracle mismatch: closed form {triple.to_json()} vs symbolic {symbolic.to_json()}",
@@ -266,19 +268,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     cls = classify_geography_point(args.chi, args.c1sq)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "chi_h": cls.chi_h,
-                    "c1_sq": cls.c1_sq,
-                    "labels": list(cls.labels),
-                    "basic_class_count": cls.basic_class_count,
-                    "on_elliptic_axis": cls.on_elliptic_axis,
-                    "signature_sign": cls.signature_sign,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(dataclasses.asdict(cls), sort_keys=True))
     else:
         print(f"point             ({cls.chi_h}, {cls.c1_sq})")
         print(f"regions           {', '.join(cls.labels) if cls.labels else '(none)'}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .catalog import FAMILIES, family_name, generic_block
 from .fibersum import halic_construction, halic_construction_via_oracle
-from .invariants import ChernTriple, LefschetzBlock, json_field
+from .invariants import ChernTriple, LefschetzBlock, json_field, require_valid
 
 # The closed regions of the plane in label order, as (label, lower line,
 # upper line); a line (a, b) is c1^2 = a*chi_h + b.  Points strictly below
@@ -29,6 +29,12 @@ REGIONS = (
     ("one-basic-class", (1, -3), (2, -6)),
     ("general-type", (2, -6), (9, 0)),
 )
+
+# The lines the classification's two flags refer to: elliptic surfaces E(n)
+# sit on the axis c1^2 = 0 (for chi_h >= 1), and the signature
+# sigma = c1^2 - 8*chi_h changes sign across the signature line.
+ELLIPTIC_AXIS = (0, 0)
+SIGNATURE_LINE = (8, 0)
 
 
 @dataclass(frozen=True)
@@ -167,19 +173,23 @@ def search_realizations(target: ChernTriple, bounds: SearchBounds) -> list[Reali
     """All unordered block pairs within bounds realizing the target exactly.
 
     Symmetric pairs are deduplicated by canonical ordering of the
-    candidate list.  Every hit is recomputed through the independent
-    symbolic path before emission.
+    candidate list.  Every candidate is validated once, in list order,
+    before the scan; the first invalid one is the one the scan would meet
+    first.  Every hit is recomputed through the independent symbolic path
+    before emission.
     """
     if construction_obstruction(target) or plane_obstruction(target):
         return []
     blocks = candidate_blocks(bounds)
+    for block in blocks:
+        require_valid(block)
     results: list[Realization] = []
     for i, b1 in enumerate(blocks):
         for b2 in blocks[i:]:
-            triple = halic_construction(b1, b2)
+            triple = halic_construction(b1, b2, check=False)
             if triple != target:
                 continue
-            verified = halic_construction_via_oracle(b1, b2)
+            verified = halic_construction_via_oracle(b1, b2, check=False)
             if verified != triple:  # pragma: no cover - would be a formula bug
                 raise AssertionError(
                     f"closed form and symbolic path disagree on ({b1.name}, {b2.name})"
@@ -207,6 +217,8 @@ class GeographyClassification:
 # REGIONS flattened for the classifier's loop, and the lines bounding the table.
 _REGION_BOUNDS = tuple((label, *lower, *upper) for label, lower, upper in REGIONS)
 _FLOOR, _CEILING = REGIONS[0][1], REGIONS[-1][2]
+_AXIS_A, _AXIS_B = ELLIPTIC_AXIS
+_SIGNATURE_A, _SIGNATURE_B = SIGNATURE_LINE
 
 
 def classify_geography_point(chi_h: int, c1_sq: int) -> GeographyClassification:
@@ -230,6 +242,38 @@ def classify_geography_point(chi_h: int, c1_sq: int) -> GeographyClassification:
         c1_sq,
         tuple(labels),
         chi_h - c1_sq - 2 if "many-basic-classes" in labels else None,  # basic_class_count
-        c1_sq == 0 and chi_h >= 1,  # on_elliptic_axis
-        _sign(c1_sq - 8 * chi_h),  # signature_sign
+        c1_sq == _AXIS_A * chi_h + _AXIS_B and chi_h >= 1,  # on_elliptic_axis
+        _sign(c1_sq - (_SIGNATURE_A * chi_h + _SIGNATURE_B)),  # signature_sign
     )
+
+
+# Every line the classifier compares c1^2 against: the region boundaries and
+# the two flag lines.
+_CUT_LINES = {line for _, lower, upper in REGIONS for line in (lower, upper)} | {
+    ELLIPTIC_AXIS,
+    SIGNATURE_LINE,
+}
+
+
+def column_runs(chi_h: int, lo: int, hi: int):
+    """Yield (first, last, classification of (chi_h, first)) for the runs of one column.
+
+    Every condition of :func:`classify_geography_point` compares c1^2 with
+    one of the column's cut values a*chi_h + b, so the labels and both flags
+    are the same at every point strictly between two consecutive cuts, and
+    each cut is a run of its own.  Within a run only ``basic_class_count``
+    changes: it falls by one for each step up in c1^2.  The runs cover
+    [lo, hi] in increasing order, clipped to it; each is classified once.
+    """
+    first = lo
+    for cut in sorted({a * chi_h + b for a, b in _CUT_LINES}):
+        if cut < lo:
+            continue
+        if cut > hi:
+            break
+        if first < cut:
+            yield first, cut - 1, classify_geography_point(chi_h, first)
+        yield cut, cut, classify_geography_point(chi_h, cut)
+        first = cut + 1
+    if first <= hi:
+        yield first, hi, classify_geography_point(chi_h, first)

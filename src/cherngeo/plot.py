@@ -8,46 +8,59 @@ grid points stays exact and integer-valued in :mod:`cherngeo.geography`.
 
 from __future__ import annotations
 
-from .geography import REGIONS, classify_geography_point
+from itertools import repeat
+
+from .geography import REGIONS, SIGNATURE_LINE, column_runs
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 56
 
 _FILLS = {"many-basic-classes": "#cfe8ff", "one-basic-class": "#d8f2d0", "general-type": "#fdeccc"}
 
-_SIGNATURE_LINE = (8, 0)  # sigma = c1^2 - 8*chi_h vanishes on it
+# grid_csv refuses larger windows before doing any work; SVG output has a fixed size.
+GRID_POINT_LIMIT = 1_000_000
 
 
 def _line_title(line: tuple[int, int]) -> str:
     a, b = line
     text = "c1^2 = " + ("chi_h" if a == 1 else f"{a}*chi_h")
     text += f" - {-b}" if b < 0 else f" + {b}" if b > 0 else ""
-    return text + " (sigma = 0)" if line == _SIGNATURE_LINE else text
+    return text + " (sigma = 0)" if line == SIGNATURE_LINE else text
 
 
 # The solid lines, top to bottom: the upper line of every region and the
 # signature line.  c1^2 = 0 is drawn as the axis and the elliptic line.
 _LINES = [
     (line, _line_title(line))
-    for line in sorted({upper for _, _, upper in REGIONS} | {_SIGNATURE_LINE}, reverse=True)
+    for line in sorted({upper for _, _, upper in REGIONS} | {SIGNATURE_LINE}, reverse=True)
 ]
 
 
-def grid_rows(chi_range: tuple[int, int], c1sq_range: tuple[int, int]):
-    """Yield (chi_h, c1_sq, classification) for every integer grid point."""
-    for chi in range(chi_range[0], chi_range[1] + 1):
-        for c1sq in range(c1sq_range[0], c1sq_range[1] + 1):
-            yield chi, c1sq, classify_geography_point(chi, c1sq)
-
-
 def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
-    lines = ["chi_h,c1_sq,labels,basic_class_count,on_elliptic_axis,signature_sign"]
-    for chi, c1sq, cls in grid_rows(chi_range, c1sq_range):
-        count = "" if cls.basic_class_count is None else str(cls.basic_class_count)
-        lines.append(
-            f"{chi},{c1sq},{';'.join(cls.labels)},{count},"
-            f"{int(cls.on_elliptic_axis)},{cls.signature_sign}"
+    """One CSV row per integer point of the window, rendered a column run at a time.
+
+    Raises ``ValueError`` before any work when the window has more than
+    ``GRID_POINT_LIMIT`` points.
+    """
+    (chi_lo, chi_hi), (lo, hi) = chi_range, c1sq_range
+    points = max(0, chi_hi - chi_lo + 1) * max(0, hi - lo + 1)
+    if points > GRID_POINT_LIMIT:
+        raise ValueError(
+            f"plot window has {points} points, more than the CSV limit of {GRID_POINT_LIMIT}"
         )
+    lines = ["chi_h,c1_sq,labels,basic_class_count,on_elliptic_axis,signature_sign"]
+    for chi in range(chi_lo, chi_hi + 1):
+        head = f"{chi},"
+        for first, last, cls in column_runs(chi, lo, hi):
+            # Only basic_class_count changes within a run: one less per step up in c1^2.
+            count = cls.basic_class_count
+            counts = repeat("") if count is None else range(count, count - (last - first) - 1, -1)
+            labels = f",{';'.join(cls.labels)},"
+            tail = f",{int(cls.on_elliptic_axis)},{cls.signature_sign}"
+            lines += [
+                f"{head}{c1sq}{labels}{n}{tail}"
+                for c1sq, n in zip(range(first, last + 1), counts)
+            ]
     return "\n".join(lines) + "\n"
 
 

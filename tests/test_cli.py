@@ -85,6 +85,28 @@ def test_fibersum_oracle_flag(capsys):
     assert json.loads(out) == {"c3": -24, "c1_cubed": 0, "c1c2": -24}
 
 
+def test_fibersum_oracle_validates_each_block_once(capsys, monkeypatch):
+    from cherngeo import invariants
+
+    seen = []
+    real = invariants.validate_block
+    monkeypatch.setattr(invariants, "validate_block", lambda b: seen.append(b.name) or real(b))
+    code, _, err = run(capsys, "fibersum", "elliptic", "--m", "3", "ruled-spheres", "--oracle")
+    assert code == 0
+    assert "oracle: agreed" in err
+    assert seen == ["E(3)", "S2xS2"]
+
+
+def test_fibersum_oracle_still_rejects_an_invalid_block(capsys):
+    code, out, err = run(
+        capsys, "fibersum", "generic", "--chi", "1", "--c1sq", "0", "--genus", "1", "--n", "5",
+        "elliptic", "--m", "1", "--oracle",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("validation error: invalid block")
+
+
 def test_search_worked_example(capsys):
     code, out, _ = run(capsys, "search", "--target", "24,0,24", "--max-m", "5")
     assert code == 0
@@ -144,6 +166,25 @@ def test_classify_sigma_zero(capsys):
     code, out, _ = run(capsys, "classify", "--chi", "1", "--c1sq", "8", "--format", "json")
     assert code == 0
     assert json.loads(out)["signature_sign"] == 0
+
+
+@pytest.mark.parametrize(
+    "chi, c1sq, expected",
+    [
+        (5, 0, '{"basic_class_count": 3, "c1_sq": 0, "chi_h": 5, "labels": '
+               '["many-basic-classes"], "on_elliptic_axis": true, "signature_sign": -1}'),
+        (1, 8, '{"basic_class_count": null, "c1_sq": 8, "chi_h": 1, "labels": '
+               '["general-type"], "on_elliptic_axis": false, "signature_sign": 0}'),
+        (5, 4, '{"basic_class_count": null, "c1_sq": 4, "chi_h": 5, "labels": '
+               '["one-basic-class", "general-type"], "on_elliptic_axis": false, '
+               '"signature_sign": -1}'),
+    ],
+)
+def test_classify_json_bytes(capsys, chi, c1sq, expected):
+    code, out, err = run(
+        capsys, "classify", "--chi", str(chi), "--c1sq", str(c1sq), "--format", "json"
+    )
+    assert (code, out, err) == (0, expected + "\n", "")
 
 
 def test_plot_csv(capsys):

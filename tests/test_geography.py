@@ -131,6 +131,46 @@ def test_generic_grid_candidates_are_valid_and_searchable():
         assert r.triple == ChernTriple(24, 0, 24)
 
 
+def _count_validations(monkeypatch):
+    """Record the name of every block ``validate_block`` sees."""
+    from cherngeo import invariants
+
+    seen = []
+    real = invariants.validate_block
+
+    def counting(block):
+        seen.append(block.name)
+        return real(block)
+
+    monkeypatch.setattr(invariants, "validate_block", counting)
+    return seen
+
+
+def test_search_validates_each_candidate_once(monkeypatch):
+    bounds = SearchBounds(families=("elliptic", "ruled-spheres"), max_m=5)
+    names = [b.name for b in candidate_blocks(bounds)]
+    seen = _count_validations(monkeypatch)
+    results = search_realizations(ChernTriple(48, 0, 48), bounds)
+    assert [(r.block1.name, r.block2.name) for r in results] == [("E(2)", "S2xS2")]
+    assert seen == names  # one call per candidate, not two per pair
+
+
+def test_search_raises_on_the_first_invalid_candidate(monkeypatch):
+    import dataclasses
+
+    from cherngeo.invariants import BlockValidationError
+
+    bad = [
+        dataclasses.replace(elliptic_surface(m), name=f"bad{m}", singular_fibers=1)
+        for m in (2, 3)
+    ]
+    blocks = [elliptic_surface(1), bad[0], ruled_spheres(), bad[1]]
+    monkeypatch.setattr(geography, "candidate_blocks", lambda bounds: blocks)
+    with pytest.raises(BlockValidationError, match="'bad2'") as info:
+        search_realizations(ChernTriple(24, 0, 24), SearchBounds())
+    assert info.value.block_name == "bad2"
+
+
 def test_bounds_from_json():
     bounds = SearchBounds.from_json(
         {

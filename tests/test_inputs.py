@@ -4,6 +4,7 @@ Family names and aliases are checked against ``catalog.FAMILIES``; every
 malformed catalog or search config, negative search limit or empty grid
 range exits 1 with one line that names the offending entry or field, never
 with a traceback; ``search --config`` together with a bound flag exits 2.
+A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work.
 """
 
 import json
@@ -231,3 +232,23 @@ def test_search_bad_bounds_in_config_exit_1(capsys, tmp_path, content, field):
 def test_chern_triple_from_json_names_the_field(data, field):
     with pytest.raises(ValueError, match=field):
         ChernTriple.from_json(data)
+
+
+def test_plot_csv_over_the_point_limit_exits_1(capsys, tmp_path):
+    out_file = tmp_path / "grid.csv"
+    for extra in ((), ("--output", str(out_file))):
+        code, out, err = run(
+            capsys, "plot", "--chi", "0..2000", "--c1sq", "0..1000", "--format", "csv", *extra
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: plot window has 2003001 points, more than the CSV limit of 1000000\n"
+        )
+    assert not out_file.exists()
+
+
+def test_plot_svg_has_no_point_limit(capsys):
+    code, out, _ = run(capsys, "plot", "--chi", "0..2000", "--c1sq", "0..1000", "--format", "svg")
+    assert code == 0
+    assert out.startswith("<svg ")
