@@ -18,8 +18,8 @@ then applied to the invariants of any product with that layout.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 from .invariants import ChernTriple, FourManifoldInvariants, SurfaceInvariants
 
@@ -28,16 +28,19 @@ class DimensionMismatchError(ValueError):
     """Expression degree does not match the ambient product's dimension."""
 
 
-@dataclass(frozen=True, order=True)
-class ClassGenerator:
-    """A single Chern class of one factor, e.g. c1 of the second surface."""
+class ClassGenerator(namedtuple("ClassGenerator", "source kind")):
+    """A single Chern class of one factor, e.g. c1 of the second surface.
 
-    source: str
-    kind: str  # "c1" or "c2"
+    Fields: ``source: str`` (the factor's name) and ``kind: str`` ("c1" or
+    "c2").  Generators order as (source, kind) tuples.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("c1", "c2"):
-            raise ValueError(f"kind must be 'c1' or 'c2', got {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, source: str, kind: str):
+        if kind not in ("c1", "c2"):
+            raise ValueError(f"kind must be 'c1' or 'c2', got {kind!r}")
+        return super().__new__(cls, source, kind)
 
     @property
     def degree(self) -> int:
@@ -186,22 +189,29 @@ def total_chern_of_product(x: str, s: str) -> GradedClassExpression:
     return (one() + c1(x) + c2(x)) * (one() + c1(s))
 
 
-@dataclass(frozen=True)
-class EvaluationContext:
+class EvaluationContext(namedtuple("EvaluationContext", "four_manifolds surfaces")):
     """Invariants of the factors of the ambient product being evaluated.
 
-    ``four_manifolds`` maps factor names to their invariant records,
-    ``surfaces`` maps factor names to surfaces.  The ambient product is
-    exactly the union of those factors.
+    ``four_manifolds: Mapping[str, FourManifoldInvariants]`` maps factor
+    names to their invariant records, ``surfaces: Mapping[str,
+    SurfaceInvariants]`` maps factor names to surfaces; each defaults to a
+    new empty dict.  The ambient product is exactly the union of those
+    factors.
     """
 
-    four_manifolds: Mapping[str, FourManifoldInvariants] = field(default_factory=dict)
-    surfaces: Mapping[str, SurfaceInvariants] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        overlap = set(self.four_manifolds) & set(self.surfaces)
+    def __new__(
+        cls,
+        four_manifolds: Mapping[str, FourManifoldInvariants] | None = None,
+        surfaces: Mapping[str, SurfaceInvariants] | None = None,
+    ):
+        four_manifolds = {} if four_manifolds is None else four_manifolds
+        surfaces = {} if surfaces is None else surfaces
+        overlap = set(four_manifolds) & set(surfaces)
         if overlap:
             raise ValueError(f"factor names reused across kinds: {sorted(overlap)}")
+        return super().__new__(cls, four_manifolds, surfaces)
 
     @property
     def real_dimension(self) -> int:

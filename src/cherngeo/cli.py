@@ -15,7 +15,6 @@ lists are canonically ordered.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -268,7 +267,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     cls = classify_geography_point(args.chi, args.c1sq)
     if args.format == "json":
-        print(json.dumps(dataclasses.asdict(cls), sort_keys=True))
+        print(json.dumps(cls._asdict(), sort_keys=True))
     else:
         print(f"point             ({cls.chi_h}, {cls.c1_sq})")
         print(f"regions           {', '.join(cls.labels) if cls.labels else '(none)'}")

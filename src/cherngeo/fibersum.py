@@ -12,7 +12,7 @@ test.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import algebra
 from .invariants import (
@@ -32,12 +32,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrossSectionInvariants:
-    """c1^2 and c2 of the codimension-two locus both pieces are glued along."""
+class CrossSectionInvariants(namedtuple("CrossSectionInvariants", "c1_sq c2")):
+    """c1^2 and c2 of the codimension-two locus both pieces are glued along.
 
-    c1_sq: int
-    c2: int
+    Fields (both ``int``): c1_sq, c2.
+    """
+
+    __slots__ = ()
 
 
 @functools.cache

@@ -12,9 +12,9 @@ so boundary points carry every adjacent label.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 
 from .catalog import FAMILIES, family_name, generic_block
 from .fibersum import halic_construction, halic_construction_via_oracle
@@ -37,13 +37,13 @@ ELLIPTIC_AXIS = (0, 0)
 SIGNATURE_LINE = (8, 0)
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
-    """Outcome of the necessary divisibility conditions on a Chern triple."""
+class DivisibilityReport(namedtuple("DivisibilityReport", "c3_even c1cubed_even c1c2_mod24")):
+    """Outcome of the necessary divisibility conditions on a Chern triple.
 
-    c3_even: bool
-    c1cubed_even: bool
-    c1c2_mod24: bool
+    Fields (all ``bool``): c3_even, c1cubed_even, c1c2_mod24.
+    """
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -88,38 +88,48 @@ def plane_obstruction(t: ChernTriple) -> list[str]:
     return [f"3*c3 = {3 * t.c3} differs from 3*c1c2 - c1^3 = {3 * t.c1c2 - t.c1_cubed}"]
 
 
-@dataclass(frozen=True)
-class GenericGrid:
-    """Inclusive ranges for brute-force generic blocks in the search."""
+class GenericGrid(namedtuple("GenericGrid", "chi_h c1_sq genus")):
+    """Inclusive ranges for brute-force generic blocks in the search.
 
-    chi_h: tuple[int, int]
-    c1_sq: tuple[int, int]
-    genus: tuple[int, int]
+    Fields (each a ``tuple[int, int]`` (lo, hi)): chi_h, c1_sq, genus.
+    """
 
-    def __post_init__(self):
-        for key in ("chi_h", "c1_sq", "genus"):
-            lo, hi = getattr(self, key)
+    __slots__ = ()
+
+    def __new__(cls, chi_h: tuple[int, int], c1_sq: tuple[int, int], genus: tuple[int, int]):
+        for key, (lo, hi) in zip(cls._fields, (chi_h, c1_sq, genus)):
             if lo > hi:
                 raise ValueError(f"generic grid range {key!r} is empty: {lo} > {hi}")
+        return super().__new__(cls, chi_h, c1_sq, genus)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Search limits; ``families`` are resolved through the catalog's registry and aliases."""
+class SearchBounds(
+    namedtuple("SearchBounds", "families max_m max_k max_knot_genus generic")
+):
+    """Search limits; ``families`` are resolved through the catalog's registry and aliases.
 
-    families: tuple[str, ...] = tuple(FAMILIES)
-    max_m: int = 5
-    max_k: int = 5
-    max_knot_genus: int = 4
-    generic: GenericGrid | None = None
+    Fields: ``families: tuple[str, ...]`` (default: every registry family),
+    ``max_m``, ``max_k``, ``max_knot_genus`` (``int``; default 5, 5, 4) and
+    ``generic: GenericGrid | None`` (default: no generic grid).
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.families, (list, tuple)):
-            raise ValueError(f"families must be a list of family names, got {self.families!r}")
-        object.__setattr__(self, "families", tuple(family_name(f) for f in self.families))
-        for key in ("max_m", "max_k", "max_knot_genus"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key!r} must be non-negative, got {getattr(self, key)}")
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        families: tuple[str, ...] = tuple(FAMILIES),
+        max_m: int = 5,
+        max_k: int = 5,
+        max_knot_genus: int = 4,
+        generic: GenericGrid | None = None,
+    ):
+        if not isinstance(families, (list, tuple)):
+            raise ValueError(f"families must be a list of family names, got {families!r}")
+        families = tuple(family_name(f) for f in families)
+        for key, value in (("max_m", max_m), ("max_k", max_k), ("max_knot_genus", max_knot_genus)):
+            if value < 0:
+                raise ValueError(f"{key!r} must be non-negative, got {value}")
+        return super().__new__(cls, families, max_m, max_k, max_knot_genus, generic)
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchBounds":
@@ -131,32 +141,61 @@ class SearchBounds:
                 raise ValueError(f"field 'generic' must be an object, got {generic!r}")
             generic = GenericGrid(*(_range_field(generic, k) for k in ("chi_h", "c1_sq", "genus")))
         limits = {k: json_field(data, k) for k in ("max_m", "max_k", "max_knot_genus") if k in data}
-        return cls(families=data.get("families", cls.families), generic=generic, **limits)
+        return cls(families=data.get("families", tuple(FAMILIES)), generic=generic, **limits)
 
 
 def _range_field(grid: dict, key: str) -> tuple[int, int]:
+    """A [lo, hi] pair of JSON integers, read as strictly as :func:`json_field` reads one."""
     value = grid.get(key)
-    if isinstance(value, list) and len(value) == 2:
-        with contextlib.suppress(TypeError, ValueError):
-            return int(value[0]), int(value[1])
+    if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value):
+        return value[0], value[1]
     raise ValueError(f"field 'generic.{key}' must be a [lo, hi] pair of integers, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Realization:
-    """A block pair whose fiber sum hits the target triple."""
+class Realization(namedtuple("Realization", "block1 block2 triple")):
+    """A block pair whose fiber sum hits the target triple.
 
-    block1: LefschetzBlock
-    block2: LefschetzBlock
-    triple: ChernTriple
+    Fields: ``block1``, ``block2`` (``LefschetzBlock``) and ``triple``
+    (``ChernTriple``).
+    """
+
+    __slots__ = ()
+
+
+# The most candidate blocks one search may enumerate, about 12.5 million pairs;
+# bounds that allow more are refused before any block is built.
+SEARCH_BLOCK_LIMIT = 5_000
+
+
+def _range_size(r: range) -> int:
+    """``len(r)`` for a positive step, without its ``sys.maxsize`` cap."""
+    return max(0, -((r.start - r.stop) // r.step))
 
 
 def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
-    """All blocks within bounds: the named families in registry order, then the generic grid."""
+    """All blocks within bounds: the named families in registry order, then the generic grid.
+
+    Bounds that allow more than :data:`SEARCH_BLOCK_LIMIT` blocks raise
+    ValueError before any block is built.  The count is an upper bound: the
+    product of the search ranges of each selected family, plus the size of
+    the generic grid before genera without a fibration are dropped.
+    """
+    selected = [
+        (build, search_ranges(bounds))
+        for name, (build, _, search_ranges) in FAMILIES.items()
+        if name in bounds.families
+    ]
+    count = sum(math.prod(map(_range_size, ranges)) for _, ranges in selected)
+    if bounds.generic is not None:
+        count += math.prod(hi - lo + 1 for lo, hi in bounds.generic)
+    if count > SEARCH_BLOCK_LIMIT:
+        raise ValueError(
+            f"search bounds allow {count} candidate blocks, more than the limit of "
+            f"{SEARCH_BLOCK_LIMIT}"
+        )
     blocks: list[LefschetzBlock] = []
-    for name, (build, _, search_ranges) in FAMILIES.items():
-        if name in bounds.families:
-            blocks.extend(build(*args) for args in itertools.product(*search_ranges(bounds)))
+    for build, ranges in selected:
+        blocks.extend(build(*args) for args in itertools.product(*ranges))
     if bounds.generic is not None:
         grid = bounds.generic
         for chi in range(grid.chi_h[0], grid.chi_h[1] + 1):
@@ -202,16 +241,20 @@ def _sign(value: int) -> int:
     return (value > 0) - (value < 0)
 
 
-@dataclass(frozen=True)
-class GeographyClassification:
-    """Region labels and flags for one integer point of the (chi_h, c1^2) plane."""
+class GeographyClassification(
+    namedtuple(
+        "GeographyClassification",
+        "chi_h c1_sq labels basic_class_count on_elliptic_axis signature_sign",
+    )
+):
+    """Region labels and flags for one integer point of the (chi_h, c1^2) plane.
 
-    chi_h: int
-    c1_sq: int
-    labels: tuple[str, ...]
-    basic_class_count: int | None
-    on_elliptic_axis: bool
-    signature_sign: int
+    Fields: ``chi_h: int``, ``c1_sq: int``, ``labels: tuple[str, ...]``,
+    ``basic_class_count: int | None``, ``on_elliptic_axis: bool`` and
+    ``signature_sign: int`` (-1, 0 or 1).
+    """
+
+    __slots__ = ()
 
 
 # REGIONS flattened for the classifier's loop, and the lines bounding the table.

@@ -5,11 +5,16 @@ reported as data (lists of messages), never raised, so that invalid
 records can be constructed, inspected, and displayed.  Only geometrically
 meaningless inputs (negative genus, negative singular-fiber count) are
 rejected at construction time.
+
+The records here and in the other modules are immutable named tuples
+with ``__slots__ = ()``, which a cold CLI process defines without
+importing a code-generating module; construction checks live in
+``__new__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class BlockValidationError(ValueError):
@@ -21,20 +26,16 @@ class BlockValidationError(ValueError):
         super().__init__(f"invalid block {name!r}: " + "; ".join(violations))
 
 
-@dataclass(frozen=True)
-class FourManifoldInvariants:
+class FourManifoldInvariants(namedtuple("FourManifoldInvariants", "sigma euler chi_h c1_sq c2")):
     """Numeric invariants of a closed almost complex 4-manifold.
 
-    The record stores all five quantities redundantly; the defining
-    identities (c1^2 = 3*sigma + 2*euler, c2 = euler, 4*chi_h = sigma + euler)
-    are checked by :meth:`violations`.
+    Fields (all ``int``): sigma, euler, chi_h, c1_sq, c2.  The record
+    stores all five quantities redundantly; the defining identities
+    (c1^2 = 3*sigma + 2*euler, c2 = euler, 4*chi_h = sigma + euler) are
+    checked by :meth:`violations`.
     """
 
-    sigma: int
-    euler: int
-    chi_h: int
-    c1_sq: int
-    c2: int
+    __slots__ = ()
 
     def violations(self) -> list[str]:
         out = []
@@ -51,56 +52,63 @@ class FourManifoldInvariants:
         return out
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    """A closed oriented surface of genus g; euler = 2 - 2g."""
+class SurfaceInvariants(namedtuple("SurfaceInvariants", "genus")):
+    """A closed oriented surface of genus g (``genus: int``); euler = 2 - 2g."""
 
-    genus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError(f"genus must be non-negative, got {self.genus}")
+    def __new__(cls, genus: int):
+        if genus < 0:
+            raise ValueError(f"genus must be non-negative, got {genus}")
+        return super().__new__(cls, genus)
 
     @property
     def euler(self) -> int:
         return 2 - 2 * self.genus
 
 
-@dataclass(frozen=True)
-class LefschetzBlock:
+class LefschetzBlock(
+    namedtuple("LefschetzBlock", "name invariants fiber_genus singular_fibers simply_connected")
+):
     """A 4-manifold with a Lefschetz fibration over the sphere.
 
-    ``fiber_genus`` is the genus of the generic fiber and
-    ``singular_fibers`` counts the nodal fibers.  Negative counts are
-    rejected here; consistency of the fibration data with the invariant
-    record is the job of :func:`validate_block`.
+    Fields: ``name: str``, ``invariants: FourManifoldInvariants``,
+    ``fiber_genus: int`` (the genus of the generic fiber),
+    ``singular_fibers: int`` (the number of nodal fibers) and
+    ``simply_connected: bool``.  Negative counts are rejected here;
+    consistency of the fibration data with the invariant record is the job
+    of :func:`validate_block`.
     """
 
-    name: str
-    invariants: FourManifoldInvariants
-    fiber_genus: int
-    singular_fibers: int
-    simply_connected: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.fiber_genus < 0:
-            raise ValueError(f"fiber genus must be non-negative, got {self.fiber_genus}")
-        if self.singular_fibers < 0:
-            raise ValueError(
-                f"singular-fiber count must be non-negative, got {self.singular_fibers}"
-            )
+    def __new__(
+        cls,
+        name: str,
+        invariants: FourManifoldInvariants,
+        fiber_genus: int,
+        singular_fibers: int,
+        simply_connected: bool,
+    ):
+        if fiber_genus < 0:
+            raise ValueError(f"fiber genus must be non-negative, got {fiber_genus}")
+        if singular_fibers < 0:
+            raise ValueError(f"singular-fiber count must be non-negative, got {singular_fibers}")
+        return super().__new__(
+            cls, name, invariants, fiber_genus, singular_fibers, simply_connected
+        )
 
 
-@dataclass(frozen=True)
-class ChernTriple:
-    """The three Chern numbers (c3, c1^3, c1c2) of an almost complex 6-manifold."""
+class ChernTriple(namedtuple("ChernTriple", "c3 c1_cubed c1c2")):
+    """The three Chern numbers (c3, c1^3, c1c2) of an almost complex 6-manifold.
 
-    c3: int
-    c1_cubed: int
-    c1c2: int
+    Fields (all ``int``): c3, c1_cubed, c1c2.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {"c3": self.c3, "c1_cubed": self.c1_cubed, "c1c2": self.c1c2}
+        return self._asdict()
 
     @classmethod
     def from_json(cls, data: dict) -> "ChernTriple":
@@ -170,13 +178,18 @@ def block_to_json(block: LefschetzBlock) -> dict:
 
 
 def json_field(record: dict, key: str, kind=int):
-    """``kind(record[key])``; a missing field or a failed conversion raises ValueError."""
+    """``record[key]``, which must be a JSON value of type ``kind`` (int, bool or str).
+
+    Nothing is converted: ``1.5``, ``2.0``, ``"2"`` and ``true`` are not
+    ints, and ``"no"`` is not a bool.  A missing or mistyped field raises
+    ValueError.
+    """
     if key not in record:
         raise ValueError(f"missing field {key!r}")
-    try:
-        return kind(record[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"field {key!r} must be {kind.__name__}, got {record[key]!r}") from None
+    value = record[key]
+    if type(value) is not kind:
+        raise ValueError(f"field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def block_from_json(data: dict) -> LefschetzBlock:

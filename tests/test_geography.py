@@ -156,12 +156,10 @@ def test_search_validates_each_candidate_once(monkeypatch):
 
 
 def test_search_raises_on_the_first_invalid_candidate(monkeypatch):
-    import dataclasses
-
     from cherngeo.invariants import BlockValidationError
 
     bad = [
-        dataclasses.replace(elliptic_surface(m), name=f"bad{m}", singular_fibers=1)
+        elliptic_surface(m)._replace(name=f"bad{m}", singular_fibers=1)
         for m in (2, 3)
     ]
     blocks = [elliptic_surface(1), bad[0], ruled_spheres(), bad[1]]

@@ -4,13 +4,18 @@ Family names and aliases are checked against ``catalog.FAMILIES``; every
 malformed catalog or search config, negative search limit or empty grid
 range exits 1 with one line that names the offending entry or field, never
 with a traceback; ``search --config`` together with a bound flag exits 2.
-A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work.
+A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work,
+and so does a search whose bounds allow more than
+``geography.SEARCH_BLOCK_LIMIT`` candidate blocks.  JSON fields are read
+strictly: an integer field takes only a JSON integer, ``simply_connected``
+only ``true`` or ``false``, ``name`` only a string.
 """
 
 import json
 
 import pytest
 
+from cherngeo import geography
 from cherngeo.catalog import (
     FAMILIES,
     block_from_family,
@@ -19,7 +24,7 @@ from cherngeo.catalog import (
 )
 from cherngeo.cli import main, parse_block_specs
 from cherngeo.fibersum import halic_construction
-from cherngeo.geography import GenericGrid, SearchBounds
+from cherngeo.geography import SEARCH_BLOCK_LIMIT, GenericGrid, SearchBounds, candidate_blocks
 from cherngeo.invariants import ChernTriple, block_to_json
 
 
@@ -252,3 +257,123 @@ def test_plot_svg_has_no_point_limit(capsys):
     code, out, _ = run(capsys, "plot", "--chi", "0..2000", "--c1sq", "0..1000", "--format", "svg")
     assert code == 0
     assert out.startswith("<svg ")
+
+
+# -- strict JSON field types -------------------------------------------------
+
+GENERIC_RECORD = {
+    "name": "X", "chi_h": 1, "c1_sq": 8, "fiber_genus": 0, "singular_fibers": 0,
+    "simply_connected": True,
+}
+GRID = {"chi_h": [0, 1], "c1_sq": [0, 1], "genus": [0, 1]}
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("catalog", [{"family": "elliptic", "m": 1.5}], "field 'm' must be int, got 1.5"),
+        ("catalog", [{"family": "elliptic", "m": 2.0}], "field 'm' must be int, got 2.0"),
+        ("catalog", [{"family": "elliptic", "m": "2"}], "field 'm' must be int, got '2'"),
+        ("catalog", [{"family": "elliptic", "m": True}], "field 'm' must be int, got True"),
+        ("catalog", [{"family": "elliptic", "m": float("inf")}], "field 'm' must be int, got inf"),
+        (
+            "catalog",
+            [{**GENERIC_RECORD, "simply_connected": "no"}],
+            "field 'simply_connected' must be bool, got 'no'",
+        ),
+        (
+            "catalog",
+            [{**GENERIC_RECORD, "simply_connected": 1}],
+            "field 'simply_connected' must be bool, got 1",
+        ),
+        ("catalog", [{**GENERIC_RECORD, "name": 7}], "field 'name' must be str, got 7"),
+        ("catalog", [{**GENERIC_RECORD, "chi_h": 1.0}], "field 'chi_h' must be int, got 1.0"),
+        ("search", {"max_m": True}, "field 'max_m' must be int, got True"),
+        ("search", {"max_k": 2.5}, "field 'max_k' must be int, got 2.5"),
+        ("search", {"max_m": float("inf")}, "field 'max_m' must be int, got inf"),
+        (
+            "search",
+            {"generic": {**GRID, "chi_h": [0, 1e9]}},
+            "field 'generic.chi_h' must be a [lo, hi] pair of integers, got [0, 1000000000.0]",
+        ),
+        (
+            "search",
+            {"generic": {**GRID, "genus": [False, 1]}},
+            "field 'generic.genus' must be a [lo, hi] pair of integers, got [False, 1]",
+        ),
+    ],
+)
+def test_json_fields_are_not_converted(capsys, tmp_path, command, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    if command == "catalog":
+        argv = ["catalog", "--catalog", str(path)]
+    else:
+        argv = ["search", "--target", "24,0,24", "--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(message + "\n")
+
+
+# -- the search's block limit ------------------------------------------------
+
+
+@pytest.fixture
+def no_blocks(monkeypatch):
+    """Make building any candidate block fail at once, instead of filling memory."""
+
+    def refuse(*args):
+        raise AssertionError("a candidate block was built")
+
+    for name, (_, params, search_ranges) in list(FAMILIES.items()):
+        monkeypatch.setitem(FAMILIES, name, (refuse, params, search_ranges))
+    monkeypatch.setattr(geography, "generic_block", refuse)
+
+
+@pytest.mark.parametrize(
+    "bounds, count",
+    [
+        (SearchBounds(families=("elliptic",), max_m=SEARCH_BLOCK_LIMIT + 1), 5001),
+        (SearchBounds(max_m=99999999999999), 100000000000025),
+        (SearchBounds(families=("elliptic",), max_m=10**30), 10**30),
+        (SearchBounds(families=(), generic=GenericGrid((0, 10**9), (0, 1), (0, 1))), 4000000004),
+        (SearchBounds(families=(), generic=GenericGrid((0, 99), (0, 49), (-1, 0))), 10000),
+    ],
+)
+def test_candidate_blocks_over_the_limit_raise_before_building(no_blocks, bounds, count):
+    with pytest.raises(ValueError) as info:
+        candidate_blocks(bounds)
+    assert str(info.value) == (
+        f"search bounds allow {count} candidate blocks, more than the limit of 5000"
+    )
+
+
+def test_candidate_blocks_limit_is_inclusive():
+    assert len(candidate_blocks(SearchBounds(families=("elliptic",), max_m=5000))) == 5000
+    grid = GenericGrid((0, 99), (0, 49), (0, 0))  # 5,000 points, fewer fibrations
+    assert candidate_blocks(SearchBounds(families=(), generic=grid))
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--max-m", "99999999999999"], None),
+        (["--generic-chi", "0..1000000000", "--generic-c1sq", "0..1", "--generic-genus", "0..1"],
+         None),
+        ([], {"generic": {**GRID, "chi_h": [0, 1000000000]}}),
+        ([], {"max_k": 100, "max_knot_genus": 100}),
+    ],
+)
+def test_search_over_the_block_limit_exits_1(capsys, tmp_path, no_blocks, argv, config):
+    if config is not None:
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path)]
+    code, out, err = run(capsys, "search", "--target", "24,0,24", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: search bounds allow ") and err.count("\n") == 1
+    assert err.endswith(" candidate blocks, more than the limit of 5000\n")

@@ -1,0 +1,164 @@
+"""The value records: immutable named tuples whose constructors keep their checks.
+
+Every record of the package is a ``collections.namedtuple`` subclass with
+``__slots__ = ()``.  These tests pin what the records promise: no field can
+be assigned, each construction check raises the same ValueError from the
+positional and from the keyword constructor, ``SearchBounds`` defaults and
+normalises its families, generators sort by (source, kind), and importing
+the CLI loads neither ``dataclasses`` nor ``inspect``.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+from cherngeo.algebra import ClassGenerator, EvaluationContext
+from cherngeo.catalog import FAMILIES, elliptic_surface
+from cherngeo.fibersum import CrossSectionInvariants
+from cherngeo.geography import (
+    DivisibilityReport,
+    GenericGrid,
+    GeographyClassification,
+    Realization,
+    SearchBounds,
+    classify_geography_point,
+)
+from cherngeo.invariants import (
+    ChernTriple,
+    FourManifoldInvariants,
+    LefschetzBlock,
+    SurfaceInvariants,
+    complete_invariants,
+)
+
+E2 = elliptic_surface(2)
+GRID = GenericGrid((0, 1), (0, 1), (0, 1))
+
+RECORDS = [
+    complete_invariants(1, 0),
+    SurfaceInvariants(2),
+    E2,
+    ChernTriple(24, 0, 24),
+    ClassGenerator("X", "c1"),
+    EvaluationContext({"X": complete_invariants(1, 0)}, {"S": SurfaceInvariants(0)}),
+    CrossSectionInvariants(4, 2),
+    DivisibilityReport(True, True, False),
+    GRID,
+    SearchBounds(generic=GRID),
+    Realization(E2, E2, ChernTriple(0, 0, 0)),
+    classify_geography_point(2, 0),
+]
+
+
+def test_every_record_type_is_listed():
+    types = {type(r) for r in RECORDS}
+    assert types == {
+        FourManifoldInvariants, SurfaceInvariants, LefschetzBlock, ChernTriple,
+        ClassGenerator, EvaluationContext, CrossSectionInvariants, DivisibilityReport,
+        GenericGrid, SearchBounds, Realization, GeographyClassification,
+    }
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1  # __slots__ = (): no instance dict
+
+
+# (type, positional arguments, the ValueError's message), each message as the
+# record classes have always raised it.
+CHECKS = [
+    (SurfaceInvariants, (-1,), "genus must be non-negative, got -1"),
+    (LefschetzBlock, ("B", E2.invariants, -1, 0, True), "fiber genus must be non-negative, got -1"),
+    (
+        LefschetzBlock,
+        ("B", E2.invariants, 1, -2, True),
+        "singular-fiber count must be non-negative, got -2",
+    ),
+    (ClassGenerator, ("X", "c3"), "kind must be 'c1' or 'c2', got 'c3'"),
+    (
+        EvaluationContext,
+        ({"X": E2.invariants}, {"X": SurfaceInvariants(0)}),
+        "factor names reused across kinds: ['X']",
+    ),
+    (GenericGrid, ((1, 0), (0, 1), (0, 1)), "generic grid range 'chi_h' is empty: 1 > 0"),
+    (GenericGrid, ((0, 1), (2, 1), (0, 1)), "generic grid range 'c1_sq' is empty: 2 > 1"),
+    (GenericGrid, ((0, 1), (0, 1), (5, 3)), "generic grid range 'genus' is empty: 5 > 3"),
+    (SearchBounds, ("elliptic",), "families must be a list of family names, got 'elliptic'"),
+    (
+        SearchBounds,
+        (("eliptic",),),
+        "unknown block family 'eliptic' (known: elliptic, ruled-spheres, "
+        "knot-surgered-elliptic, knot-elliptic)",
+    ),
+    (SearchBounds, ((), -1), "'max_m' must be non-negative, got -1"),
+    (SearchBounds, ((), 5, -2), "'max_k' must be non-negative, got -2"),
+    (SearchBounds, ((), 5, 5, -3), "'max_knot_genus' must be non-negative, got -3"),
+]
+
+
+@pytest.mark.parametrize("kind, args, message", CHECKS)
+def test_construction_checks_raise_from_both_constructors(kind, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kind(*args)
+    keywords = dict(zip(kind._fields, args))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kind(**keywords)
+
+
+def test_constructors_take_positional_and_keyword_arguments():
+    for record in RECORDS:
+        kind = type(record)
+        assert kind(*record) == record
+        assert kind(**record._asdict()) == record
+
+
+def test_search_bounds_defaults_and_family_names():
+    assert SearchBounds().families == tuple(FAMILIES)
+    assert SearchBounds() == SearchBounds(tuple(FAMILIES), 5, 5, 4, None)
+    assert SearchBounds.from_json({}) == SearchBounds()
+    assert SearchBounds(families=["knot-elliptic"]).families == ("knot-surgered-elliptic",)
+    assert SearchBounds(["knot-elliptic", "elliptic"]).families == (
+        "knot-surgered-elliptic",
+        "elliptic",
+    )
+
+
+def test_evaluation_context_defaults_to_fresh_empty_mappings():
+    first, second = EvaluationContext(), EvaluationContext()
+    assert first.four_manifolds == {} and first.surfaces == {}
+    assert first.four_manifolds is not second.four_manifolds
+    assert EvaluationContext(surfaces={"S": SurfaceInvariants(1)}).real_dimension == 2
+
+
+generators = st.builds(
+    ClassGenerator, st.sampled_from(["S", "S1", "S2", "X", "Y"]), st.sampled_from(["c1", "c2"])
+)
+
+
+@given(st.lists(generators, max_size=12))
+def test_generators_sort_by_source_then_kind(gens):
+    assert sorted(gens) == sorted(gens, key=lambda g: (g.source, g.kind))
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # -S keeps site-packages hooks from importing modules before cherngeo does.
+    code = (
+        "import sys\n"
+        "import cherngeo.cli\n"
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == []
