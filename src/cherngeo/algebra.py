@@ -74,16 +74,6 @@ class GradedClassExpression:
                         del canonical[key]
         self.terms = canonical
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def unit(cls) -> "GradedClassExpression":
-        return cls({(): 1})
-
-    @classmethod
-    def generator(cls, gen: ClassGenerator) -> "GradedClassExpression":
-        return cls({(gen,): 1})
-
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other: "GradedClassExpression") -> "GradedClassExpression":
@@ -110,7 +100,7 @@ class GradedClassExpression:
     def __pow__(self, exponent: int) -> "GradedClassExpression":
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        result = GradedClassExpression.unit()
+        result = one()
         for _ in range(exponent):
             result = result * self
         return result
@@ -130,9 +120,6 @@ class GradedClassExpression:
 
     def degrees(self) -> set[int]:
         return {_monomial_degree(m) for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     # -- rendering --------------------------------------------------------
 
@@ -170,15 +157,15 @@ class GradedClassExpression:
 
 
 def c1(source: str) -> GradedClassExpression:
-    return GradedClassExpression.generator(ClassGenerator(source, "c1"))
+    return GradedClassExpression({(ClassGenerator(source, "c1"),): 1})
 
 
 def c2(source: str) -> GradedClassExpression:
-    return GradedClassExpression.generator(ClassGenerator(source, "c2"))
+    return GradedClassExpression({(ClassGenerator(source, "c2"),): 1})
 
 
 def one() -> GradedClassExpression:
-    return GradedClassExpression.unit()
+    return GradedClassExpression({(): 1})
 
 
 def total_chern_of_product(x: str, s: str) -> GradedClassExpression:
@@ -187,35 +174,6 @@ def total_chern_of_product(x: str, s: str) -> GradedClassExpression:
     The Whitney product gives (1 + c1(x) + c2(x)) * (1 + c1(s)).
     """
     return (one() + c1(x) + c2(x)) * (one() + c1(s))
-
-
-class EvaluationContext(namedtuple("EvaluationContext", "four_manifolds surfaces")):
-    """Invariants of the factors of the ambient product being evaluated.
-
-    ``four_manifolds: Mapping[str, FourManifoldInvariants]`` maps factor
-    names to their invariant records, ``surfaces: Mapping[str,
-    SurfaceInvariants]`` maps factor names to surfaces; each defaults to a
-    new empty dict.  The ambient product is exactly the union of those
-    factors.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        four_manifolds: Mapping[str, FourManifoldInvariants] | None = None,
-        surfaces: Mapping[str, SurfaceInvariants] | None = None,
-    ):
-        four_manifolds = {} if four_manifolds is None else four_manifolds
-        surfaces = {} if surfaces is None else surfaces
-        overlap = set(four_manifolds) & set(surfaces)
-        if overlap:
-            raise ValueError(f"factor names reused across kinds: {sorted(overlap)}")
-        return super().__new__(cls, four_manifolds, surfaces)
-
-    @property
-    def real_dimension(self) -> int:
-        return 4 * len(self.four_manifolds) + 2 * len(self.surfaces)
 
 
 # One invariant of one factor: (factor name, attribute of its record), the
@@ -288,9 +246,14 @@ def compile_expression(
     """Resolve a top-degree expression once for a layout of factor names.
 
     The layout names the 4-manifold factors and the surface factors of the
-    product (disjoint names); the plan applies to every product with it.
+    product; the plan applies to every product with it.  A name that appears
+    twice, in one tuple or across both, raises ValueError.
     """
     four_manifolds, surfaces = tuple(four_manifolds), tuple(surfaces)
+    names = four_manifolds + surfaces
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"factor names repeated in the layout: {repeated}")
     dim = 4 * len(four_manifolds) + 2 * len(surfaces)
     wrong = {d for d in expr.degrees() if d != dim}
     if wrong:
@@ -303,12 +266,6 @@ def compile_expression(
         if product is not None:
             terms.append((coeff, product))
     return EvaluationPlan(terms)
-
-
-def evaluate(expr: GradedClassExpression, ctx: EvaluationContext) -> int:
-    """Pair a top-degree expression with the fundamental class of the product."""
-    plan = compile_expression(expr, ctx.four_manifolds, ctx.surfaces)
-    return plan.apply({**ctx.four_manifolds, **ctx.surfaces})
 
 
 @functools.cache

@@ -16,13 +16,14 @@ CLI flags differ from their JSON keys.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 
 from .invariants import (
     LefschetzBlock,
     block_from_json,
     block_to_json,
     complete_invariants,
+    euler_from_fibration,
     json_field,
 )
 
@@ -63,8 +64,7 @@ def knot_surgered_elliptic(k: int, knot_genus: int) -> LefschetzBlock:
     if knot_genus < 0:
         raise ValueError(f"knot genus must be non-negative, got {knot_genus}")
     fiber_genus = 2 * knot_genus + k - 1
-    euler = 12 * k
-    n = euler - 2 * (2 - 2 * fiber_genus)
+    n = 12 * k - euler_from_fibration(fiber_genus, 0)
     return LefschetzBlock(
         name=f"E({k})_K(g={knot_genus})",
         invariants=complete_invariants(k, 0),
@@ -138,7 +138,7 @@ def default_catalog() -> list[LefschetzBlock]:
     return blocks
 
 
-def load_catalog(path: str | Path) -> list[LefschetzBlock]:
+def load_catalog(path: str | os.PathLike) -> list[LefschetzBlock]:
     """Read a JSON array of family records or explicit generic blocks."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -155,7 +155,7 @@ def load_catalog(path: str | Path) -> list[LefschetzBlock]:
     return blocks
 
 
-def save_catalog(blocks: list[LefschetzBlock], path: str | Path) -> None:
+def save_catalog(blocks: list[LefschetzBlock], path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([block_to_json(b) for b in blocks], fh, indent=2, sort_keys=True)
         fh.write("\n")

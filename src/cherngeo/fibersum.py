@@ -22,15 +22,6 @@ from .invariants import (
     require_valid,
 )
 
-__all__ = [
-    "ChernTriple",
-    "CrossSectionInvariants",
-    "cross_section_of_surfaces",
-    "fiber_sum_corrections",
-    "halic_construction",
-    "halic_construction_via_oracle",
-]
-
 
 class CrossSectionInvariants(namedtuple("CrossSectionInvariants", "c1_sq c2")):
     """c1^2 and c2 of the codimension-two locus both pieces are glued along.

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .catalog import FAMILIES, family_name, generic_block
 from .fibersum import halic_construction, halic_construction_via_oracle
-from .invariants import ChernTriple, LefschetzBlock, json_field, require_valid
+from .invariants import ChernTriple, LefschetzBlock, euler_from_fibration, json_field, require_valid
 
 # The closed regions of the plane in label order, as (label, lower line,
 # upper line); a line (a, b) is c1^2 = a*chi_h + b.  Points strictly below
@@ -140,8 +140,10 @@ class SearchBounds(
             if not isinstance(generic, dict):
                 raise ValueError(f"field 'generic' must be an object, got {generic!r}")
             generic = GenericGrid(*(_range_field(generic, k) for k in ("chi_h", "c1_sq", "genus")))
-        limits = {k: json_field(data, k) for k in ("max_m", "max_k", "max_knot_genus") if k in data}
-        return cls(families=data.get("families", tuple(FAMILIES)), generic=generic, **limits)
+        given = {k: json_field(data, k) for k in ("max_m", "max_k", "max_knot_genus") if k in data}
+        if "families" in data:
+            given["families"] = data["families"]
+        return cls(generic=generic, **given)
 
 
 def _range_field(grid: dict, key: str) -> tuple[int, int]:
@@ -201,7 +203,7 @@ def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
         for chi in range(grid.chi_h[0], grid.chi_h[1] + 1):
             for c1sq in range(grid.c1_sq[0], grid.c1_sq[1] + 1):
                 for genus in range(max(0, grid.genus[0]), grid.genus[1] + 1):
-                    n = (12 * chi - c1sq) - 2 * (2 - 2 * genus)
+                    n = (12 * chi - c1sq) - euler_from_fibration(genus, 0)
                     if n < 0:
                         continue  # no fibration with this genus hits that Euler number
                     blocks.append(generic_block(chi, c1sq, genus, n, n > 2 * genus))

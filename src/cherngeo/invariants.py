@@ -181,14 +181,20 @@ def json_field(record: dict, key: str, kind=int):
     """``record[key]``, which must be a JSON value of type ``kind`` (int, bool or str).
 
     Nothing is converted: ``1.5``, ``2.0``, ``"2"`` and ``true`` are not
-    ints, and ``"no"`` is not a bool.  A missing or mistyped field raises
-    ValueError.
+    ints, and ``"no"`` is not a bool.  A string must be encodable as UTF-8,
+    so a lone surrogate such as ``"\\ud800"`` is refused here rather than
+    when it is printed.  A missing or mistyped field raises ValueError.
     """
     if key not in record:
         raise ValueError(f"missing field {key!r}")
     value = record[key]
     if type(value) is not kind:
         raise ValueError(f"field {key!r} must be {kind.__name__}, got {value!r}")
+    if kind is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"field {key!r} must be encodable as UTF-8, got {value!r}") from None
     return value
 
 

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,11 @@ from hypothesis import example, given, strategies as st
 from cherngeo.algebra import (
     ClassGenerator,
     DimensionMismatchError,
-    EvaluationContext,
     GradedClassExpression,
     c1,
     c2,
     chern_numbers_of_product,
     compile_expression,
-    evaluate,
     one,
     total_chern_of_product,
 )
@@ -28,17 +27,16 @@ from cherngeo.invariants import (
 )
 
 
-def _ctx_xs(chi_h, c1_sq, genus):
-    return EvaluationContext(
-        four_manifolds={"X": complete_invariants(chi_h, c1_sq)},
-        surfaces={"S": SurfaceInvariants(genus)},
-    )
+def _on_xs(expr, chi_h, c1_sq, genus):
+    """The value of ``expr`` on X x S, X of (chi_h, c1^2) and S of the genus."""
+    plan = compile_expression(expr, ("X",), ("S",))
+    return plan.apply({"X": complete_invariants(chi_h, c1_sq), "S": SurfaceInvariants(genus)})
 
 
-def _ctx_ss(g1, g2):
-    return EvaluationContext(
-        surfaces={"S1": SurfaceInvariants(g1), "S2": SurfaceInvariants(g2)}
-    )
+def _on_ss(expr, g1, g2):
+    """The value of ``expr`` on S1 x S2."""
+    plan = compile_expression(expr, surfaces=("S1", "S2"))
+    return plan.apply({"S1": SurfaceInvariants(g1), "S2": SurfaceInvariants(g2)})
 
 
 def test_generator_degrees():
@@ -118,7 +116,7 @@ def test_multiplication_distributes(a, b, c):
 
 @given(a=expressions(), b=expressions())
 def test_grading_of_products(a, b):
-    if a.is_homogeneous() and b.is_homogeneous() and a.terms and b.terms:
+    if len(a.degrees()) == 1 == len(b.degrees()):
         (da,) = a.degrees()
         (db,) = b.degrees()
         product = a * b
@@ -130,51 +128,58 @@ def test_grading_of_products(a, b):
 
 
 def test_evaluate_vanishing_monomials():
-    ctx = _ctx_xs(1, 8, 0)
-    assert evaluate(c1("X") ** 3, ctx) == 0  # X-part exceeds dim X
-    assert evaluate(c1("X") * c1("S") ** 2, ctx) == 0  # c1(S)^2 of one surface
+    assert _on_xs(c1("X") ** 3, 1, 8, 0) == 0  # X-part exceeds dim X
+    assert _on_xs(c1("X") * c1("S") ** 2, 1, 8, 0) == 0  # c1(S)^2 of one surface
 
 
 def test_evaluate_surface_product():
-    assert evaluate(c1("S1") * c1("S2"), _ctx_ss(0, 0)) == 4
-    assert evaluate(c1("S1") * c1("S2"), _ctx_ss(0, 2)) == -4
-    assert evaluate(c1("S1") ** 2, _ctx_ss(0, 0)) == 0
+    assert _on_ss(c1("S1") * c1("S2"), 0, 0) == 4
+    assert _on_ss(c1("S1") * c1("S2"), 0, 2) == -4
+    assert _on_ss(c1("S1") ** 2, 0, 0) == 0
 
 
 def test_evaluate_top_classes():
-    ctx = _ctx_xs(1, 8, 3)
-    assert evaluate(c1("X") ** 2 * c1("S"), ctx) == 8 * (2 - 6)
-    assert evaluate(c2("X") * c1("S"), ctx) == 4 * (2 - 6)
+    assert _on_xs(c1("X") ** 2 * c1("S"), 1, 8, 3) == 8 * (2 - 6)
+    assert _on_xs(c2("X") * c1("S"), 1, 8, 3) == 4 * (2 - 6)
 
 
 def test_evaluate_cube_on_sphere_triple():
     # X = S^2 x S^2, S = S^2: brute-force expansion gives 3 * c1^2(X) * 2 = 48
-    ctx = _ctx_xs(1, 8, 0)
-    assert evaluate((c1("X") + c1("S")) ** 3, ctx) == 48
+    assert _on_xs((c1("X") + c1("S")) ** 3, 1, 8, 0) == 48
 
 
 def test_evaluate_rejects_wrong_degree():
-    ctx = _ctx_xs(1, 8, 0)
     with pytest.raises(DimensionMismatchError):
-        evaluate(c1("X"), ctx)
-    with pytest.raises(DimensionMismatchError):
-        evaluate(c1("X") + c1("X") ** 2 * c1("S"), ctx)  # non-homogeneous
+        compile_expression(c1("X"), ("X",), ("S",))
+    with pytest.raises(DimensionMismatchError):  # non-homogeneous
+        compile_expression(c1("X") + c1("X") ** 2 * c1("S"), ("X",), ("S",))
 
 
 def test_evaluate_rejects_unknown_factor():
     with pytest.raises(DimensionMismatchError):
-        evaluate(c1("S1") * c1("Z"), _ctx_ss(0, 0))
+        compile_expression(c1("S1") * c1("Z"), surfaces=("S1", "S2"))
 
 
 def test_evaluate_rejects_mixed_four_manifold_monomials():
-    ctx = EvaluationContext(
-        four_manifolds={
-            "X1": complete_invariants(1, 0),
-            "X2": complete_invariants(1, 8),
-        }
-    )
     with pytest.raises(DimensionMismatchError):
-        evaluate(c1("X1") ** 2 * c1("X2") ** 2, ctx)
+        compile_expression(c1("X1") ** 2 * c1("X2") ** 2, ("X1", "X2"))
+
+
+@pytest.mark.parametrize(
+    "expr, four_manifolds, surfaces, repeated",
+    [
+        # a factor that is both a 4-manifold and a surface: unchecked, its plan reads 0
+        (c2("X") * c1("S") * c1("X"), ("X",), ("S", "X"), ["X"]),
+        (c1("X") ** 2 * c1("S"), ("X",), ("S", "X"), ["X"]),
+        (c1("X") ** 4, ("X", "X"), (), ["X"]),
+        (c1("S") * c1("T"), (), ("S", "T", "S"), ["S"]),
+        (c1("X") ** 2 * c1("S") ** 2, ("X", "X"), ("S", "S"), ["S", "X"]),
+    ],
+)
+def test_compile_rejects_repeated_factor_names(expr, four_manifolds, surfaces, repeated):
+    message = f"factor names repeated in the layout: {repeated}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compile_expression(expr, four_manifolds, surfaces)
 
 
 # -- product Chern numbers ---------------------------------------------------
@@ -210,25 +215,28 @@ def test_product_matches_closed_forms(g, chi_h, c1_sq):
 # -- compiled plans against the per-monomial reference ----------------------
 
 
-def _reference_monomial(mono, ctx):
-    """Slow reference: pair one monomial with the product, factor by factor."""
+def _reference_monomial(mono, four_manifolds, surfaces):
+    """Slow reference: pair one monomial with the product, factor by factor.
+
+    ``four_manifolds`` and ``surfaces`` map factor names to invariant records.
+    """
     by_source = {}
     for gen in mono:
         by_source.setdefault(gen.source, []).append(gen)
 
     for source in by_source:
-        if source not in ctx.four_manifolds and source not in ctx.surfaces:
+        if source not in four_manifolds and source not in surfaces:
             raise DimensionMismatchError(
                 f"generator factor {source!r} is not part of the ambient product"
             )
-    touched = [s for s in by_source if s in ctx.four_manifolds]
+    touched = [s for s in by_source if s in four_manifolds]
     if len(touched) > 1:
         raise DimensionMismatchError(
             "monomials mixing two 4-manifold factors are not supported"
         )
 
     value = 1
-    for name, inv in ctx.four_manifolds.items():
+    for name, inv in four_manifolds.items():
         part = by_source.get(name, [])
         if sum(g.degree for g in part) != 4:
             return 0  # part misses or exceeds the factor's top degree
@@ -237,7 +245,7 @@ def _reference_monomial(mono, ctx):
             value *= inv.c1_sq
         else:  # ["c2"]
             value *= inv.c2
-    for name, surf in ctx.surfaces.items():
+    for name, surf in surfaces.items():
         part = by_source.get(name, [])
         if sum(g.degree for g in part) != 2:
             return 0  # c1(S)^2 and higher vanish, as does an absent factor
@@ -245,12 +253,15 @@ def _reference_monomial(mono, ctx):
     return value
 
 
-def _reference_evaluate(expr, ctx):
-    dim = ctx.real_dimension
+def _reference_evaluate(expr, four_manifolds, surfaces):
+    dim = 4 * len(four_manifolds) + 2 * len(surfaces)
     wrong = {d for d in expr.degrees() if d != dim}
     if wrong:
         raise DimensionMismatchError(f"expression has degree(s) {sorted(wrong)}")
-    return sum(coeff * _reference_monomial(mono, ctx) for mono, coeff in expr.terms.items())
+    return sum(
+        coeff * _reference_monomial(mono, four_manifolds, surfaces)
+        for mono, coeff in expr.terms.items()
+    )
 
 
 _SURFACES = ("S1", "S2")
@@ -282,7 +293,7 @@ def top_degree_cases(draw):
     # independent values, so that a plan reading the wrong field shows
     x = FourManifoldInvariants(*draw(st.lists(st.integers(-99, 99), min_size=5, max_size=5)))
     surfaces = {s: SurfaceInvariants(draw(st.integers(0, 9))) for s in _SURFACES[:n]}
-    return GradedClassExpression(terms), EvaluationContext({"X": x}, surfaces)
+    return GradedClassExpression(terms), {"X": x}, surfaces
 
 
 _VANISHING = (c1("X") ** 3 + 5 * (c2("X") * c1("X")) - c1("S1") ** 3
@@ -290,32 +301,32 @@ _VANISHING = (c1("X") ** 3 + 5 * (c2("X") * c1("X")) - c1("S1") ** 3
 
 
 @given(case=top_degree_cases())
-@example(case=(_VANISHING, EvaluationContext({"X": complete_invariants(2, 3)},
-                                            {"S1": SurfaceInvariants(0)})))
+@example(case=(_VANISHING, {"X": complete_invariants(2, 3)}, {"S1": SurfaceInvariants(0)}))
 def test_compiled_evaluation_matches_reference(case):
-    expr, ctx = case
-    assert evaluate(expr, ctx) == _reference_evaluate(expr, ctx)
-    plan = compile_expression(expr, ctx.four_manifolds, ctx.surfaces)
+    expr, four_manifolds, surfaces = case
+    plan = compile_expression(expr, four_manifolds, surfaces)
+    assert plan.apply({**four_manifolds, **surfaces}) == _reference_evaluate(
+        expr, four_manifolds, surfaces
+    )
     products = [product for _, product in plan.terms]
     assert len(set(products)) == len(products)  # monomials resolve injectively
     assert all(coeff for coeff, _ in plan.terms)
-    assert all(len(p) == 1 + len(ctx.surfaces) for p in products)
+    assert all(len(p) == 1 + len(surfaces) for p in products)
     # nonzero invariants everywhere, so that only a vanishing monomial pairs to 0
-    probe = EvaluationContext(
-        {"X": FourManifoldInvariants(1, 1, 1, 3, 5)}, dict.fromkeys(ctx.surfaces, SurfaceInvariants(0))
-    )
-    if all(_reference_monomial(m, probe) == 0 for m in expr.terms):
+    probe_x = {"X": FourManifoldInvariants(1, 1, 1, 3, 5)}
+    probe_s = dict.fromkeys(surfaces, SurfaceInvariants(0))
+    if all(_reference_monomial(m, probe_x, probe_s) == 0 for m in expr.terms):
         assert plan.terms == ()
 
 
 def _reference_product(x, s):
-    ctx = EvaluationContext({"X": x}, {"S": s})
     total = total_chern_of_product("X", "S")
     first, second = total.graded_part(2), total.graded_part(4)
+    factors = {"X": x}, {"S": s}
     return ChernTriple(
-        _reference_evaluate(total.graded_part(6), ctx),
-        _reference_evaluate(first ** 3, ctx),
-        _reference_evaluate(first * second, ctx),
+        _reference_evaluate(total.graded_part(6), *factors),
+        _reference_evaluate(first ** 3, *factors),
+        _reference_evaluate(first * second, *factors),
     )
 
 

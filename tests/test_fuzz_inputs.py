@@ -1,4 +1,4 @@
-"""Random JSON catalog and search-config files through the CLI.
+"""Random argument lists, catalog files and search-config files through the CLI.
 
 Whatever a file holds, ``catalog --catalog`` and ``search --config`` exit
 0, 1 or 2 and raise nothing: a failure is one line on stderr, never a
@@ -7,6 +7,12 @@ whose fields are sometimes replaced by arbitrary values, so that both the
 loaders' checks and the commands behind them run.  Integers are small, or
 large enough to meet ``geography.SEARCH_BLOCK_LIMIT``, so every search
 that passes the checks scans a few hundred blocks at most.
+
+Argument lists mix subcommands, family names, every flag but the three that
+name files, and values: small integers, ``a..b`` ranges, triples and
+garbage.  Whatever the list, ``main`` returns or exits (argparse) with 0, 1
+or 2.  Integers lie in -3..5, so no search enumerates more than about 600
+candidate blocks.
 """
 
 import json
@@ -105,3 +111,106 @@ def test_random_catalog_files(capsys, tmp_path, content):
 def test_random_search_configs(capsys, tmp_path, content, target):
     path = tmp_path / "bounds.json"
     run_on_file(capsys, path, content, ["search", "--target", target, "--config", str(path)])
+
+
+# -- argument lists ----------------------------------------------------------
+
+small = st.integers(-3, 5).map(str)
+limits = st.integers(0, 5).map(str) | small  # mostly valid search limits
+# mostly lo <= hi, so that windows and grids are often non-empty
+ranges = st.lists(st.integers(-3, 5), min_size=2, max_size=2).map(
+    lambda ends: "{}..{}".format(*sorted(ends))
+) | st.builds("{}..{}".format, small, small)
+targets = st.builds("{},{},{}".format, small, small, small) | st.sampled_from(
+    ["0,0,0", "24,0,24", "48,0,48", "26,0,24"]
+)
+formats = st.sampled_from(["human", "json", "csv", "svg"])
+garbage = st.text(max_size=5) | st.sampled_from(
+    ["", "-", "--", "..", ",", "=", "1..", "..2", "1,2", "--m=", "--max-m=-1", "-h"]
+)
+
+# Block parameters by family name as typed (a misspelt name too); generic's
+# are its CLI flags.
+BLOCK_PARAMS = {
+    **{name: FAMILIES[name][1] for name in FAMILIES},
+    **{alias: FAMILIES[name][1] for alias, name in FAMILY_ALIASES.items()},
+    "generic": ("chi", "c1sq", "genus", "n", "not_simply_connected"),
+    "eliptic": ("m",),
+}
+# The flags of each subcommand and their values (None for a switch), except
+# --output, --catalog and --config, whose files are fuzzed above.
+COMMAND_FLAGS = {
+    "block": {},
+    "product": {"--surface-genus": small},
+    "fibersum": {"--oracle": None},
+    "search": {
+        "--target": targets,
+        "--families": st.lists(family_names, max_size=3).map(",".join),
+        "--max-m": limits,
+        "--max-k": limits,
+        "--max-knot-genus": limits,
+        "--generic-chi": ranges,
+        "--generic-c1sq": ranges,
+        "--generic-genus": ranges,
+    },
+    "classify": {"--chi": small, "--c1sq": small},
+    "plot": {"--chi": ranges, "--c1sq": ranges},
+    "catalog": {},
+}
+BLOCK_COUNTS = {"block": 1, "product": 1, "fibersum": 2}
+EVERY_FLAG = sorted(
+    {flag for flags in COMMAND_FLAGS.values() for flag in flags}
+    | {"--" + p.replace("_", "-") for params in BLOCK_PARAMS.values() for p in params}
+    | {"--format", "--help"}
+)
+tokens = st.one_of(
+    st.sampled_from([*COMMAND_FLAGS, *BLOCK_PARAMS, *EVERY_FLAG]),
+    small,
+    ranges,
+    targets,
+    formats,
+    garbage,
+)
+
+
+def mostly(draw):
+    """True seven times in eight; shrinks towards True."""
+    return draw(st.integers(0, 7)) < 7
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with mostly well-formed block specs and flags, and a little noise."""
+    command = draw(st.sampled_from(list(COMMAND_FLAGS)))
+    argv = [command]
+    for _ in range(BLOCK_COUNTS.get(command, 0)):
+        family = draw(st.sampled_from(list(BLOCK_PARAMS)))
+        argv.append(family)
+        for param in BLOCK_PARAMS[family]:
+            if param == "not_simply_connected":
+                if draw(st.booleans()):
+                    argv.append("--not-simply-connected")
+            elif mostly(draw):
+                argv += ["--" + param.replace("_", "-"), draw(small)]
+    for flag, values in COMMAND_FLAGS[command].items():
+        if mostly(draw):
+            argv += [flag] if values is None else [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(formats if mostly(draw) else garbage)]
+    if not mostly(draw):
+        argv.insert(draw(st.integers(0, len(argv))), draw(tokens))
+    return argv
+
+
+@settings(FUZZ, max_examples=300)
+@given(argv=command_lines() | st.lists(tokens, max_size=8))
+@example(argv=["search", "--target", "0,0,0", "--generic-chi", "-3..5",
+               "--generic-c1sq", "-3..5", "--generic-genus", "-3..5", "--max-knot-genus", "5"])
+@example(argv=["block", "generic", "--chi", "1", "--c1sq", "8", "--genus", "0", "--n", "-3"])
+def test_random_argument_lists(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # nothing should be written; if it is, it lands here
+    try:
+        code = main(argv)  # an exception other than SystemExit fails the test here
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)

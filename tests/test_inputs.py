@@ -8,7 +8,7 @@ A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work,
 and so does a search whose bounds allow more than
 ``geography.SEARCH_BLOCK_LIMIT`` candidate blocks.  JSON fields are read
 strictly: an integer field takes only a JSON integer, ``simply_connected``
-only ``true`` or ``false``, ``name`` only a string.
+only ``true`` or ``false``, ``name`` only a string that UTF-8 can encode.
 """
 
 import json
@@ -316,6 +316,24 @@ def test_json_fields_are_not_converted(capsys, tmp_path, command, content, messa
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("name", ["\ud800", "E\udfff(2)"])
+def test_catalog_name_utf8_cannot_encode_exits_1(capsys, tmp_path, fmt, name):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"family": "elliptic", "m": 1}, {**GENERIC_RECORD, "name": name}]))
+    code, out, err = run(capsys, "catalog", "--catalog", str(path), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == f"error: catalog entry 1: field 'name' must be encodable as UTF-8, got {name!r}\n"
+
+
+def test_catalog_name_outside_ascii_loads(capsys, tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{**GENERIC_RECORD, "name": "Σ×Σ"}]))
+    code, out, err = run(capsys, "catalog", "--catalog", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["name"] == "Σ×Σ"
 
 
 # -- the search's block limit ------------------------------------------------

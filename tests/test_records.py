@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from cherngeo.algebra import ClassGenerator, EvaluationContext
+from cherngeo.algebra import ClassGenerator
 from cherngeo.catalog import FAMILIES, elliptic_surface
 from cherngeo.fibersum import CrossSectionInvariants
 from cherngeo.geography import (
@@ -45,7 +45,6 @@ RECORDS = [
     E2,
     ChernTriple(24, 0, 24),
     ClassGenerator("X", "c1"),
-    EvaluationContext({"X": complete_invariants(1, 0)}, {"S": SurfaceInvariants(0)}),
     CrossSectionInvariants(4, 2),
     DivisibilityReport(True, True, False),
     GRID,
@@ -59,7 +58,7 @@ def test_every_record_type_is_listed():
     types = {type(r) for r in RECORDS}
     assert types == {
         FourManifoldInvariants, SurfaceInvariants, LefschetzBlock, ChernTriple,
-        ClassGenerator, EvaluationContext, CrossSectionInvariants, DivisibilityReport,
+        ClassGenerator, CrossSectionInvariants, DivisibilityReport,
         GenericGrid, SearchBounds, Realization, GeographyClassification,
     }
 
@@ -85,9 +84,10 @@ CHECKS = [
     ),
     (ClassGenerator, ("X", "c3"), "kind must be 'c1' or 'c2', got 'c3'"),
     (
-        EvaluationContext,
-        ({"X": E2.invariants}, {"X": SurfaceInvariants(0)}),
-        "factor names reused across kinds: ['X']",
+        SearchBounds,
+        ((1,),),
+        "unknown block family 1 (known: elliptic, ruled-spheres, "
+        "knot-surgered-elliptic, knot-elliptic)",
     ),
     (GenericGrid, ((1, 0), (0, 1), (0, 1)), "generic grid range 'chi_h' is empty: 1 > 0"),
     (GenericGrid, ((0, 1), (2, 1), (0, 1)), "generic grid range 'c1_sq' is empty: 2 > 1"),
@@ -130,13 +130,6 @@ def test_search_bounds_defaults_and_family_names():
         "knot-surgered-elliptic",
         "elliptic",
     )
-
-
-def test_evaluation_context_defaults_to_fresh_empty_mappings():
-    first, second = EvaluationContext(), EvaluationContext()
-    assert first.four_manifolds == {} and first.surfaces == {}
-    assert first.four_manifolds is not second.four_manifolds
-    assert EvaluationContext(surfaces={"S": SurfaceInvariants(1)}).real_dimension == 2
 
 
 generators = st.builds(
