@@ -15,7 +15,6 @@ CLI flags differ from their JSON keys.
 
 from __future__ import annotations
 
-import json
 import os
 
 from .invariants import (
@@ -140,6 +139,8 @@ def default_catalog() -> list[LefschetzBlock]:
 
 def load_catalog(path: str | os.PathLike) -> list[LefschetzBlock]:
     """Read a JSON array of family records or explicit generic blocks."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
@@ -156,6 +157,8 @@ def load_catalog(path: str | os.PathLike) -> list[LefschetzBlock]:
 
 
 def save_catalog(blocks: list[LefschetzBlock], path: str | os.PathLike) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([block_to_json(b) for b in blocks], fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -15,20 +15,11 @@ lists are canonically ordered.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+# Each subcommand imports the layers it uses, and json only where it reads
+# or writes JSON: a cold process then compiles no module it does not run.
 from . import catalog as catalog_mod
-from . import plot as plot_mod
-from .fibersum import halic_construction, halic_construction_via_oracle
-from .geography import (
-    GenericGrid,
-    SearchBounds,
-    classify_geography_point,
-    construction_obstruction,
-    plane_obstruction,
-    search_realizations,
-)
 from .invariants import (
     BlockValidationError,
     ChernTriple,
@@ -37,7 +28,6 @@ from .invariants import (
     block_to_json,
     validate_block,
 )
-from .algebra import chern_numbers_of_product
 
 
 class UsageError(Exception):
@@ -125,10 +115,16 @@ def _block_record(block: LefschetzBlock) -> dict:
     return record
 
 
+def _print_json(value) -> None:
+    import json
+
+    print(json.dumps(value, sort_keys=True))
+
+
 def _print_block(block: LefschetzBlock, fmt: str) -> None:
     record = _block_record(block)
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True))
+        _print_json(record)
     else:
         order = [
             "name", "chi_h", "c1_sq", "sigma", "euler", "c2",
@@ -140,7 +136,7 @@ def _print_block(block: LefschetzBlock, fmt: str) -> None:
 
 def _print_triple(triple: ChernTriple, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(triple.to_json(), sort_keys=True))
+        _print_json(triple.to_json())
     else:
         print(f"c3    = {triple.c3}")
         print(f"c1^3  = {triple.c1_cubed}")
@@ -173,6 +169,8 @@ def _cmd_block(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     if len(args.blocks) != 1:
         raise UsageError("product expects exactly one block specification")
+    from .algebra import chern_numbers_of_product
+
     surface = SurfaceInvariants(args.surface_genus)
     triple = chern_numbers_of_product(args.blocks[0].invariants, surface)
     _print_triple(triple, args.format)
@@ -182,6 +180,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
 def _cmd_fibersum(args: argparse.Namespace) -> int:
     if len(args.blocks) != 2:
         raise UsageError("fibersum expects exactly two block specifications")
+    from .fibersum import halic_construction, halic_construction_via_oracle
+
     block1, block2 = args.blocks
     triple = halic_construction(block1, block2)
     if args.oracle:
@@ -206,6 +206,14 @@ _BOUND_FLAGS = (
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .geography import (
+        GenericGrid,
+        SearchBounds,
+        construction_obstruction,
+        plane_obstruction,
+        search_realizations,
+    )
+
     parts = args.target.split(",")
     if len(parts) != 3:
         raise UsageError("--target must be c3,c1cubed,c1c2")
@@ -216,6 +224,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if given:
             flags = ", ".join("--" + flag.replace("_", "-") for flag in given)
             raise UsageError(f"--config cannot be combined with {flags}")
+        import json
+
         with open(args.config, "r", encoding="utf-8") as fh:
             bounds = SearchBounds.from_json(json.load(fh))
     else:
@@ -251,7 +261,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             }
             for r in results
         ]
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for r in results:
             t = r.triple
@@ -265,9 +275,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .geography import classify_geography_point
+
     cls = classify_geography_point(args.chi, args.c1sq)
     if args.format == "json":
-        print(json.dumps(cls._asdict(), sort_keys=True))
+        _print_json(cls._asdict())
     else:
         print(f"point             ({cls.chi_h}, {cls.c1_sq})")
         print(f"regions           {', '.join(cls.labels) if cls.labels else '(none)'}")
@@ -282,8 +294,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     chi_range = _parse_range(args.chi)
     c1sq_range = _parse_range(args.c1sq)
-    if chi_range[1] < chi_range[0] or c1sq_range[1] < c1sq_range[0]:
-        raise UsageError("plot ranges must be non-empty")
+    for flag, (lo, hi) in (("--chi", chi_range), ("--c1sq", c1sq_range)):
+        if lo > hi:
+            raise ValueError(f"plot range {flag} is empty: {lo} > {hi}")
+    from . import plot as plot_mod
+
     if args.format == "csv":
         content = plot_mod.grid_csv(chi_range, c1sq_range)
     else:
@@ -305,7 +320,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     else:
         blocks = catalog_mod.default_catalog()
     if args.format == "json":
-        print(json.dumps([_block_record(b) for b in blocks], sort_keys=True))
+        _print_json([_block_record(b) for b in blocks])
     else:
         for block in blocks:
             inv = block.invariants
@@ -413,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlockValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

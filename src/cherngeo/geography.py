@@ -17,7 +17,6 @@ import math
 from collections import namedtuple
 
 from .catalog import FAMILIES, family_name, generic_block
-from .fibersum import halic_construction, halic_construction_via_oracle
 from .invariants import ChernTriple, LefschetzBlock, euler_from_fibration, json_field, require_valid
 
 # The closed regions of the plane in label order, as (label, lower line,
@@ -217,11 +216,18 @@ def search_realizations(target: ChernTriple, bounds: SearchBounds) -> list[Reali
     candidate list.  Every candidate is validated once, in list order,
     before the scan; the first invalid one is the one the scan would meet
     first.  Every hit is recomputed through the independent symbolic path
-    before emission.
+    before emission.  An obstructed or off-plane target gives no pairs;
+    otherwise bounds that select no candidate block raise ValueError, so
+    that an empty result always means a scan found nothing.
     """
     if construction_obstruction(target) or plane_obstruction(target):
         return []
     blocks = candidate_blocks(bounds)
+    if not blocks:
+        raise ValueError(f"search bounds select no candidate block: {bounds!r}")
+    # Imported here, so that the plane classifier and plot load no fiber sum or algebra.
+    from .fibersum import halic_construction, halic_construction_via_oracle
+
     for block in blocks:
         require_valid(block)
     results: list[Realization] = []

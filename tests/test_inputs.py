@@ -6,7 +6,8 @@ range exits 1 with one line that names the offending entry or field, never
 with a traceback; ``search --config`` together with a bound flag exits 2.
 A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work,
 and so does a search whose bounds allow more than
-``geography.SEARCH_BLOCK_LIMIT`` candidate blocks.  JSON fields are read
+``geography.SEARCH_BLOCK_LIMIT`` candidate blocks, or none.  An empty
+``plot`` range exits 1 naming the flag and both ends.  JSON fields are read
 strictly: an integer field takes only a JSON integer, ``simply_connected``
 only ``true`` or ``false``, ``name`` only a string that UTF-8 can encode.
 """
@@ -257,6 +258,77 @@ def test_plot_svg_has_no_point_limit(capsys):
     code, out, _ = run(capsys, "plot", "--chi", "0..2000", "--c1sq", "0..1000", "--format", "svg")
     assert code == 0
     assert out.startswith("<svg ")
+
+
+# -- bounds that select no block, empty plot windows -------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--families", ""],
+        ["--max-m", "0", "--families", "elliptic"],
+        ["--max-k", "0", "--families", "knot-elliptic,elliptic", "--max-m", "0"],
+        # a grid whose only point has no fibration (n < 0)
+        ["--families", "", "--generic-chi", "0..0", "--generic-c1sq", "100..100",
+         "--generic-genus", "0..0"],
+    ],
+)
+def test_search_bounds_selecting_no_block_exit_1(capsys, argv):
+    code, out, err = run(capsys, "search", "--target", "24,0,24", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: search bounds select no candidate block: SearchBounds(")
+    assert err.count("\n") == 1
+
+
+def test_search_config_selecting_no_block_exits_1(capsys, tmp_path):
+    config = tmp_path / "bounds.json"
+    config.write_text(json.dumps({"families": []}))
+    code, out, err = run(capsys, "search", "--target", "24,0,24", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: search bounds select no candidate block: SearchBounds(families=(), max_m=5, "
+        "max_k=5, max_knot_genus=4, generic=None)\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["26,0,24", "1,0,24"])
+def test_search_reports_obstructions_before_empty_bounds(capsys, target):
+    code, out, err = run(capsys, "search", "--target", target, "--families", "")
+    assert (code, out) == (0, "")
+    lines = err.splitlines()
+    assert lines[-1] == "no realizations found"
+    assert lines[:-1] and all(line.startswith("obstruction: ") for line in lines[:-1])
+
+
+def test_search_realizations_raises_when_bounds_select_no_block():
+    empty = SearchBounds(families=())
+    with pytest.raises(ValueError, match="select no candidate block"):
+        geography.search_realizations(ChernTriple(24, 0, 24), empty)
+    assert geography.search_realizations(ChernTriple(26, 0, 24), empty) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        (["--chi", "1..-2", "--c1sq", "0..1"], "plot range --chi is empty: 1 > -2"),
+        (["--chi", "0..1", "--c1sq", "5..4"], "plot range --c1sq is empty: 5 > 4"),
+        (["--chi", "3..2", "--c1sq", "-1..-3"], "plot range --chi is empty: 3 > 2"),
+    ],
+)
+def test_plot_empty_range_exits_1(capsys, tmp_path, fmt, ranges, message):
+    out_file = tmp_path / f"plot.{fmt}"
+    code, out, err = run(capsys, "plot", *ranges, "--format", fmt, "--output", str(out_file))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_file.exists()
+
+
+def test_plot_csv_one_value_range_is_not_empty(capsys):
+    code, out, _ = run(capsys, "plot", "--chi", "2..2", "--c1sq", "0..0")
+    assert code == 0
+    assert out.splitlines()[1].startswith("2,0,")
 
 
 # -- strict JSON field types -------------------------------------------------

@@ -5,7 +5,9 @@ Every record of the package is a ``collections.namedtuple`` subclass with
 be assigned, each construction check raises the same ValueError from the
 positional and from the keyword constructor, ``SearchBounds`` defaults and
 normalises its families, generators sort by (source, kind), and importing
-the CLI loads neither ``dataclasses`` nor ``inspect``.
+the CLI loads neither ``dataclasses`` nor ``inspect``.  Each subcommand,
+run in a fresh interpreter, loads only the package modules it uses, and
+the human formats load no ``json``.
 """
 
 import os
@@ -142,16 +144,64 @@ def test_generators_sort_by_source_then_kind(gens):
     assert sorted(gens) == sorted(gens, key=lambda g: (g.source, g.kind))
 
 
-def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+def _loaded_in_fresh_interpreter(statements: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after running ``statements``."""
     # -S keeps site-packages hooks from importing modules before cherngeo does.
-    code = (
-        "import sys\n"
-        "import cherngeo.cli\n"
-        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
-    )
+    code = f"import sys\n{statements}\nprint(*[m for m in {modules!r} if m in sys.modules])\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.split() == []
+    return result.stdout.split()
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    assert _loaded_in_fresh_interpreter("import cherngeo.cli", ("dataclasses", "inspect")) == []
+
+
+def _run_cli(argv: list[str]) -> str:
+    """Statements that run ``cli.main(argv)`` with its stdout discarded."""
+    return (
+        "import os\n"
+        "from cherngeo import cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        f"code = cli.main({argv!r})\n"
+        "sys.stdout = sys.__stdout__\n"
+        "assert code == 0, code\n"
+    )
+
+
+# The layers a block or catalog command never runs; the last two are the fiber sum's.
+LAYERS = tuple(f"cherngeo.{m}" for m in ("geography", "plot", "algebra", "fibersum"))
+BLOCK = ["block", "elliptic", "--m", "2"]
+CLASSIFY = ["classify", "--chi", "2", "--c1sq", "0"]
+
+
+# (command line, the modules it must not load)
+MODULE_LOADS = [
+    (BLOCK, (*LAYERS, "json")),
+    (BLOCK + ["--format", "json"], LAYERS),
+    (["catalog"], LAYERS),
+    (["catalog", "--format", "json"], LAYERS),
+    (CLASSIFY, (*LAYERS[2:], "json")),
+    (CLASSIFY + ["--format", "json"], LAYERS[2:]),
+    (["plot", "--chi", "0..2", "--c1sq", "0..2"], LAYERS[2:]),
+    (["plot", "--chi", "0..2", "--c1sq", "0..2", "--format", "svg"], LAYERS[2:]),
+]
+
+
+@pytest.mark.parametrize("argv, absent", MODULE_LOADS, ids=[" ".join(a) for a, _ in MODULE_LOADS])
+def test_each_subcommand_loads_only_its_own_modules(argv, absent):
+    assert _loaded_in_fresh_interpreter(_run_cli(argv), absent) == []
+
+
+def test_the_module_probe_sees_what_a_subcommand_loads():
+    argv = ["fibersum", "elliptic", "--m", "3", "ruled-spheres", "--format", "json"]
+    assert _loaded_in_fresh_interpreter(_run_cli(argv), (*LAYERS, "json")) == [
+        "cherngeo.algebra", "cherngeo.fibersum", "json",
+    ]
+
+
+def test_importing_plot_loads_no_fiber_sum():
+    assert _loaded_in_fresh_interpreter("import cherngeo.plot", ("cherngeo.fibersum",)) == []
