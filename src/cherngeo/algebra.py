@@ -12,14 +12,18 @@ the factor dimension vanish; expressions of the wrong total degree are
 rejected rather than truncated, so derivation errors surface in tests.
 An expression is resolved once against a layout (which factor names are
 4-manifolds, which are surfaces) into an :class:`EvaluationPlan`, which is
-then applied to the invariants of any product with that layout.
+then applied to the invariants of any product with that layout.  On first
+use, plans compile once to a straight-line integer kernel: a generated
+function that takes the factor records positionally, in layout order, and
+returns integer sums with the coefficients written in as literals.  Factor
+names are positions there and never enter the kernel's source.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .invariants import ChernTriple, FourManifoldInvariants, SurfaceInvariants
 
@@ -188,22 +192,85 @@ class EvaluationPlan:
     invariant per factor of the layout.  Monomials that vanish on the layout
     are gone.  No two terms share a product: a 4-manifold's c1^2 and c2 are
     different invariants, a surface has only c1, and a monomial touching two
-    4-manifolds is rejected.
+    4-manifolds is rejected.  ``layout`` is the factor names in order, the
+    4-manifolds first; a kernel takes the factors' records in that order.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "layout", "_kernel")
 
-    def __init__(self, terms: Iterable[tuple[int, tuple[Invariant, ...]]]):
+    def __init__(self, terms: Iterable[tuple[int, tuple[Invariant, ...]]], layout: Iterable[str]):
         self.terms = tuple(terms)
+        self.layout = tuple(layout)
+        self._kernel = None
 
     def apply(self, factors: Mapping[str, object]) -> int:
-        """The value of the expression; ``factors`` maps factor names to records."""
-        total = 0
-        for coeff, product in self.terms:
+        """The value of the expression; ``factors`` maps each layout name to its record."""
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = compile_kernel((self,))
+        return kernel(*[factors[name] for name in self.layout])[0]
+
+
+# Terms per statement of a kernel's sum: CPython's compiler recurses once per
+# ``+`` of one expression and runs out of stack at a few thousand.
+_TERMS_PER_STATEMENT = 256
+
+
+def _literal(n: int) -> str:
+    """``n`` as an exact literal; hex past 64 bits, where str() may refuse a long int."""
+    return str(n) if n.bit_length() <= 64 else hex(n)
+
+
+def compile_kernel(plans: Sequence[EvaluationPlan]) -> Callable[..., tuple[int, ...]]:
+    """One generated function that evaluates every plan of one layout at once.
+
+    The function takes the layout's factor records as positional arguments
+    and returns the plans' values as a tuple of ints, in plan order.  It
+    reads each invariant the plans use once, into a local, and sums the
+    terms with their coefficients as integer literals.  Its source is built
+    from the plans' terms alone: factors are named by position (``f0``,
+    ``f1``, ...), invariants ``v0``, ``v1``, ... and sums ``r0``, ``r1``,
+    ..., so no factor name enters it.  Plans of different layouts, a
+    product naming a factor outside the layout and an invariant that is not
+    an attribute name raise ValueError; a coefficient that is not an int
+    raises TypeError.
+    """
+    import keyword
+
+    plans = tuple(plans)
+    if not plans:
+        raise ValueError("a kernel needs at least one plan")
+    layout = plans[0].layout
+    if any(plan.layout != layout for plan in plans):
+        raise ValueError("the plans of one kernel must share a layout")
+    position = {name: i for i, name in enumerate(layout)}
+    local: dict[Invariant, str] = {}
+    reads, sums = [], []
+    for j, plan in enumerate(plans):
+        parts = []
+        for coeff, product in plan.terms:
+            if not isinstance(coeff, int):
+                raise TypeError(f"coefficients must be int, got {coeff!r}")
+            factors = [] if coeff == 1 and product else [_literal(int(coeff))]
             for name, attr in product:
-                coeff *= getattr(factors[name], attr)
-            total += coeff
-        return total
+                if (name, attr) not in local:
+                    if name not in position:
+                        raise ValueError(f"factor {name!r} of a term is not in the layout")
+                    if not attr.isidentifier() or keyword.iskeyword(attr):
+                        raise ValueError(f"invariant {attr!r} is not an attribute name")
+                    local[name, attr] = f"v{len(local)}"
+                    reads.append(f"    {local[name, attr]} = f{position[name]}.{attr}")
+                factors.append(local[name, attr])
+            parts.append("*".join(factors))
+        for start in range(0, max(len(parts), 1), _TERMS_PER_STATEMENT):
+            chunk = " + ".join(parts[start : start + _TERMS_PER_STATEMENT]) or "0"
+            sums.append(f"    r{j} {'+=' if start else '='} {chunk}")
+    params = ", ".join(f"f{i}" for i in range(len(layout)))
+    results = "".join(f"r{j}, " for j in range(len(plans)))
+    source = "\n".join([f"def kernel({params}):", *reads, *sums, f"    return ({results})\n"])
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<evaluation kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _resolve_monomial(
@@ -265,7 +332,7 @@ def compile_expression(
         product = _resolve_monomial(mono, four_manifolds, surfaces)
         if product is not None:
             terms.append((coeff, product))
-    return EvaluationPlan(terms)
+    return EvaluationPlan(terms, names)
 
 
 @functools.cache
@@ -278,6 +345,12 @@ def _product_plans() -> tuple[EvaluationPlan, EvaluationPlan, EvaluationPlan]:
     return tuple(compile_expression(e, ("X",), ("S",)) for e in (top, first ** 3, first * second))
 
 
+@functools.cache
+def _product_kernel() -> Callable[..., tuple[int, int, int]]:
+    """One kernel for the three product plans, generated on first use."""
+    return compile_kernel(_product_plans())
+
+
 def chern_numbers_of_product(
     x: FourManifoldInvariants, s: SurfaceInvariants
 ) -> ChernTriple:
@@ -285,9 +358,9 @@ def chern_numbers_of_product(
 
     Everything is computed from the Whitney product via products and
     evaluation plans; no closed form appears on this path, which is what
-    makes it usable as an independent oracle.  The expansion runs once per
-    process; each call only applies the plans.
+    makes it usable as an independent oracle.  The expansion and the
+    plans' kernel are built once per process; each call only runs the
+    kernel.
     """
-    c3, c1_cubed, c1c2 = _product_plans()
-    factors = {"X": x, "S": s}
-    return ChernTriple(c3.apply(factors), c1_cubed.apply(factors), c1c2.apply(factors))
+    c3, c1_cubed, c1c2 = _product_kernel()(x, s)
+    return ChernTriple(c3, c1_cubed, c1c2)

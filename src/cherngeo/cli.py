@@ -297,15 +297,13 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     for flag, (lo, hi) in (("--chi", chi_range), ("--c1sq", c1sq_range)):
         if lo > hi:
             raise ValueError(f"plot range {flag} is empty: {lo} > {hi}")
+        if lo == hi and args.format == "svg":
+            # The chart scales each axis by hi - lo; a CSV grid takes one value.
+            raise ValueError(f"plot range {flag} is one value, too narrow for svg: {lo} = {hi}")
     from . import plot as plot_mod
 
-    if args.format == "csv":
-        content = plot_mod.grid_csv(chi_range, c1sq_range)
-    else:
-        try:
-            content = plot_mod.geography_svg(chi_range, c1sq_range)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+    render = plot_mod.grid_csv if args.format == "csv" else plot_mod.geography_svg
+    content = render(chi_range, c1sq_range)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(content)

@@ -42,15 +42,20 @@ def _cross_section_plans() -> tuple[algebra.EvaluationPlan, algebra.EvaluationPl
     )
 
 
+@functools.cache
+def _cross_section_kernel():
+    """One kernel for both cross-section plans, generated on first use."""
+    return algebra.compile_kernel(_cross_section_plans())
+
+
 def cross_section_of_surfaces(g1: int, g2: int) -> CrossSectionInvariants:
     """Invariants of the product surface S1 x S2, via the class algebra.
 
     c2 is the top Chern class c1(S1)c1(S2); c1^2 is (c1(S1)+c1(S2))^2.
     Both are evaluated symbolically rather than hard-coded.
     """
-    c1_sq, c2 = _cross_section_plans()
-    factors = {"S1": SurfaceInvariants(g1), "S2": SurfaceInvariants(g2)}
-    return CrossSectionInvariants(c1_sq.apply(factors), c2.apply(factors))
+    c1_sq, c2 = _cross_section_kernel()(SurfaceInvariants(g1), SurfaceInvariants(g2))
+    return CrossSectionInvariants(c1_sq, c2)
 
 
 def fiber_sum_corrections(
@@ -62,10 +67,12 @@ def fiber_sum_corrections(
     -2, -2 for c1c2) assume the locus has trivial normal bundle on both
     sides, which is the only case this construction produces.
     """
+    # Positional, here and below: keyword arguments make a triple about 40% slower
+    # to build (CPython 3.11).
     return ChernTriple(
-        c3=m1.c3 + m2.c3 - 2 * x.c2,
-        c1_cubed=m1.c1_cubed + m2.c1_cubed - 6 * x.c1_sq,
-        c1c2=m1.c1c2 + m2.c1c2 - 2 * x.c1_sq - 2 * x.c2,
+        m1.c3 + m2.c3 - 2 * x.c2,  # c3
+        m1.c1_cubed + m2.c1_cubed - 6 * x.c1_sq,  # c1_cubed
+        m1.c1c2 + m2.c1c2 - 2 * x.c1_sq - 2 * x.c2,  # c1c2
     )
 
 
@@ -85,9 +92,9 @@ def halic_construction(
     chi2, c1sq2, g2 = b2.invariants.chi_h, b2.invariants.c1_sq, b2.fiber_genus
     f1, f2 = 1 - g1, 1 - g2
     return ChernTriple(
-        c3=2 * (12 * chi1 - c1sq1) * f2 + 2 * (12 * chi2 - c1sq2) * f1 - 8 * f1 * f2,
-        c1_cubed=6 * f2 * c1sq1 + 6 * f1 * c1sq2 - 48 * f1 * f2,
-        c1c2=24 * f2 * chi1 + 24 * f1 * chi2 - 24 * f1 * f2,
+        2 * (12 * chi1 - c1sq1) * f2 + 2 * (12 * chi2 - c1sq2) * f1 - 8 * f1 * f2,  # c3
+        6 * f2 * c1sq1 + 6 * f1 * c1sq2 - 48 * f1 * f2,  # c1_cubed
+        24 * f2 * chi1 + 24 * f1 * chi2 - 24 * f1 * f2,  # c1c2
     )
 
 

@@ -38,17 +38,14 @@ class FourManifoldInvariants(namedtuple("FourManifoldInvariants", "sigma euler c
     __slots__ = ()
 
     def violations(self) -> list[str]:
+        sigma, euler, chi_h, c1_sq, c2 = self
         out = []
-        if self.c1_sq != 3 * self.sigma + 2 * self.euler:
-            out.append(
-                f"c1^2 != 3*sigma + 2*euler ({self.c1_sq} != {3 * self.sigma + 2 * self.euler})"
-            )
-        if self.c2 != self.euler:
-            out.append(f"c2 != euler ({self.c2} != {self.euler})")
-        if 4 * self.chi_h != self.sigma + self.euler:
-            out.append(
-                f"4*chi_h != sigma + euler ({4 * self.chi_h} != {self.sigma + self.euler})"
-            )
+        if c1_sq != 3 * sigma + 2 * euler:
+            out.append(f"c1^2 != 3*sigma + 2*euler ({c1_sq} != {3 * sigma + 2 * euler})")
+        if c2 != euler:
+            out.append(f"c2 != euler ({c2} != {euler})")
+        if 4 * chi_h != sigma + euler:
+            out.append(f"4*chi_h != sigma + euler ({4 * chi_h} != {sigma + euler})")
         return out
 
 
@@ -60,7 +57,9 @@ class SurfaceInvariants(namedtuple("SurfaceInvariants", "genus")):
     def __new__(cls, genus: int):
         if genus < 0:
             raise ValueError(f"genus must be non-negative, got {genus}")
-        return super().__new__(cls, genus)
+        # What the namedtuple's own __new__ does, without its extra call: the
+        # oracle builds four of these per pair.
+        return tuple.__new__(cls, (genus,))
 
     @property
     def euler(self) -> int:
@@ -141,20 +140,13 @@ def validate_block(block: LefschetzBlock) -> list[str]:
     fibers (e.g. a sphere bundle) may be flagged simply connected by
     family knowledge.
     """
-    out = block.invariants.violations()
-    expected_e = euler_from_fibration(block.fiber_genus, block.singular_fibers)
-    if block.invariants.euler != expected_e:
-        out.append(
-            f"euler != 2(2-2g)+n ({block.invariants.euler} != {expected_e})"
-        )
-    if (
-        block.simply_connected
-        and block.singular_fibers > 0
-        and block.singular_fibers <= 2 * block.fiber_genus
-    ):
-        out.append(
-            f"simply connected requires n > 2g ({block.singular_fibers} <= {2 * block.fiber_genus})"
-        )
+    _, invariants, genus, singular_fibers, simply_connected = block
+    out = invariants.violations()
+    expected_e = euler_from_fibration(genus, singular_fibers)
+    if invariants.euler != expected_e:
+        out.append(f"euler != 2(2-2g)+n ({invariants.euler} != {expected_e})")
+    if simply_connected and 0 < singular_fibers <= 2 * genus:
+        out.append(f"simply connected requires n > 2g ({singular_fibers} <= {2 * genus})")
     return out
 
 

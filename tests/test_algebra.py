@@ -11,11 +11,13 @@ from hypothesis import example, given, strategies as st
 from cherngeo.algebra import (
     ClassGenerator,
     DimensionMismatchError,
+    EvaluationPlan,
     GradedClassExpression,
     c1,
     c2,
     chern_numbers_of_product,
     compile_expression,
+    compile_kernel,
     one,
     total_chern_of_product,
 )
@@ -317,6 +319,86 @@ def test_compiled_evaluation_matches_reference(case):
     probe_s = dict.fromkeys(surfaces, SurfaceInvariants(0))
     if all(_reference_monomial(m, probe_x, probe_s) == 0 for m in expr.terms):
         assert plan.terms == ()
+
+
+# Factor names that are not identifiers, are keywords, or are the kernel's own
+# parameter, local and result names: none of them may reach a kernel's source.
+_AWKWARD_NAMES = ("S 1", "def", "x.y", "f0", "f1", "v0", "r0", "kernel", "__builtins__")
+
+
+def _renamed(expr, names):
+    return GradedClassExpression(
+        {tuple(ClassGenerator(names[g.source], g.kind) for g in mono): coeff
+         for mono, coeff in expr.terms.items()}
+    )
+
+
+@st.composite
+def renamed_top_degree_cases(draw):
+    """A case of ``top_degree_cases`` with its factors given arbitrary distinct names."""
+    expr, four_manifolds, surfaces = draw(top_degree_cases())
+    old = [*four_manifolds, *surfaces]
+    new = draw(st.lists(st.sampled_from(_AWKWARD_NAMES) | st.text(max_size=3),
+                        min_size=len(old), max_size=len(old), unique=True))
+    names = dict(zip(old, new))
+    return (
+        _renamed(expr, names),
+        {names[k]: v for k, v in four_manifolds.items()},
+        {names[k]: v for k, v in surfaces.items()},
+    )
+
+
+_X = complete_invariants(3, 5)
+_S = SurfaceInvariants(2)
+
+
+@given(case=renamed_top_degree_cases())
+@example(case=(_VANISHING, {"X": _X}, {"S1": _S}))  # every monomial vanishes: the kernel gives 0
+@example(case=(-7 * (c2("X") * c1("S1")), {"X": _X}, {"S1": _S}))  # a one-term plan
+@example(case=(_renamed(c1("X") ** 2 * c1("S1") * c1("S2") - c2("X") * c1("S1") * c1("S2"),
+                        {"X": "def", "S1": "S 1", "S2": "x.y"}),
+               {"def": _X}, {"S 1": _S, "x.y": SurfaceInvariants(0)}))
+@example(case=(_renamed(5 * (c2("X") * c1("S1")) + c1("X") ** 2 * c1("S1"), {"X": "v0", "S1": "f0"}),
+               {"v0": _X}, {"f0": _S}))
+def test_kernel_matches_reference(case):
+    expr, four_manifolds, surfaces = case
+    expected = _reference_evaluate(expr, four_manifolds, surfaces)
+    plan = compile_expression(expr, four_manifolds, surfaces)
+    assert plan.apply({**four_manifolds, **surfaces}) == expected
+    # one fused kernel over several plans of the layout gives each plan's value
+    doubled = compile_expression(2 * expr, four_manifolds, surfaces)
+    kernel = compile_kernel([plan, doubled, plan])
+    assert kernel(*four_manifolds.values(), *surfaces.values()) == (expected, 2 * expected, expected)
+
+
+def test_kernel_sums_long_plans_and_long_coefficients():
+    x = complete_invariants(2, 3)
+    many = EvaluationPlan([(k, (("X", "c2"),)) for k in range(1, 3001)], ("X",))
+    assert many.apply({"X": x}) == sum(range(1, 3001)) * x.c2
+    huge = -(10 ** 5000) + 1
+    assert EvaluationPlan([(huge, (("X", "c1_sq"),))], ("X",)).apply({"X": x}) == huge * x.c1_sq
+    assert EvaluationPlan([(4, ())], ()).apply({}) == 4
+
+
+@pytest.mark.parametrize(
+    "plans, error, message",
+    [
+        ([], ValueError, "a kernel needs at least one plan"),
+        ([EvaluationPlan([], ("X",)), EvaluationPlan([], ("Y",))], ValueError,
+         "the plans of one kernel must share a layout"),
+        ([EvaluationPlan([(1, (("Y", "c2"),))], ("X",))], ValueError,
+         "factor 'Y' of a term is not in the layout"),
+        ([EvaluationPlan([(1, (("X", "c2 + 1"),))], ("X",))], ValueError,
+         "invariant 'c2 + 1' is not an attribute name"),
+        ([EvaluationPlan([(1, (("X", "def"),))], ("X",))], ValueError,
+         "invariant 'def' is not an attribute name"),
+        ([EvaluationPlan([(0.5, (("X", "c2"),))], ("X",))], TypeError,
+         "coefficients must be int, got 0.5"),
+    ],
+)
+def test_compile_kernel_rejects_what_it_cannot_write(plans, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        compile_kernel(plans)
 
 
 def _reference_product(x, s):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cherngeo import algebra, fibersum
 from cherngeo.catalog import elliptic_surface, knot_surgered_elliptic, ruled_spheres
 from cherngeo.fibersum import (
     ChernTriple,
@@ -113,6 +114,28 @@ def test_oracle_is_ground_truth_on_sphere_blocks():
     t = halic_construction_via_oracle(b, b, check=False)
     assert t == halic_construction(b, b, check=False)
     assert isinstance(t.c3, int)
+
+
+def test_oracle_call_graph(monkeypatch):
+    # The functions perfbench/tracing.py wraps: per-layer counts stay comparable
+    # across changes only while the oracle calls each of them as often as before.
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(algebra, "chern_numbers_of_product")
+    count(fibersum, "cross_section_of_surfaces")
+    count(fibersum, "halic_construction")
+    triple = halic_construction_via_oracle(elliptic_surface(2), knot_surgered_elliptic(3, 1))
+    assert triple == ChernTriple(-144, 0, -144)  # 24m(2 - 2g - k)
+    assert calls == {"chern_numbers_of_product": 2, "cross_section_of_surfaces": 1}
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,8 @@ with a traceback; ``search --config`` together with a bound flag exits 2.
 A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work,
 and so does a search whose bounds allow more than
 ``geography.SEARCH_BLOCK_LIMIT`` candidate blocks, or none.  An empty
-``plot`` range exits 1 naming the flag and both ends.  JSON fields are read
+``plot`` range exits 1 naming the flag and both ends, and so does a
+one-value range for an SVG chart.  JSON fields are read
 strictly: an integer field takes only a JSON integer, ``simply_connected``
 only ``true`` or ``false``, ``name`` only a string that UTF-8 can encode.
 """
@@ -321,6 +322,27 @@ def test_search_realizations_raises_when_bounds_select_no_block():
 def test_plot_empty_range_exits_1(capsys, tmp_path, fmt, ranges, message):
     out_file = tmp_path / f"plot.{fmt}"
     code, out, err = run(capsys, "plot", *ranges, "--format", fmt, "--output", str(out_file))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_file.exists()
+
+
+def _one_value(flag, value):
+    return f"plot range {flag} is one value, too narrow for svg: {value} = {value}"
+
+
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        (["--chi", "2..2", "--c1sq", "0..1"], _one_value("--chi", 2)),
+        (["--chi", "0..1", "--c1sq", "-3..-3"], _one_value("--c1sq", -3)),
+        (["--chi", "-1..-1", "--c1sq", "4..4"], _one_value("--chi", -1)),
+        (["--chi", "2..2", "--c1sq", "5..4"], _one_value("--chi", 2)),
+        (["--chi", "3..2", "--c1sq", "4..4"], "plot range --chi is empty: 3 > 2"),
+    ],
+)
+def test_plot_svg_one_value_range_exits_1(capsys, tmp_path, ranges, message):
+    out_file = tmp_path / "plot.svg"
+    code, out, err = run(capsys, "plot", *ranges, "--format", "svg", "--output", str(out_file))
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert not out_file.exists()
 

@@ -144,16 +144,22 @@ def test_generators_sort_by_source_then_kind(gens):
     assert sorted(gens) == sorted(gens, key=lambda g: (g.source, g.kind))
 
 
-def _loaded_in_fresh_interpreter(statements: str, modules: tuple[str, ...]) -> list[str]:
-    """Which of ``modules`` a fresh interpreter holds after running ``statements``."""
+def _fresh_interpreter(statements: str) -> str:
+    """What a fresh interpreter prints while running ``statements`` (``sys`` imported)."""
     # -S keeps site-packages hooks from importing modules before cherngeo does.
-    code = f"import sys\n{statements}\nprint(*[m for m in {modules!r} if m in sys.modules])\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", f"import sys\n{statements}"],
+        capture_output=True, text=True, env=env, check=True,
     )
-    return result.stdout.split()
+    return result.stdout
+
+
+def _loaded_in_fresh_interpreter(statements: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after running ``statements``."""
+    code = f"{statements}\nprint(*[m for m in {modules!r} if m in sys.modules])\n"
+    return _fresh_interpreter(code).split()
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
@@ -205,3 +211,48 @@ def test_the_module_probe_sees_what_a_subcommand_loads():
 
 def test_importing_plot_loads_no_fiber_sum():
     assert _loaded_in_fresh_interpreter("import cherngeo.plot", ("cherngeo.fibersum",)) == []
+
+
+def _kernels_compiled(statements: str) -> int:
+    """How many evaluation kernels a fresh interpreter generates while running ``statements``.
+
+    ``algebra`` is imported first, with no kernel in its caches, and its
+    ``compile_kernel`` is counted from then on.
+    """
+    counting = (
+        "from cherngeo import algebra\n"
+        "assert algebra._product_kernel.cache_info().currsize == 0\n"
+        "kernels = []\n"
+        "compile_kernel = algebra.compile_kernel\n"
+        "algebra.compile_kernel = lambda plans: kernels.append(plans) or compile_kernel(plans)\n"
+    )
+    return int(_fresh_interpreter(f"{counting}{statements}\nprint(len(kernels))\n"))
+
+
+PRODUCT_TWICE = (
+    "from cherngeo.invariants import SurfaceInvariants, complete_invariants\n"
+    "for genus in (0, 3):\n"
+    "    algebra.chern_numbers_of_product(complete_invariants(2, 0), SurfaceInvariants(genus))\n"
+)
+FIBERSUM_ORACLE = ["fibersum", "elliptic", "--m", "2", "ruled-spheres", "--oracle"]
+
+# (statements, the kernels they generate): none on import or in commands
+# that never evaluate a plan; the product's one kernel for both calls; the
+# product's and the cross-section's for a fiber sum checked by the oracle.
+KERNEL_COUNTS = [
+    ("import cherngeo.fibersum", 0),
+    (_run_cli(BLOCK), 0),
+    (_run_cli(CLASSIFY), 0),
+    (_run_cli(["plot", "--chi", "0..2", "--c1sq", "0..2"]), 0),
+    (_run_cli(["plot", "--chi", "0..2", "--c1sq", "0..2", "--format", "svg"]), 0),
+    (PRODUCT_TWICE, 1),
+    (_run_cli(FIBERSUM_ORACLE), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "statements, kernels", KERNEL_COUNTS, ids=["import", "block", "classify", "plot-csv",
+                                                "plot-svg", "product-twice", "fibersum-oracle"]
+)
+def test_kernels_are_generated_once_on_first_use(statements, kernels):
+    assert _kernels_compiled(statements) == kernels
