@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 
 from .invariants import ChernTriple, FourManifoldInvariants, SurfaceInvariants
 
@@ -221,7 +221,7 @@ def _literal(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else hex(n)
 
 
-def compile_kernel(plans: Sequence[EvaluationPlan]) -> Callable[..., tuple[int, ...]]:
+def compile_kernel(plans: Iterable[EvaluationPlan]) -> Callable[..., tuple[int, ...]]:
     """One generated function that evaluates every plan of one layout at once.
 
     The function takes the layout's factor records as positional arguments
