@@ -184,6 +184,8 @@ def _cmd_fibersum(args: argparse.Namespace) -> int:
 
     block1, block2 = args.blocks
     triple = halic_construction(block1, block2)
+    if args.explain:
+        _explain_fibersum(block1, block2)
     if args.oracle:
         # halic_construction has validated both blocks.
         symbolic = halic_construction_via_oracle(block1, block2, check=False)
@@ -196,6 +198,38 @@ def _cmd_fibersum(args: argparse.Namespace) -> int:
         print("oracle: agreed", file=sys.stderr)
     _print_triple(triple, args.format)
     return 0
+
+
+def _explain_fibersum(block1: LefschetzBlock, block2: LefschetzBlock) -> None:
+    """The fiber sum's triple, derived on stderr from the oracle's public pieces."""
+    from .algebra import chern_numbers_of_product
+    from .fibersum import cross_section_of_surfaces, fiber_sum_corrections
+
+    g1, g2 = block1.fiber_genus, block2.fiber_genus
+    product1 = chern_numbers_of_product(block1.invariants, SurfaceInvariants(g2))
+    product2 = chern_numbers_of_product(block2.invariants, SurfaceInvariants(g1))
+    cross = cross_section_of_surfaces(g1, g2)
+    # With both summands zero, what is left is the correction terms alone.
+    zero = ChernTriple(0, 0, 0)
+    corrections = fiber_sum_corrections(zero, zero, cross)
+    lines = (
+        f"X1 x S2 = {block1.name} x (genus {g2} surface): {_triple_text(product1)}",
+        f"X2 x S1 = {block2.name} x (genus {g1} surface): {_triple_text(product2)}",
+        f"S1 x S2 = (genus {g1} surface) x (genus {g2} surface): "
+        f"c1^2={cross.c1_sq} c2={cross.c2}",
+        "corrections along S1 x S2 (Gompf's symplectic sum, Annals 142, 1995; trivial "
+        f"normal bundle): c3 += -2*c2 = {corrections.c3}, "
+        f"c1^3 += -6*c1^2 = {corrections.c1_cubed}, "
+        f"c1c2 += -2*c1^2 - 2*c2 = {corrections.c1c2}",
+        "result = X1 x S2 + X2 x S1 + corrections: "
+        + _triple_text(fiber_sum_corrections(product1, product2, cross)),
+    )
+    for line in lines:
+        print(f"explain: {line}", file=sys.stderr)
+
+
+def _triple_text(triple: ChernTriple) -> str:
+    return f"c3={triple.c3} c1^3={triple.c1_cubed} c1c2={triple.c1c2}"
 
 
 # search flags that set a bound; a --config file sets all bounds instead.
@@ -353,6 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run, formats=_TEXT_FORMATS)
     sub.choices["product"].add_argument("--surface-genus", type=int, required=True)
     sub.choices["fibersum"].add_argument("--oracle", action="store_true")
+    sub.choices["fibersum"].add_argument(
+        "--explain", action="store_true", help="print the triple's derivation on stderr"
+    )
 
     p = sub.add_parser("search", help="find block pairs realizing a target triple")
     p.add_argument("--target", required=True, help="target triple c3,c1cubed,c1c2")

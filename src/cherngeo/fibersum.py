@@ -48,14 +48,33 @@ def _cross_section_kernel():
     return algebra.compile_kernel(_cross_section_plans())
 
 
+# Entries of the two per-genus caches below.  Fiber genera are few (the
+# default search bounds span 13), so these hold every genus and genus pair of a
+# search or an audit; past them the least recently used entry is dropped.
+_SURFACES_CACHED = 256
+_CROSS_SECTIONS_CACHED = 1024
+
+# One immutable surface record per genus, shared by the oracle's two products
+# and the cross-section.  A negative genus raises and is not cached.
+_surface = functools.lru_cache(maxsize=_SURFACES_CACHED)(SurfaceInvariants)
+
+
+# Cached behind cross_section_of_surfaces, which stays a plain function so that
+# perfbench/tracing.py, which wraps plain functions only, still counts its calls.
+@functools.lru_cache(maxsize=_CROSS_SECTIONS_CACHED)
+def _cross_section(g1: int, g2: int) -> CrossSectionInvariants:
+    c1_sq, c2 = _cross_section_kernel()(_surface(g1), _surface(g2))
+    return CrossSectionInvariants(c1_sq, c2)
+
+
 def cross_section_of_surfaces(g1: int, g2: int) -> CrossSectionInvariants:
     """Invariants of the product surface S1 x S2, via the class algebra.
 
     c2 is the top Chern class c1(S1)c1(S2); c1^2 is (c1(S1)+c1(S2))^2.
-    Both are evaluated symbolically rather than hard-coded.
+    Both are evaluated symbolically rather than hard-coded, once per genus
+    pair: the (immutable) record is cached.
     """
-    c1_sq, c2 = _cross_section_kernel()(SurfaceInvariants(g1), SurfaceInvariants(g2))
-    return CrossSectionInvariants(c1_sq, c2)
+    return _cross_section(g1, g2)
 
 
 def fiber_sum_corrections(
@@ -67,12 +86,15 @@ def fiber_sum_corrections(
     -2, -2 for c1c2) assume the locus has trivial normal bundle on both
     sides, which is the only case this construction produces.
     """
+    c3_1, c1_cubed_1, c1c2_1 = m1
+    c3_2, c1_cubed_2, c1c2_2 = m2
+    c1_sq, c2 = x
     # Positional, here and below: keyword arguments make a triple about 40% slower
     # to build (CPython 3.11).
     return ChernTriple(
-        m1.c3 + m2.c3 - 2 * x.c2,  # c3
-        m1.c1_cubed + m2.c1_cubed - 6 * x.c1_sq,  # c1_cubed
-        m1.c1c2 + m2.c1c2 - 2 * x.c1_sq - 2 * x.c2,  # c1c2
+        c3_1 + c3_2 - 2 * c2,  # c3
+        c1_cubed_1 + c1_cubed_2 - 6 * c1_sq,  # c1_cubed
+        c1c2_1 + c1c2_2 - 2 * c1_sq - 2 * c2,  # c1c2
     )
 
 
@@ -110,6 +132,6 @@ def halic_construction_via_oracle(
         require_valid(b1)
         require_valid(b2)
     g1, g2 = b1.fiber_genus, b2.fiber_genus
-    m1 = algebra.chern_numbers_of_product(b1.invariants, SurfaceInvariants(g2))
-    m2 = algebra.chern_numbers_of_product(b2.invariants, SurfaceInvariants(g1))
+    m1 = algebra.chern_numbers_of_product(b1.invariants, _surface(g2))
+    m2 = algebra.chern_numbers_of_product(b2.invariants, _surface(g1))
     return fiber_sum_corrections(m1, m2, cross_section_of_surfaces(g1, g2))

@@ -57,8 +57,8 @@ class SurfaceInvariants(namedtuple("SurfaceInvariants", "genus")):
     def __new__(cls, genus: int):
         if genus < 0:
             raise ValueError(f"genus must be non-negative, got {genus}")
-        # What the namedtuple's own __new__ does, without its extra call: the
-        # oracle builds four of these per pair.
+        # What the namedtuple's own __new__ does, without its extra call.  The
+        # oracle builds one per genus, not per pair (fibersum._surface).
         return tuple.__new__(cls, (genus,))
 
     @property
@@ -139,12 +139,28 @@ def validate_block(block: LefschetzBlock) -> list[str]:
     fibrations with singular fibers (n > 0); fibrations without singular
     fibers (e.g. a sphere bundle) may be flagged simply connected by
     family knowledge.
+
+    A valid block is confirmed by integer comparisons alone; the messages
+    are built only for an invalid one.
     """
     _, invariants, genus, singular_fibers, simply_connected = block
+    sigma, euler, chi_h, c1_sq, c2 = invariants
+    # Every rule below, as one test; a negative genus or count fails it, so that
+    # euler_from_fibration below rejects it.
+    if (
+        genus >= 0
+        and singular_fibers >= 0
+        and c1_sq == 3 * sigma + 2 * euler
+        and c2 == euler
+        and 4 * chi_h == sigma + euler
+        and euler == 2 * (2 - 2 * genus) + singular_fibers
+        and not (simply_connected and 0 < singular_fibers <= 2 * genus)
+    ):
+        return []
     out = invariants.violations()
     expected_e = euler_from_fibration(genus, singular_fibers)
-    if invariants.euler != expected_e:
-        out.append(f"euler != 2(2-2g)+n ({invariants.euler} != {expected_e})")
+    if euler != expected_e:
+        out.append(f"euler != 2(2-2g)+n ({euler} != {expected_e})")
     if simply_connected and 0 < singular_fibers <= 2 * genus:
         out.append(f"simply connected requires n > 2g ({singular_fibers} <= {2 * genus})")
     return out

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -105,6 +106,57 @@ def test_fibersum_oracle_still_rejects_an_invalid_block(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("validation error: invalid block")
+
+
+EXPLAINED_PAIRS = [
+    ("elliptic", "--m", "3", "ruled-spheres"),
+    ("elliptic", "--m", "2", "knot-elliptic", "--k", "2", "--knot-genus", "0"),
+    ("ruled-spheres", "ruled-spheres"),
+    ("knot-elliptic", "--k", "3", "--knot-genus", "2",
+     "generic", "--chi", "2", "--c1sq", "3", "--genus", "4", "--n", "33"),
+]
+
+
+@pytest.mark.parametrize("pair", EXPLAINED_PAIRS)
+@pytest.mark.parametrize(
+    "flags", [(), ("--oracle",), ("--format", "json"), ("--oracle", "--format", "json")]
+)
+def test_fibersum_explain_leaves_stdout_unchanged(capsys, pair, flags):
+    plain = run(capsys, "fibersum", *pair, *flags)
+    code, out, err = run(capsys, "fibersum", *pair, *flags, "--explain")
+    assert (code, out) == plain[:2]
+    assert err.endswith(plain[2])
+
+
+@pytest.mark.parametrize("pair", EXPLAINED_PAIRS)
+def test_fibersum_explain_reproduces_the_printed_triple(capsys, pair):
+    code, out, err = run(capsys, "fibersum", *pair, "--explain", "--format", "json")
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 5 and all(line.startswith("explain: ") for line in lines)
+    # Every number after an "=" past the last ": " (block names hold "=" too),
+    # but not a coefficient such as the "-2" of "-2*c2".
+    product1, product2, (c1_sq, c2), corrections, result = (
+        [int(v) for v in re.findall(r"=\s?(-?\d+)(?![\d*])", line.rsplit(": ", 1)[1])]
+        for line in lines
+    )
+    assert "X1 x S2" in lines[0] and "X2 x S1" in lines[1] and "S1 x S2" in lines[2]
+    assert "Gompf's symplectic sum, Annals 142, 1995; trivial normal bundle" in lines[3]
+    assert corrections == [-2 * c2, -6 * c1_sq, -2 * c1_sq - 2 * c2]
+    triple = json.loads(out)
+    printed = [triple["c3"], triple["c1_cubed"], triple["c1c2"]]
+    assert [a + b + c for a, b, c in zip(product1, product2, corrections)] == printed
+    assert result == printed
+
+
+def test_fibersum_explain_rejects_an_invalid_block_first(capsys):
+    code, out, err = run(
+        capsys, "fibersum", "generic", "--chi", "1", "--c1sq", "0", "--genus", "1", "--n", "5",
+        "elliptic", "--m", "1", "--explain",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("validation error: invalid block") and "explain" not in err
 
 
 def test_search_worked_example(capsys):

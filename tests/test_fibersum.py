@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from cherngeo.fibersum import (
 from cherngeo.invariants import (
     BlockValidationError,
     LefschetzBlock,
+    SurfaceInvariants,
     complete_invariants,
 )
 
@@ -136,6 +139,54 @@ def test_oracle_call_graph(monkeypatch):
     triple = halic_construction_via_oracle(elliptic_surface(2), knot_surgered_elliptic(3, 1))
     assert triple == ChernTriple(-144, 0, -144)  # 24m(2 - 2g - k)
     assert calls == {"chern_numbers_of_product": 2, "cross_section_of_surfaces": 1}
+
+
+# -- per-genus caches of the oracle -------------------------------------------
+
+
+@given(g1=st.integers(0, 10**6), g2=st.integers(0, 10**6), chi=st.integers(-3, 8))
+def test_cached_records_equal_uncached(g1, g2, chi):
+    assert fibersum._surface(g1) == fibersum._surface.__wrapped__(g1) == SurfaceInvariants(g1)
+    x = cross_section_of_surfaces(g1, g2)
+    assert x == fibersum._cross_section.__wrapped__(g1, g2)
+    assert (x.c1_sq, x.c2) == (2 * (2 - 2 * g1) * (2 - 2 * g2), (2 - 2 * g1) * (2 - 2 * g2))
+    b1, b2 = _raw_block(chi, 3, g1), _raw_block(2, chi, g2)
+    assert halic_construction_via_oracle(b1, b2, check=False) == halic_construction(
+        b1, b2, check=False
+    )
+
+
+def test_cache_sizes_are_fixed():
+    for cache, size in (
+        (fibersum._surface, fibersum._SURFACES_CACHED),
+        (fibersum._cross_section, fibersum._CROSS_SECTIONS_CACHED),
+    ):
+        assert type(size) is int and size > 0
+        assert cache.cache_info().maxsize == size
+
+
+def test_cross_section_stays_a_plain_function():
+    # perfbench/tracing.py counts plain functions only; the cache sits behind this one.
+    assert inspect.isfunction(fibersum.cross_section_of_surfaces)
+
+
+def test_negative_genus_raises_and_is_not_cached():
+    fibersum._surface.cache_clear()
+    fibersum._cross_section.cache_clear()
+    with pytest.raises(ValueError, match="genus must be non-negative"):
+        cross_section_of_surfaces(-1, 0)
+    negative = elliptic_surface(2)._replace(fiber_genus=-1)
+    with pytest.raises(ValueError, match="genus and singular-fiber count must be non-negative"):
+        halic_construction_via_oracle(negative, negative)
+    with pytest.raises(ValueError, match="genus must be non-negative"):
+        halic_construction_via_oracle(negative, negative, check=False)
+    assert fibersum._surface.cache_info().currsize == 0
+    assert fibersum._cross_section.cache_info().currsize == 0
+    # Beside a valid genus, only the valid one is kept.
+    with pytest.raises(ValueError, match="genus must be non-negative"):
+        cross_section_of_surfaces(0, -1)
+    assert fibersum._surface.cache_info().currsize == 1
+    assert fibersum._cross_section.cache_info().currsize == 0
 
 
 @settings(max_examples=200, deadline=None)
