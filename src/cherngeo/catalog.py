@@ -137,12 +137,26 @@ def default_catalog() -> list[LefschetzBlock]:
     return blocks
 
 
-def load_catalog(path: str | os.PathLike) -> list[LefschetzBlock]:
-    """Read a JSON array of family records or explicit generic blocks."""
+def read_json_file(path: str | os.PathLike):
+    """The JSON value in a UTF-8 file.
+
+    A file that is not JSON, or nests arrays or objects deeper than the
+    decoder's recursion allows, raises a ``ValueError`` that names the file.
+    """
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{os.fspath(path)} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{os.fspath(path)} nests JSON too deeply to read") from None
+
+
+def load_catalog(path: str | os.PathLike) -> list[LefschetzBlock]:
+    """Read a JSON array of family records or explicit generic blocks."""
+    data = read_json_file(path)
     if not isinstance(data, list):
         raise ValueError("catalog file must contain a JSON array")
     blocks = []

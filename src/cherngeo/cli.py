@@ -258,10 +258,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if given:
             flags = ", ".join("--" + flag.replace("_", "-") for flag in given)
             raise UsageError(f"--config cannot be combined with {flags}")
-        import json
-
-        with open(args.config, "r", encoding="utf-8") as fh:
-            bounds = SearchBounds.from_json(json.load(fh))
+        bounds = SearchBounds.from_json(catalog_mod.read_json_file(args.config))
     else:
         generic = None
         if args.generic_chi or args.generic_c1sq or args.generic_genus:
@@ -463,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlockValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,8 +8,6 @@ grid points stays exact and integer-valued in :mod:`cherngeo.geography`.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 from .geography import REGIONS, SIGNATURE_LINE, column_runs
 
 _WIDTH, _HEIGHT = 640, 480
@@ -39,8 +37,10 @@ _LINES = [
 def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
     """One CSV row per integer point of the window, rendered a column run at a time.
 
-    Raises ``ValueError`` before any work when the window has more than
-    ``GRID_POINT_LIMIT`` points.
+    The window's c1^2 values are formatted once and shared by every column.
+    A run without a basic class count is one ``str.join`` over a slice of
+    them, since all its other fields are constant.  Raises ``ValueError``
+    before any work when the window has more than ``GRID_POINT_LIMIT`` points.
     """
     (chi_lo, chi_hi), (lo, hi) = chi_range, c1sq_range
     points = max(0, chi_hi - chi_lo + 1) * max(0, hi - lo + 1)
@@ -49,18 +49,23 @@ def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
             f"plot window has {points} points, more than the CSV limit of {GRID_POINT_LIMIT}"
         )
     lines = ["chi_h,c1_sq,labels,basic_class_count,on_elliptic_axis,signature_sign"]
+    # An empty window formats no values, however long its c1^2 range.
+    values = [str(c1sq) for c1sq in range(lo, hi + 1)] if points else []
     for chi in range(chi_lo, chi_hi + 1):
         head = f"{chi},"
         for first, last, cls in column_runs(chi, lo, hi):
-            # Only basic_class_count changes within a run: one less per step up in c1^2.
-            count = cls.basic_class_count
-            counts = repeat("") if count is None else range(count, count - (last - first) - 1, -1)
+            run = values[first - lo : last - lo + 1]
             labels = f",{';'.join(cls.labels)},"
             tail = f",{int(cls.on_elliptic_axis)},{cls.signature_sign}"
-            lines += [
-                f"{head}{c1sq}{labels}{n}{tail}"
-                for c1sq, n in zip(range(first, last + 1), counts)
-            ]
+            count = cls.basic_class_count
+            if count is None:
+                lines.append(head + f"{labels}{tail}\n{head}".join(run) + labels + tail)
+            else:
+                # The count falls by one per step up in c1^2.
+                lines += [
+                    f"{head}{c1sq}{labels}{n}{tail}"
+                    for c1sq, n in zip(run, range(count, count - len(run), -1))
+                ]
     return "\n".join(lines) + "\n"
 
 

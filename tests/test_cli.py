@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,20 @@ def test_fibersum_explain_leaves_stdout_unchanged(capsys, pair, flags):
     code, out, err = run(capsys, "fibersum", *pair, *flags, "--explain")
     assert (code, out) == plain[:2]
     assert err.endswith(plain[2])
+
+
+def test_readme_explain_line_prints_the_plain_stdout(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    explained = [
+        line.split("#", 1)[0].split()[1:]
+        for line in readme.splitlines()
+        if line.startswith("cherngeo ") and "--explain" in line
+    ]
+    assert explained
+    for argv in explained:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == run(capsys, *(a for a in argv if a != "--explain"))[:2]
+        assert err.startswith("explain: ")
 
 
 @pytest.mark.parametrize("pair", EXPLAINED_PAIRS)

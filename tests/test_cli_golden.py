@@ -52,6 +52,11 @@ EXPECTED = {
         "010e7e4dea3a2436e2540f34ca0de8c0d725344019142afa79e2d95297c56061",
         EMPTY,
     ),
+    "fibersum elliptic --m 3 ruled-spheres --explain": (
+        0,
+        "010e7e4dea3a2436e2540f34ca0de8c0d725344019142afa79e2d95297c56061",
+        "92bee4eacec9450a75d8a9606702fac655c1dc139ff4253b6c7a2074e42a625e",
+    ),
     "fibersum elliptic --m 2 knot-elliptic --k 2 --knot-genus 0 --oracle": (
         0,
         "c112e17cb6da5034968323a73f477bd6883f2e7e47fb2d0f4e008a65ddc204f2",

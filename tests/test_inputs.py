@@ -3,7 +3,8 @@
 Family names and aliases are checked against ``catalog.FAMILIES``; every
 malformed catalog or search config, negative search limit or empty grid
 range exits 1 with one line that names the offending entry or field, never
-with a traceback; ``search --config`` together with a bound flag exits 2.
+with a traceback, and a file that is not JSON exits 1 with one line naming
+the file; ``search --config`` together with a bound flag exits 2.
 A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work,
 and so does a search whose bounds allow more than
 ``geography.SEARCH_BLOCK_LIMIT`` candidate blocks, or none.  An empty
@@ -126,6 +127,29 @@ def test_malformed_files_exit_with_one_line(capsys, tmp_path, command, content, 
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("command", ["catalog", "search"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"max_m": 2,', "is not valid JSON: Expecting property name enclosed in double quotes"),
+        (b"[1, 2", "is not valid JSON: Expecting ',' delimiter"),
+        (b"", "is not valid JSON: Expecting value"),
+        (b"\xff[]", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "nests JSON too deeply to read"),
+    ],
+)
+def test_file_that_is_not_json_names_the_file(capsys, tmp_path, command, content, reason):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    if command == "catalog":
+        argv = ["catalog", "--catalog", str(path)]
+    else:
+        argv = ["search", "--target", "24,0,24", "--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path} {reason}") and err.count("\n") == 1
 
 
 # -- search bounds: --config against flags, empty ranges, negative limits ----

@@ -1,9 +1,14 @@
 """CSV grids of the geography plane.
 
-``grid_csv`` classifies one point per column run; the per-point renderer it
-replaced is kept here as ``_reference_grid_csv`` and the two must agree byte
-for byte.
+``grid_csv`` classifies one point per column run and joins a run's rows over
+c1^2 strings shared by the whole window; the per-point renderer it replaced
+is kept here as ``_reference_grid_csv`` and the two must agree byte for byte.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -65,6 +70,12 @@ def _ranges(lo, hi):
 @example(((-10, 30), (24, 24)))  # one row, crossing 8*chi_h = 24
 @example(((-5, -1), (-50, 10)))  # chi_h < 0: the floor c1^2 = 0 lies above the ceiling 9*chi_h
 @example(((-2, -2), (-18, 0)))  # chi_h < 0, edges on the ceiling and on the floor
+@example(((2, 2), (5, 5)))  # a single point
+@example(((-3, 6), (-40, -1)))  # every c1^2 negative
+# The strip's top, where the count reaches its least value: the strip is
+# 0 <= c1^2 <= chi_h - 3, so its count chi_h - c1^2 - 2 never falls below 1.
+@example(((10, 10), (0, 7)))
+@example(((4, 12), (0, 9)))  # strips of every length from 1 to 9 rows
 def test_grid_csv_matches_per_point_reference(window):
     chi_range, c1sq_range = window
     assert grid_csv(chi_range, c1sq_range) == _reference_grid_csv(chi_range, c1sq_range)
@@ -113,3 +124,42 @@ def test_grid_csv_limit_is_inclusive(monkeypatch):
     with pytest.raises(ValueError, match="has 15 points"):
         grid_csv((0, 2), (0, 4))
 
+
+# -- the joined runs: shared c1^2 strings sliced at the run edges -------------
+
+def _windows_next_to_every_cut(chi):
+    """One-column windows of column ``chi`` with an edge one above or below a cut value."""
+    for a, b in _LINES:
+        for edge in (a * chi + b - 1, a * chi + b + 1):
+            yield (chi, chi), (edge, edge + 7)
+            yield (chi, chi), (edge - 7, edge)
+            yield (chi, chi), (edge, edge)
+
+
+_NEXT_TO_CUT_EXAMPLES = [
+    window for chi in (-3, -1, 0, 1, 3, 7) for window in _windows_next_to_every_cut(chi)
+]
+
+
+@pytest.mark.parametrize("chi_range, c1sq_range", _NEXT_TO_CUT_EXAMPLES)
+def test_grid_csv_windows_with_edges_next_to_cut_lines(chi_range, c1sq_range):
+    assert grid_csv(chi_range, c1sq_range) == _reference_grid_csv(chi_range, c1sq_range)
+
+
+def test_grid_csv_empty_windows_are_the_header_alone():
+    # In a subprocess whose address space is capped: formatting 10**12 values
+    # for an empty window would fail there at once, not exhaust the host.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from cherngeo.plot import grid_csv\n"
+        "sys.stdout.write(grid_csv((1, 0), (0, 10**12)) + grid_csv((0, 3), (5, 4)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header = "chi_h,c1_sq,labels,basic_class_count,on_elliptic_axis,signature_sign\n"
+    assert proc.stdout == header + header
