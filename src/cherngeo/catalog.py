@@ -18,10 +18,10 @@ from __future__ import annotations
 import os
 
 from .invariants import (
+    FourManifoldInvariants,
     LefschetzBlock,
     block_from_json,
     block_to_json,
-    complete_invariants,
     euler_from_fibration,
     json_field,
 )
@@ -33,7 +33,7 @@ def elliptic_surface(m: int) -> LefschetzBlock:
         raise ValueError(f"elliptic surface parameter m must be >= 1, got {m}")
     return LefschetzBlock(
         name=f"E({m})",
-        invariants=complete_invariants(m, 0),
+        invariants=FourManifoldInvariants(m, 0),
         fiber_genus=1,
         singular_fibers=12 * m,
         simply_connected=True,
@@ -44,7 +44,7 @@ def ruled_spheres() -> LefschetzBlock:
     """S^2 x S^2 as a sphere fibration with no singular fibers."""
     return LefschetzBlock(
         name="S2xS2",
-        invariants=complete_invariants(1, 8),
+        invariants=FourManifoldInvariants(1, 8),
         fiber_genus=0,
         singular_fibers=0,
         simply_connected=True,
@@ -62,13 +62,13 @@ def knot_surgered_elliptic(k: int, knot_genus: int) -> LefschetzBlock:
         raise ValueError(f"elliptic parameter k must be >= 1, got {k}")
     if knot_genus < 0:
         raise ValueError(f"knot genus must be non-negative, got {knot_genus}")
+    invariants = FourManifoldInvariants(k, 0)
     fiber_genus = 2 * knot_genus + k - 1
-    n = 12 * k - euler_from_fibration(fiber_genus, 0)
     return LefschetzBlock(
         name=f"E({k})_K(g={knot_genus})",
-        invariants=complete_invariants(k, 0),
+        invariants=invariants,
         fiber_genus=fiber_genus,
-        singular_fibers=n,
+        singular_fibers=invariants.euler - euler_from_fibration(fiber_genus, 0),
         simply_connected=True,
     )
 
@@ -81,12 +81,12 @@ def generic_block(
     simply_connected: bool,
     name: str | None = None,
 ) -> LefschetzBlock:
-    """User-supplied block; identity violations are left to validate_block."""
+    """User-supplied block; broken fibration rules are left to validate_block."""
     if name is None:
         name = f"generic(chi_h={chi_h},c1_sq={c1_sq},g={fiber_genus},n={singular_fibers})"
     return LefschetzBlock(
         name=name,
-        invariants=complete_invariants(chi_h, c1_sq),
+        invariants=FourManifoldInvariants(chi_h, c1_sq),
         fiber_genus=fiber_genus,
         singular_fibers=singular_fibers,
         simply_connected=simply_connected,

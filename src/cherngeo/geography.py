@@ -17,7 +17,14 @@ import math
 from collections import namedtuple
 
 from .catalog import FAMILIES, family_name, generic_block
-from .invariants import ChernTriple, LefschetzBlock, euler_from_fibration, json_field, require_valid
+from .invariants import (
+    ChernTriple,
+    FourManifoldInvariants,
+    LefschetzBlock,
+    euler_from_fibration,
+    json_field,
+    require_valid,
+)
 
 # The closed regions of the plane in label order, as (label, lower line,
 # upper line); a line (a, b) is c1^2 = a*chi_h + b.  Points strictly below
@@ -135,15 +142,24 @@ class SearchBounds(
     def from_json(cls, data: dict) -> "SearchBounds":
         if not isinstance(data, dict):
             raise ValueError("search bounds must be a JSON object")
+        _refuse_unknown_fields(data, cls._fields, "search bounds")
         generic = data.get("generic")
         if generic is not None:
             if not isinstance(generic, dict):
                 raise ValueError(f"field 'generic' must be an object, got {generic!r}")
+            _refuse_unknown_fields(generic, GenericGrid._fields, "'generic'")
             generic = GenericGrid(*(_range_field(generic, k) for k in ("chi_h", "c1_sq", "genus")))
         given = {k: json_field(data, k) for k in ("max_m", "max_k", "max_knot_genus") if k in data}
         if "families" in data:
             given["families"] = data["families"]
         return cls(generic=generic, **given)
+
+
+def _refuse_unknown_fields(record: dict, known: tuple[str, ...], what: str) -> None:
+    """Raise ValueError naming the first key of ``record`` outside ``known``."""
+    for key in record:
+        if key not in known:
+            raise ValueError(f"unknown {what} field {key!r} (known: {', '.join(known)})")
 
 
 def _range_field(grid: dict, key: str) -> tuple[int, int]:
@@ -202,8 +218,9 @@ def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
         grid = bounds.generic
         for chi in range(grid.chi_h[0], grid.chi_h[1] + 1):
             for c1sq in range(grid.c1_sq[0], grid.c1_sq[1] + 1):
+                euler = FourManifoldInvariants(chi, c1sq).euler
                 for genus in range(max(0, grid.genus[0]), grid.genus[1] + 1):
-                    n = (12 * chi - c1sq) - euler_from_fibration(genus, 0)
+                    n = euler - euler_from_fibration(genus, 0)
                     if n < 0:
                         continue  # no fibration with this genus hits that Euler number
                     blocks.append(generic_block(chi, c1sq, genus, n, n > 2 * genus))
@@ -277,8 +294,9 @@ def classify_geography_point(chi_h: int, c1_sq: int) -> GeographyClassification:
     """All regions whose defining inequalities the point satisfies.
 
     Boundaries are closed, so points on a dividing line get both labels.
-    The basic-class count chi_h - c1_sq - 2 is reported verbatim whenever
-    the many-basic-classes strip matches, even when it is non-positive.
+    The basic-class count chi_h - c1_sq - 2 is reported whenever the
+    many-basic-classes strip 0 <= c1_sq <= chi_h - 3 matches, so it is
+    always at least 1; elsewhere it is None.
     """
     labels = []
     if c1_sq < _FLOOR[0] * chi_h + _FLOOR[1]:

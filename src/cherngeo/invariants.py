@@ -1,8 +1,11 @@
 """Invariant records for 4-manifolds, surfaces, and 6-manifold Chern triples.
 
-Everything here is exact integer arithmetic.  Identity violations are
-reported as data (lists of messages), never raised, so that invalid
-records can be constructed, inspected, and displayed.  Only geometrically
+Everything here is exact integer arithmetic.  A 4-manifold record is its
+point (chi_h, c1^2) of the geography plane; sigma, e and c2 are derived
+from it, so no record can contradict them.  A block's fibration data is
+checked against its record by :func:`validate_block`, which reports
+violations as data (a list of messages), never raised, so that invalid
+blocks can be constructed, inspected, and displayed.  Only geometrically
 meaningless inputs (negative genus, negative singular-fiber count) are
 rejected at construction time.
 
@@ -26,27 +29,25 @@ class BlockValidationError(ValueError):
         super().__init__(f"invalid block {name!r}: " + "; ".join(violations))
 
 
-class FourManifoldInvariants(namedtuple("FourManifoldInvariants", "sigma euler chi_h c1_sq c2")):
-    """Numeric invariants of a closed almost complex 4-manifold.
+class FourManifoldInvariants(namedtuple("FourManifoldInvariants", "chi_h c1_sq")):
+    """The point (chi_h, c1^2) of a closed almost complex 4-manifold.
 
-    Fields (all ``int``): sigma, euler, chi_h, c1_sq, c2.  The record
-    stores all five quantities redundantly; the defining identities
-    (c1^2 = 3*sigma + 2*euler, c2 = euler, 4*chi_h = sigma + euler) are
-    checked by :meth:`violations`.
+    Fields (both ``int``): chi_h, c1_sq.  The Euler number (also read as
+    ``c2``) is 12*chi_h - c1^2 by Noether's formula, and the signature is
+    c1^2 - 8*chi_h.
     """
 
     __slots__ = ()
 
-    def violations(self) -> list[str]:
-        sigma, euler, chi_h, c1_sq, c2 = self
-        out = []
-        if c1_sq != 3 * sigma + 2 * euler:
-            out.append(f"c1^2 != 3*sigma + 2*euler ({c1_sq} != {3 * sigma + 2 * euler})")
-        if c2 != euler:
-            out.append(f"c2 != euler ({c2} != {euler})")
-        if 4 * chi_h != sigma + euler:
-            out.append(f"4*chi_h != sigma + euler ({4 * chi_h} != {sigma + euler})")
-        return out
+    @property
+    def euler(self) -> int:
+        return 12 * self.chi_h - self.c1_sq
+
+    c2 = euler
+
+    @property
+    def sigma(self) -> int:
+        return self.c1_sq - 8 * self.chi_h
 
 
 class SurfaceInvariants(namedtuple("SurfaceInvariants", "genus")):
@@ -121,46 +122,20 @@ def euler_from_fibration(genus: int, singular_fibers: int) -> int:
     return 2 * (2 - 2 * genus) + singular_fibers
 
 
-def complete_invariants(chi_h: int, c1_sq: int) -> FourManifoldInvariants:
-    """Fill in (sigma, euler, c2) from (chi_h, c1^2).
-
-    Uses euler = c2 = 12*chi_h - c1^2 and sigma = c1^2 - 8*chi_h; the
-    result always satisfies all three identities of the record.
-    """
-    euler = 12 * chi_h - c1_sq
-    sigma = c1_sq - 8 * chi_h
-    return FourManifoldInvariants(sigma=sigma, euler=euler, chi_h=chi_h, c1_sq=c1_sq, c2=euler)
-
-
 def validate_block(block: LefschetzBlock) -> list[str]:
-    """All invariant violations of a block; an empty list means valid.
+    """The fibration rules the block breaks; an empty list means valid.
 
-    The simple-connectivity rule n > 2g applies only to genuine Lefschetz
-    fibrations with singular fibers (n > 0); fibrations without singular
-    fibers (e.g. a sphere bundle) may be flagged simply connected by
-    family knowledge.
-
-    A valid block is confirmed by integer comparisons alone; the messages
-    are built only for an invalid one.
+    The rules are e = 2(2-2g) + n, and n > 2g for a simply connected
+    block.  The second applies only to genuine Lefschetz fibrations with
+    singular fibers (n > 0); fibrations without singular fibers (e.g. a
+    sphere bundle) may be flagged simply connected by family knowledge.
+    A negative genus or count raises ValueError.
     """
     _, invariants, genus, singular_fibers, simply_connected = block
-    sigma, euler, chi_h, c1_sq, c2 = invariants
-    # Every rule below, as one test; a negative genus or count fails it, so that
-    # euler_from_fibration below rejects it.
-    if (
-        genus >= 0
-        and singular_fibers >= 0
-        and c1_sq == 3 * sigma + 2 * euler
-        and c2 == euler
-        and 4 * chi_h == sigma + euler
-        and euler == 2 * (2 - 2 * genus) + singular_fibers
-        and not (simply_connected and 0 < singular_fibers <= 2 * genus)
-    ):
-        return []
-    out = invariants.violations()
+    out = []
     expected_e = euler_from_fibration(genus, singular_fibers)
-    if euler != expected_e:
-        out.append(f"euler != 2(2-2g)+n ({euler} != {expected_e})")
+    if invariants.euler != expected_e:
+        out.append(f"euler != 2(2-2g)+n ({invariants.euler} != {expected_e})")
     if simply_connected and 0 < singular_fibers <= 2 * genus:
         out.append(f"simply connected requires n > 2g ({singular_fibers} <= {2 * genus})")
     return out
@@ -210,7 +185,7 @@ def block_from_json(data: dict) -> LefschetzBlock:
     """Load a block; derived invariants are recomputed, never trusted."""
     return LefschetzBlock(
         name=json_field(data, "name", str),
-        invariants=complete_invariants(json_field(data, "chi_h"), json_field(data, "c1_sq")),
+        invariants=FourManifoldInvariants(json_field(data, "chi_h"), json_field(data, "c1_sq")),
         fiber_genus=json_field(data, "fiber_genus"),
         singular_fibers=json_field(data, "singular_fibers"),
         simply_connected=json_field(data, "simply_connected", bool),

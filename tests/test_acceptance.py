@@ -21,8 +21,8 @@ from cherngeo.geography import (
 )
 from cherngeo.invariants import (
     ChernTriple,
+    FourManifoldInvariants,
     LefschetzBlock,
-    complete_invariants,
 )
 
 _MODULE_START = time.monotonic()
@@ -31,7 +31,7 @@ _MODULE_START = time.monotonic()
 def _raw_block(chi_h, c1_sq, genus):
     return LefschetzBlock(
         f"raw({chi_h},{c1_sq},{genus})",
-        complete_invariants(chi_h, c1_sq),
+        FourManifoldInvariants(chi_h, c1_sq),
         genus,
         0,
         False,
@@ -157,7 +157,7 @@ def test_criterion_7_classifier_identities():
     for chi in range(0, 21):
         for c1sq in range(-10, 191):
             cls = classify_geography_point(chi, c1sq)
-            sigma = complete_invariants(chi, c1sq).sigma
+            sigma = FourManifoldInvariants(chi, c1sq).sigma
             assert cls.signature_sign == (sigma > 0) - (sigma < 0)
     for n in range(1, 13):
         assert classify_geography_point(n, 0).on_elliptic_axis
@@ -177,7 +177,7 @@ def test_criterion_8_exact_arithmetic_and_runtime():
     ]
     for t in samples:
         assert type(t.c3) is int and type(t.c1_cubed) is int and type(t.c1c2) is int
-    inv = complete_invariants(7, -5)
+    inv = FourManifoldInvariants(7, -5)
     for value in (inv.sigma, inv.euler, inv.chi_h, inv.c1_sq, inv.c2):
         assert type(value) is int
     elapsed = time.monotonic() - _MODULE_START

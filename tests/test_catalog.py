@@ -13,7 +13,7 @@ from cherngeo.catalog import (
     save_catalog,
 )
 from cherngeo.fibersum import halic_construction
-from cherngeo.invariants import LefschetzBlock, complete_invariants, validate_block
+from cherngeo.invariants import FourManifoldInvariants, LefschetzBlock, validate_block
 
 
 def test_elliptic_surface():
@@ -80,7 +80,7 @@ def test_genus_zero_knot_matches_plain_fiber_genus(k):
     partner = elliptic_surface(2)
     surgered = knot_surgered_elliptic(k, 0)
     stand_in = LefschetzBlock(
-        "stand-in", complete_invariants(k, 0), k - 1, surgered.singular_fibers, False
+        "stand-in", FourManifoldInvariants(k, 0), k - 1, surgered.singular_fibers, False
     )
     assert halic_construction(partner, surgered) == halic_construction(
         partner, stand_in, check=False

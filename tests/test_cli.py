@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cherngeo.cli import main, parse_block_specs
 from cherngeo.catalog import elliptic_surface, ruled_spheres
@@ -51,6 +52,37 @@ def test_block_validation_failure(capsys):
     )
     assert code == 1
     assert "violation" in err
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    chi=st.integers(-20, 20),
+    off_euler=st.sampled_from([0, 0, 0, -1, 1, 12]),  # c1^2 away from the fibration's e
+    g=st.integers(0, 8),
+    n=st.integers(0, 40),
+    sc=st.booleans(),
+)
+@example(chi=1, off_euler=0, g=1, n=12, sc=True)  # E(1): valid
+@example(chi=1, off_euler=1, g=1, n=12, sc=True)  # the Euler rule alone fails
+@example(chi=0, off_euler=0, g=2, n=4, sc=True)  # n > 2g alone fails
+@example(chi=0, off_euler=-1, g=2, n=3, sc=True)  # both fail
+def test_block_generic_json_derives_invariants(capsys, chi, off_euler, g, n, sc):
+    e_fibration = 2 * (2 - 2 * g) + n
+    c1sq = 12 * chi - e_fibration + off_euler
+    argv = ["block", "generic", "--chi", str(chi), "--c1sq", str(c1sq),
+            "--genus", str(g), "--n", str(n), "--format", "json"]
+    code, out, err = run(capsys, *argv, *([] if sc else ["--not-simply-connected"]))
+    record = json.loads(out)
+    assert (record["chi_h"], record["c1_sq"]) == (chi, c1sq)
+    assert record["sigma"] == c1sq - 8 * chi
+    assert record["euler"] == record["c2"] == 12 * chi - c1sq
+    expected = []
+    if 12 * chi - c1sq != e_fibration:
+        expected.append(f"violation: euler != 2(2-2g)+n ({12 * chi - c1sq} != {e_fibration})")
+    if sc and 0 < n <= 2 * g:
+        expected.append(f"violation: simply connected requires n > 2g ({n} <= {2 * g})")
+    assert err.splitlines() == expected
+    assert code == (1 if expected else 0)
 
 
 def test_product_command(capsys):

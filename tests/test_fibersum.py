@@ -15,9 +15,9 @@ from cherngeo.fibersum import (
 )
 from cherngeo.invariants import (
     BlockValidationError,
+    FourManifoldInvariants,
     LefschetzBlock,
     SurfaceInvariants,
-    complete_invariants,
 )
 
 
@@ -25,7 +25,7 @@ def _raw_block(chi_h, c1_sq, genus):
     """A block for formula sweeps; fibration data is not meaningful."""
     return LefschetzBlock(
         f"raw({chi_h},{c1_sq},{genus})",
-        complete_invariants(chi_h, c1_sq),
+        FourManifoldInvariants(chi_h, c1_sq),
         genus,
         0,
         False,
@@ -88,7 +88,7 @@ def test_calabi_yau_point():
 
 
 def test_invalid_block_raises():
-    bad = LefschetzBlock("bad", complete_invariants(1, 0), 1, 2, True)
+    bad = LefschetzBlock("bad", FourManifoldInvariants(1, 0), 1, 2, True)
     with pytest.raises(BlockValidationError) as excinfo:
         halic_construction(bad, ruled_spheres())
     assert excinfo.value.violations

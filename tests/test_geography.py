@@ -23,8 +23,8 @@ from cherngeo.geography import (
 )
 from cherngeo.invariants import (
     ChernTriple,
+    FourManifoldInvariants,
     LefschetzBlock,
-    complete_invariants,
     validate_block,
 )
 
@@ -187,8 +187,8 @@ def test_construction_outputs_satisfy_divisibility_on_grid():
     for chi1, c1sq1, g1, chi2, c1sq2, g2 in itertools.product(
         range(-2, 4), range(-4, 6, 2), (0, 1, 2), range(-1, 3), range(0, 9, 4), (0, 1, 3)
     ):
-        b1 = LefschetzBlock("a", complete_invariants(chi1, c1sq1), g1, 0, False)
-        b2 = LefschetzBlock("b", complete_invariants(chi2, c1sq2), g2, 0, False)
+        b1 = LefschetzBlock("a", FourManifoldInvariants(chi1, c1sq1), g1, 0, False)
+        b2 = LefschetzBlock("b", FourManifoldInvariants(chi2, c1sq2), g2, 0, False)
         t = halic_construction(b1, b2, check=False)
         assert halic_divisibility_check(t).all_pass
         assert t.c1_cubed % 6 == 0
@@ -278,8 +278,9 @@ def test_classifier_boundaries_are_closed():
 @given(chi=st.integers(-20, 60), c1sq=st.integers(-50, 600))
 def test_classifier_signature_identity(chi, c1sq):
     cls = classify_geography_point(chi, c1sq)
-    sigma = complete_invariants(chi, c1sq).sigma
+    sigma = FourManifoldInvariants(chi, c1sq).sigma
     assert cls.signature_sign == (sigma > 0) - (sigma < 0)
+    assert cls.basic_class_count is None or cls.basic_class_count >= 1
 
 
 @given(chi=st.integers(3, 60), c1sq=st.integers(-50, 600))

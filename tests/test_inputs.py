@@ -241,6 +241,8 @@ def test_search_bad_bounds_on_argv_exit_1(capsys, argv, field):
         ({"max_m": -3}, "'max_m'"),
         ({"max_k": -1}, "'max_k'"),
         ({"generic": {"chi_h": [0, 2], "c1_sq": [2, 0], "genus": [0, 1]}}, "'c1_sq'"),
+        ({"max-m": 9}, "'max-m'"),
+        ({"generic": {"chi_h": [0, 2], "c1sq": [0, 2], "genus": [0, 1]}}, "'c1sq'"),
     ],
 )
 def test_search_bad_bounds_in_config_exit_1(capsys, tmp_path, content, field):

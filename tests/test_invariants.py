@@ -7,7 +7,6 @@ from cherngeo.invariants import (
     SurfaceInvariants,
     block_from_json,
     block_to_json,
-    complete_invariants,
     euler_from_fibration,
     validate_block,
 )
@@ -30,27 +29,31 @@ def test_euler_from_fibration_rejects_negative():
 
 
 def test_complete_invariants_sphere_bundle():
-    inv = complete_invariants(1, 8)
+    assert FourManifoldInvariants._fields == ("chi_h", "c1_sq")
+    inv = FourManifoldInvariants(1, 8)
     assert (inv.sigma, inv.euler, inv.chi_h, inv.c1_sq, inv.c2) == (0, 4, 1, 8, 4)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_complete_invariants_elliptic_values(m):
-    inv = complete_invariants(m, 0)
+    inv = FourManifoldInvariants(m, 0)
     assert inv.sigma == -8 * m
     assert inv.euler == 12 * m
     assert inv.c2 == 12 * m
 
 
 def test_complete_invariants_zero():
-    inv = complete_invariants(0, 0)
+    inv = FourManifoldInvariants(0, 0)
     assert (inv.sigma, inv.euler, inv.chi_h, inv.c1_sq, inv.c2) == (0, 0, 0, 0, 0)
 
 
 @given(chi_h=ints, c1_sq=ints)
 def test_complete_invariants_always_consistent(chi_h, c1_sq):
-    inv = complete_invariants(chi_h, c1_sq)
-    assert inv.violations() == []
+    inv = FourManifoldInvariants(chi_h, c1_sq)
+    # the identities an almost complex 4-manifold's invariants satisfy
+    assert inv.c1_sq == 3 * inv.sigma + 2 * inv.euler
+    assert inv.c2 == inv.euler
+    assert 4 * inv.chi_h == inv.sigma + inv.euler
     assert inv.sigma == c1_sq - 8 * chi_h
 
 
@@ -62,7 +65,7 @@ def test_surface_invariants():
 
 
 def _block(chi_h, c1_sq, g, n, sc=True, name="test"):
-    return LefschetzBlock(name, complete_invariants(chi_h, c1_sq), g, n, sc)
+    return LefschetzBlock(name, FourManifoldInvariants(chi_h, c1_sq), g, n, sc)
 
 
 def test_validate_block_valid_elliptic():
@@ -72,14 +75,6 @@ def test_validate_block_valid_elliptic():
 def test_validate_block_simple_connectivity():
     violations = validate_block(_block(1, 0, 1, 1))
     assert any("n > 2g" in v for v in violations)
-
-
-def test_validate_block_inconsistent_record():
-    from cherngeo.invariants import FourManifoldInvariants
-
-    inv = FourManifoldInvariants(sigma=1, euler=1, chi_h=1, c1_sq=0, c2=1)
-    block = LefschetzBlock("bad", inv, 0, 0, False)
-    assert any("4*chi_h" in v for v in validate_block(block))
 
 
 def test_validate_block_euler_mismatch():
@@ -126,19 +121,20 @@ def test_json_roundtrip_recomputes_derived_fields():
 
 
 def _reference_validate_block(block):
-    """validate_block as it was before its fast path: every rule, every time."""
+    """validate_block by the rules as stated, with e = 12*chi_h - c1^2 by Noether's formula."""
     _, invariants, genus, singular_fibers, simply_connected = block
-    out = invariants.violations()
+    out = []
+    euler = 12 * invariants.chi_h - invariants.c1_sq
     expected_e = euler_from_fibration(genus, singular_fibers)
-    if invariants.euler != expected_e:
-        out.append(f"euler != 2(2-2g)+n ({invariants.euler} != {expected_e})")
+    if euler != expected_e:
+        out.append(f"euler != 2(2-2g)+n ({euler} != {expected_e})")
     if simply_connected and 0 < singular_fibers <= 2 * genus:
         out.append(f"simply connected requires n > 2g ({singular_fibers} <= {2 * genus})")
     return out
 
 
-def _raw(sigma, euler, chi_h, c1_sq, c2, g, n, sc):
-    return LefschetzBlock("raw", FourManifoldInvariants(sigma, euler, chi_h, c1_sq, c2), g, n, sc)
+def _raw(chi_h, c1_sq, g, n, sc):
+    return LefschetzBlock("raw", FourManifoldInvariants(chi_h, c1_sq), g, n, sc)
 
 
 small = st.integers(min_value=-60, max_value=60)
@@ -146,34 +142,30 @@ small = st.integers(min_value=-60, max_value=60)
 
 @st.composite
 def validation_blocks(draw):
-    """Blocks with arbitrary records, or with consistent ones nudged in at most one field."""
+    """Blocks with arbitrary records, or with fitting ones nudged in at most one field."""
     g, n, sc = draw(st.integers(0, 12)), draw(st.integers(0, 60)), draw(st.booleans())
     if draw(st.booleans()):
-        return _raw(*(draw(small) for _ in range(5)), g, n, sc)
-    # A record satisfying every identity for (g, n): euler from the fibration,
-    # chi_h free, sigma = 4*chi_h - euler.
-    euler = euler_from_fibration(g, n)
+        return _raw(draw(small), draw(small), g, n, sc)
+    # A record whose Euler number 12*chi_h - c1^2 is the fibration's: chi_h free.
     chi_h = draw(small)
-    sigma = 4 * chi_h - euler
-    record = [sigma, euler, chi_h, 3 * sigma + 2 * euler, euler]
-    field = draw(st.integers(0, 5))  # 5: none nudged
-    if field < 5:
+    record = [chi_h, 12 * chi_h - euler_from_fibration(g, n)]
+    field = draw(st.integers(0, 2))  # 2: none nudged
+    if field < 2:
         record[field] += draw(small.filter(bool))
     return _raw(*record, g, n, sc)
 
 
-# E(1): sigma -8, euler 12, chi_h 1, c1^2 0, c2 12, torus fibers, 12 nodal fibers.
-@example(block=_raw(-8, 12, 1, 1, 12, 1, 12, True))  # c1^2 identity alone fails
-@example(block=_raw(-8, 12, 1, 0, 13, 1, 12, True))  # c2 = euler alone fails
-@example(block=_raw(-8, 12, 2, 0, 12, 1, 12, True))  # 4*chi_h = sigma + euler alone fails
-@example(block=_raw(-8, 12, 1, 0, 12, 1, 13, True))  # euler = 2(2-2g)+n alone fails
-# genus 2 with n = 0, 2g and 2g + 1 nodal fibers, each record consistent
-@example(block=_raw(4, -4, 0, 4, -4, 2, 0, True))
-@example(block=_raw(4, -4, 0, 4, -4, 2, 0, False))
-@example(block=_raw(0, 0, 0, 0, 0, 2, 4, True))  # n > 2g alone fails
-@example(block=_raw(0, 0, 0, 0, 0, 2, 4, False))
-@example(block=_raw(3, 1, 1, 11, 1, 2, 5, True))
-@example(block=_raw(3, 1, 1, 11, 1, 2, 5, False))
+# E(1): chi_h 1, c1^2 0 (euler 12), torus fibers, 12 nodal fibers.
+@example(block=_raw(1, 0, 1, 12, True))
+@example(block=_raw(1, 0, 1, 13, True))  # euler = 2(2-2g)+n alone fails
+# genus 2 with n = 0, 2g and 2g + 1 nodal fibers, each record fitting its fibration
+@example(block=_raw(0, 4, 2, 0, True))
+@example(block=_raw(0, 4, 2, 0, False))
+@example(block=_raw(0, 0, 2, 4, True))  # n > 2g alone fails
+@example(block=_raw(0, 0, 2, 4, False))
+@example(block=_raw(1, 11, 2, 5, True))
+@example(block=_raw(1, 11, 2, 5, False))
+@example(block=_raw(0, 0, 2, 3, True))  # both rules fail
 @given(block=validation_blocks())
 def test_validate_block_matches_reference(block):
     assert validate_block(block) == _reference_validate_block(block)
@@ -182,9 +174,9 @@ def test_validate_block_matches_reference(block):
 @pytest.mark.parametrize(
     "block",
     [
-        # consistent records for the negative value, so that only its sign is wrong
-        _raw(0, 8, 2, 16, 8, 0, 0, False)._replace(fiber_genus=-1),
-        _raw(1, 3, 1, 9, 3, 0, 0, False)._replace(singular_fibers=-1),
+        # records fitting the fibration, so that only the sign of the negative value is wrong
+        _raw(2, 16, 0, 0, False)._replace(fiber_genus=-1),
+        _raw(1, 9, 0, 0, False)._replace(singular_fibers=-1),
         _block(1, 0, 1, 12)._replace(fiber_genus=-3),
         _block(1, 0, 1, 12)._replace(singular_fibers=-12),
     ],

@@ -35,14 +35,13 @@ from cherngeo.invariants import (
     FourManifoldInvariants,
     LefschetzBlock,
     SurfaceInvariants,
-    complete_invariants,
 )
 
 E2 = elliptic_surface(2)
 GRID = GenericGrid((0, 1), (0, 1), (0, 1))
 
 RECORDS = [
-    complete_invariants(1, 0),
+    FourManifoldInvariants(1, 0),
     SurfaceInvariants(2),
     E2,
     ChernTriple(24, 0, 24),
@@ -230,9 +229,9 @@ def _kernels_compiled(statements: str) -> int:
 
 
 PRODUCT_TWICE = (
-    "from cherngeo.invariants import SurfaceInvariants, complete_invariants\n"
+    "from cherngeo.invariants import FourManifoldInvariants, SurfaceInvariants\n"
     "for genus in (0, 3):\n"
-    "    algebra.chern_numbers_of_product(complete_invariants(2, 0), SurfaceInvariants(genus))\n"
+    "    algebra.chern_numbers_of_product(FourManifoldInvariants(2, 0), SurfaceInvariants(genus))\n"
 )
 FIBERSUM_ORACLE = ["fibersum", "elliptic", "--m", "2", "ruled-spheres", "--oracle"]
 
