@@ -10,13 +10,12 @@ Evaluation pairs a homogeneous top-degree expression with the fundamental
 class of a product of factors.  Monomials whose per-factor degree exceeds
 the factor dimension vanish; expressions of the wrong total degree are
 rejected rather than truncated, so derivation errors surface in tests.
-An expression is resolved once against a layout (which factor names are
-4-manifolds, which are surfaces) into an :class:`EvaluationPlan`, which is
-then applied to the invariants of any product with that layout.  On first
-use, plans compile once to a straight-line integer kernel: a generated
-function that takes the factor records positionally, in layout order, and
-returns integer sums with the coefficients written in as literals.  Factor
-names are positions there and never enter the kernel's source.
+A list of expressions compiles, for one layout (which factor names are
+4-manifolds, which are surfaces), to a straight-line integer kernel
+(:func:`compile_kernel`): a generated function that takes the factor
+records positionally, in layout order, and returns integer sums with the
+coefficients written in as literals.  Factor names are positions there
+and never enter the kernel's source.
 """
 
 from __future__ import annotations
@@ -180,103 +179,19 @@ def total_chern_of_product(x: str, s: str) -> GradedClassExpression:
     return (one() + c1(x) + c2(x)) * (one() + c1(s))
 
 
-# One invariant of one factor: (factor name, attribute of its record), the
-# attribute being "c1_sq" or "c2" of a 4-manifold or "euler" of a surface.
-Invariant = tuple[str, str]
-
-
-class EvaluationPlan:
-    """A top-degree expression resolved against a layout, ready to apply.
-
-    ``terms`` holds (coefficient, product) pairs; a product names one
-    invariant per factor of the layout.  Monomials that vanish on the layout
-    are gone.  No two terms share a product: a 4-manifold's c1^2 and c2 are
-    different invariants, a surface has only c1, and a monomial touching two
-    4-manifolds is rejected.  ``layout`` is the factor names in order, the
-    4-manifolds first; a kernel takes the factors' records in that order.
-    """
-
-    __slots__ = ("terms", "layout", "_kernel")
-
-    def __init__(self, terms: Iterable[tuple[int, tuple[Invariant, ...]]], layout: Iterable[str]):
-        self.terms = tuple(terms)
-        self.layout = tuple(layout)
-        self._kernel = None
-
-    def apply(self, factors: Mapping[str, object]) -> int:
-        """The value of the expression; ``factors`` maps each layout name to its record."""
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._kernel = compile_kernel((self,))
-        return kernel(*[factors[name] for name in self.layout])[0]
-
-
-# Terms per statement of a kernel's sum: CPython's compiler recurses once per
-# ``+`` of one expression and runs out of stack at a few thousand.
-_TERMS_PER_STATEMENT = 256
-
-
 def _literal(n: int) -> str:
     """``n`` as an exact literal; hex past 64 bits, where str() may refuse a long int."""
     return str(n) if n.bit_length() <= 64 else hex(n)
 
 
-def compile_kernel(plans: Iterable[EvaluationPlan]) -> Callable[..., tuple[int, ...]]:
-    """One generated function that evaluates every plan of one layout at once.
-
-    The function takes the layout's factor records as positional arguments
-    and returns the plans' values as a tuple of ints, in plan order.  It
-    reads each invariant the plans use once, into a local, and sums the
-    terms with their coefficients as integer literals.  Its source is built
-    from the plans' terms alone: factors are named by position (``f0``,
-    ``f1``, ...), invariants ``v0``, ``v1``, ... and sums ``r0``, ``r1``,
-    ..., so no factor name enters it.  Plans of different layouts, a
-    product naming a factor outside the layout and an invariant that is not
-    an attribute name raise ValueError; a coefficient that is not an int
-    raises TypeError.
-    """
-    import keyword
-
-    plans = tuple(plans)
-    if not plans:
-        raise ValueError("a kernel needs at least one plan")
-    layout = plans[0].layout
-    if any(plan.layout != layout for plan in plans):
-        raise ValueError("the plans of one kernel must share a layout")
-    position = {name: i for i, name in enumerate(layout)}
-    local: dict[Invariant, str] = {}
-    reads, sums = [], []
-    for j, plan in enumerate(plans):
-        parts = []
-        for coeff, product in plan.terms:
-            if not isinstance(coeff, int):
-                raise TypeError(f"coefficients must be int, got {coeff!r}")
-            factors = [] if coeff == 1 and product else [_literal(int(coeff))]
-            for name, attr in product:
-                if (name, attr) not in local:
-                    if name not in position:
-                        raise ValueError(f"factor {name!r} of a term is not in the layout")
-                    if not attr.isidentifier() or keyword.iskeyword(attr):
-                        raise ValueError(f"invariant {attr!r} is not an attribute name")
-                    local[name, attr] = f"v{len(local)}"
-                    reads.append(f"    {local[name, attr]} = f{position[name]}.{attr}")
-                factors.append(local[name, attr])
-            parts.append("*".join(factors))
-        for start in range(0, max(len(parts), 1), _TERMS_PER_STATEMENT):
-            chunk = " + ".join(parts[start : start + _TERMS_PER_STATEMENT]) or "0"
-            sums.append(f"    r{j} {'+=' if start else '='} {chunk}")
-    params = ", ".join(f"f{i}" for i in range(len(layout)))
-    results = "".join(f"r{j}, " for j in range(len(plans)))
-    source = "\n".join([f"def kernel({params}):", *reads, *sums, f"    return ({results})\n"])
-    namespace = {"__builtins__": {}}
-    exec(compile(source, "<evaluation kernel>", "exec"), namespace)
-    return namespace["kernel"]
-
-
 def _resolve_monomial(
     mono: Monomial, four_manifolds: tuple[str, ...], surfaces: tuple[str, ...]
-) -> tuple[Invariant, ...] | None:
-    """The product of invariants a monomial pairs to, or None where it vanishes."""
+) -> tuple[tuple[str, str], ...] | None:
+    """The invariants, one (factor name, attribute) per factor, that a monomial pairs to.
+
+    The attribute is "c1_sq" or "c2" of a 4-manifold and "euler" of a
+    surface; None means the monomial vanishes on the layout.
+    """
     by_source: dict[str, list[ClassGenerator]] = {}
     for gen in mono:
         by_source.setdefault(gen.source, []).append(gen)
@@ -307,14 +222,27 @@ def _resolve_monomial(
     return tuple(product)
 
 
-def compile_expression(
-    expr: GradedClassExpression, four_manifolds: Iterable[str] = (), surfaces: Iterable[str] = ()
-) -> EvaluationPlan:
-    """Resolve a top-degree expression once for a layout of factor names.
+def compile_kernel(
+    exprs: Iterable[GradedClassExpression],
+    four_manifolds: Iterable[str] = (),
+    surfaces: Iterable[str] = (),
+) -> Callable[..., tuple[int, ...]]:
+    """One generated function that evaluates top-degree expressions on one layout.
 
     The layout names the 4-manifold factors and the surface factors of the
-    product; the plan applies to every product with it.  A name that appears
-    twice, in one tuple or across both, raises ValueError.
+    product; a name that appears twice, in one tuple or across both, raises
+    ValueError.  An expression of the wrong degree, a generator of a factor
+    outside the layout and a monomial touching two 4-manifolds raise
+    DimensionMismatchError; a coefficient that is not an int raises
+    TypeError.
+
+    The function takes the factors' records positionally, 4-manifolds then
+    surfaces, and returns the expressions' values as a tuple of ints, in
+    order.  It reads each invariant the expressions use once, into a local,
+    and sums the monomials that do not vanish with their coefficients as
+    integer literals.  Factors are named by position (``f0``, ``f1``, ...),
+    invariants ``v0``, ``v1``, ... and sums ``r0``, ``r1``, ..., so no
+    factor name enters its source.
     """
     four_manifolds, surfaces = tuple(four_manifolds), tuple(surfaces)
     names = four_manifolds + surfaces
@@ -322,33 +250,49 @@ def compile_expression(
     if repeated:
         raise ValueError(f"factor names repeated in the layout: {repeated}")
     dim = 4 * len(four_manifolds) + 2 * len(surfaces)
-    wrong = {d for d in expr.degrees() if d != dim}
-    if wrong:
-        raise DimensionMismatchError(
-            f"expression has degree(s) {sorted(wrong)} but the ambient dimension is {dim}"
-        )
-    terms = []
-    for mono, coeff in expr.terms.items():
-        product = _resolve_monomial(mono, four_manifolds, surfaces)
-        if product is not None:
-            terms.append((coeff, product))
-    return EvaluationPlan(terms, names)
-
-
-@functools.cache
-def _product_plans() -> tuple[EvaluationPlan, EvaluationPlan, EvaluationPlan]:
-    """Plans for c3, c1^3 and c1c2 of X x S, expanded on first use, not at import."""
-    total = total_chern_of_product("X", "S")
-    first = total.graded_part(2)
-    second = total.graded_part(4)
-    top = total.graded_part(6)
-    return tuple(compile_expression(e, ("X",), ("S",)) for e in (top, first ** 3, first * second))
+    position = {name: i for i, name in enumerate(names)}
+    local: dict[tuple[str, str], str] = {}
+    reads, sums = [], []
+    for j, expr in enumerate(exprs):
+        wrong = {d for d in expr.degrees() if d != dim}
+        if wrong:
+            raise DimensionMismatchError(
+                f"expression has degree(s) {sorted(wrong)} but the ambient dimension is {dim}"
+            )
+        # At most two monomials survive: each surface takes c1(S), the
+        # 4-manifold c1^2 or c2, so one sum needs no splitting.
+        parts = []
+        for mono, coeff in expr.terms.items():
+            if not isinstance(coeff, int):
+                raise TypeError(f"coefficients must be int, got {coeff!r}")
+            product = _resolve_monomial(mono, four_manifolds, surfaces)
+            if product is None:
+                continue
+            factors = [] if coeff == 1 and product else [_literal(int(coeff))]
+            for invariant in product:
+                if invariant not in local:
+                    local[invariant] = f"v{len(local)}"
+                    name, attr = invariant
+                    reads.append(f"    {local[invariant]} = f{position[name]}.{attr}")
+                factors.append(local[invariant])
+            parts.append("*".join(factors))
+        sums.append(f"    r{j} = {' + '.join(parts) or '0'}")
+    params = ", ".join(f"f{i}" for i in range(len(names)))
+    results = "".join(f"r{j}, " for j in range(len(sums)))
+    source = "\n".join([f"def kernel({params}):", *reads, *sums, f"    return ({results})\n"])
+    namespace = {"__builtins__": {}}
+    exec(compile(source, "<evaluation kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 @functools.cache
 def _product_kernel() -> Callable[..., tuple[int, int, int]]:
-    """One kernel for the three product plans, generated on first use."""
-    return compile_kernel(_product_plans())
+    """One kernel for c3, c1^3 and c1c2 of X x S, expanded on first use, not at import."""
+    total = total_chern_of_product("X", "S")
+    first = total.graded_part(2)
+    second = total.graded_part(4)
+    top = total.graded_part(6)
+    return compile_kernel((top, first ** 3, first * second), ("X",), ("S",))
 
 
 def chern_numbers_of_product(
@@ -356,11 +300,10 @@ def chern_numbers_of_product(
 ) -> ChernTriple:
     """Chern numbers of (4-manifold) x (surface), by symbolic expansion.
 
-    Everything is computed from the Whitney product via products and
-    evaluation plans; no closed form appears on this path, which is what
-    makes it usable as an independent oracle.  The expansion and the
-    plans' kernel are built once per process; each call only runs the
-    kernel.
+    Everything is computed from the Whitney product via products and one
+    compiled kernel; no closed form appears on this path, which is what
+    makes it usable as an independent oracle.  The expansion and its
+    kernel are built once per process; each call only runs the kernel.
     """
     c3, c1_cubed, c1c2 = _product_kernel()(x, s)
     return ChernTriple(c3, c1_cubed, c1c2)

@@ -1,4 +1,4 @@
-"""Named building-block families and JSON catalog persistence.
+"""Named building-block families and JSON catalog loading.
 
 Three families cover the worked examples: elliptic surfaces E(m) with
 their torus fibrations, the ruled surface S^2 x S^2 viewed as a sphere
@@ -21,9 +21,9 @@ from .invariants import (
     FourManifoldInvariants,
     LefschetzBlock,
     block_from_json,
-    block_to_json,
     euler_from_fibration,
     json_field,
+    refuse_unknown_fields,
 )
 
 
@@ -120,12 +120,14 @@ def block_from_family(record: dict) -> LefschetzBlock:
     """Instantiate one catalog record, e.g. {"family": "elliptic", "m": 2}.
 
     A record without "family", or with family "generic", is an explicit
-    block object (:func:`cherngeo.invariants.block_from_json`).
+    block object (:func:`cherngeo.invariants.block_from_json`).  Any other
+    record holds "family" and that family's parameters, and nothing else.
     """
     family = record.get("family", "generic")
     if family == "generic":
-        return block_from_json(record)
+        return block_from_json({k: v for k, v in record.items() if k != "family"})
     build, params, _ = FAMILIES[family_name(family)]
+    refuse_unknown_fields(record, ("family", *params), family)
     return build(*(json_field(record, p) for p in params))
 
 
@@ -168,11 +170,3 @@ def load_catalog(path: str | os.PathLike) -> list[LefschetzBlock]:
         except ValueError as exc:
             raise ValueError(f"catalog entry {index}: {exc}") from None
     return blocks
-
-
-def save_catalog(blocks: list[LefschetzBlock], path: str | os.PathLike) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([block_to_json(b) for b in blocks], fh, indent=2, sort_keys=True)
-        fh.write("\n")

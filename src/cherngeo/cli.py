@@ -80,6 +80,8 @@ def parse_block_specs(tokens: list[str]) -> list[LefschetzBlock]:
             name, has_value, value = tok.partition("=")
             key = name[2:].replace("-", "_")
             if key == "not_simply_connected":
+                if has_value:
+                    raise UsageError(f"option {name} takes no value, got {tok!r}")
                 specs[-1][1][key] = True
                 i += 1
             elif has_value:

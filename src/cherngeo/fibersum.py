@@ -33,19 +33,11 @@ class CrossSectionInvariants(namedtuple("CrossSectionInvariants", "c1_sq c2")):
 
 
 @functools.cache
-def _cross_section_plans() -> tuple[algebra.EvaluationPlan, algebra.EvaluationPlan]:
-    """Plans for c1^2 and c2 of S1 x S2, expanded on first use, not at import."""
-    first = algebra.c1("S1") + algebra.c1("S2")
-    return (
-        algebra.compile_expression(first * first, surfaces=("S1", "S2")),
-        algebra.compile_expression(algebra.c1("S1") * algebra.c1("S2"), surfaces=("S1", "S2")),
-    )
-
-
-@functools.cache
 def _cross_section_kernel():
-    """One kernel for both cross-section plans, generated on first use."""
-    return algebra.compile_kernel(_cross_section_plans())
+    """One kernel for c1^2 and c2 of S1 x S2, expanded on first use, not at import."""
+    first = algebra.c1("S1") + algebra.c1("S2")
+    top = algebra.c1("S1") * algebra.c1("S2")
+    return algebra.compile_kernel((first * first, top), surfaces=("S1", "S2"))
 
 
 # Entries of the two per-genus caches below.  Fiber genera are few (the

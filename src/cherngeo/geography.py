@@ -23,6 +23,7 @@ from .invariants import (
     LefschetzBlock,
     euler_from_fibration,
     json_field,
+    refuse_unknown_fields,
     require_valid,
 )
 
@@ -142,24 +143,17 @@ class SearchBounds(
     def from_json(cls, data: dict) -> "SearchBounds":
         if not isinstance(data, dict):
             raise ValueError("search bounds must be a JSON object")
-        _refuse_unknown_fields(data, cls._fields, "search bounds")
+        refuse_unknown_fields(data, cls._fields, "search bounds")
         generic = data.get("generic")
         if generic is not None:
             if not isinstance(generic, dict):
                 raise ValueError(f"field 'generic' must be an object, got {generic!r}")
-            _refuse_unknown_fields(generic, GenericGrid._fields, "'generic'")
+            refuse_unknown_fields(generic, GenericGrid._fields, "'generic'")
             generic = GenericGrid(*(_range_field(generic, k) for k in ("chi_h", "c1_sq", "genus")))
         given = {k: json_field(data, k) for k in ("max_m", "max_k", "max_knot_genus") if k in data}
         if "families" in data:
             given["families"] = data["families"]
         return cls(generic=generic, **given)
-
-
-def _refuse_unknown_fields(record: dict, known: tuple[str, ...], what: str) -> None:
-    """Raise ValueError naming the first key of ``record`` outside ``known``."""
-    for key in record:
-        if key not in known:
-            raise ValueError(f"unknown {what} field {key!r} (known: {', '.join(known)})")
 
 
 def _range_field(grid: dict, key: str) -> tuple[int, int]:

@@ -110,10 +110,6 @@ class ChernTriple(namedtuple("ChernTriple", "c3 c1_cubed c1c2")):
     def to_json(self) -> dict:
         return self._asdict()
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ChernTriple":
-        return cls(json_field(data, "c3"), json_field(data, "c1_cubed"), json_field(data, "c1c2"))
-
 
 def euler_from_fibration(genus: int, singular_fibers: int) -> int:
     """Euler characteristic of a Lefschetz fibration: 2(2 - 2g) + n."""
@@ -181,12 +177,38 @@ def json_field(record: dict, key: str, kind=int):
     return value
 
 
+def refuse_unknown_fields(record: dict, known: tuple[str, ...], what: str) -> None:
+    """Raise ValueError naming the first key of ``record`` outside ``known``."""
+    for key in record:
+        if key not in known:
+            raise ValueError(f"unknown {what} field {key!r} (known: {', '.join(known)})")
+
+
+# The fields block_to_json writes, and the derived ones a block record may repeat.
+_BLOCK_FIELDS = ("name", "chi_h", "c1_sq", "fiber_genus", "singular_fibers", "simply_connected")
+_DERIVED_FIELDS = ("sigma", "euler", "c2")
+
+
 def block_from_json(data: dict) -> LefschetzBlock:
-    """Load a block; derived invariants are recomputed, never trusted."""
-    return LefschetzBlock(
+    """Load a block; derived invariants are recomputed, never trusted.
+
+    A stored sigma, euler or c2 must equal the value recomputed from chi_h
+    and c1_sq, and any other key outside the block's fields raises
+    ValueError.
+    """
+    refuse_unknown_fields(data, _BLOCK_FIELDS + _DERIVED_FIELDS, "block")
+    block = LefschetzBlock(
         name=json_field(data, "name", str),
         invariants=FourManifoldInvariants(json_field(data, "chi_h"), json_field(data, "c1_sq")),
         fiber_genus=json_field(data, "fiber_genus"),
         singular_fibers=json_field(data, "singular_fibers"),
         simply_connected=json_field(data, "simply_connected", bool),
     )
+    for key in _DERIVED_FIELDS:
+        if key in data:
+            derived = getattr(block.invariants, key)
+            if json_field(data, key) != derived:
+                raise ValueError(
+                    f"field {key!r} is {data[key]}, but chi_h and c1_sq give {derived}"
+                )
+    return block

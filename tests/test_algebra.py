@@ -12,12 +12,10 @@ from hypothesis import example, given, strategies as st
 from cherngeo.algebra import (
     ClassGenerator,
     DimensionMismatchError,
-    EvaluationPlan,
     GradedClassExpression,
     c1,
     c2,
     chern_numbers_of_product,
-    compile_expression,
     compile_kernel,
     one,
     total_chern_of_product,
@@ -31,14 +29,14 @@ from cherngeo.invariants import (
 
 def _on_xs(expr, chi_h, c1_sq, genus):
     """The value of ``expr`` on X x S, X of (chi_h, c1^2) and S of the genus."""
-    plan = compile_expression(expr, ("X",), ("S",))
-    return plan.apply({"X": FourManifoldInvariants(chi_h, c1_sq), "S": SurfaceInvariants(genus)})
+    kernel = compile_kernel([expr], ("X",), ("S",))
+    return kernel(FourManifoldInvariants(chi_h, c1_sq), SurfaceInvariants(genus))[0]
 
 
 def _on_ss(expr, g1, g2):
     """The value of ``expr`` on S1 x S2."""
-    plan = compile_expression(expr, surfaces=("S1", "S2"))
-    return plan.apply({"S1": SurfaceInvariants(g1), "S2": SurfaceInvariants(g2)})
+    kernel = compile_kernel([expr], surfaces=("S1", "S2"))
+    return kernel(SurfaceInvariants(g1), SurfaceInvariants(g2))[0]
 
 
 def test_generator_degrees():
@@ -152,25 +150,25 @@ def test_evaluate_cube_on_sphere_triple():
 
 def test_evaluate_rejects_wrong_degree():
     with pytest.raises(DimensionMismatchError):
-        compile_expression(c1("X"), ("X",), ("S",))
+        compile_kernel([c1("X")], ("X",), ("S",))
     with pytest.raises(DimensionMismatchError):  # non-homogeneous
-        compile_expression(c1("X") + c1("X") ** 2 * c1("S"), ("X",), ("S",))
+        compile_kernel([c1("X") + c1("X") ** 2 * c1("S")], ("X",), ("S",))
 
 
 def test_evaluate_rejects_unknown_factor():
     with pytest.raises(DimensionMismatchError):
-        compile_expression(c1("S1") * c1("Z"), surfaces=("S1", "S2"))
+        compile_kernel([c1("S1") * c1("Z")], surfaces=("S1", "S2"))
 
 
 def test_evaluate_rejects_mixed_four_manifold_monomials():
     with pytest.raises(DimensionMismatchError):
-        compile_expression(c1("X1") ** 2 * c1("X2") ** 2, ("X1", "X2"))
+        compile_kernel([c1("X1") ** 2 * c1("X2") ** 2], ("X1", "X2"))
 
 
 @pytest.mark.parametrize(
     "expr, four_manifolds, surfaces, repeated",
     [
-        # a factor that is both a 4-manifold and a surface: unchecked, its plan reads 0
+        # a factor that is both a 4-manifold and a surface: unchecked, its kernel reads 0
         (c2("X") * c1("S") * c1("X"), ("X",), ("S", "X"), ["X"]),
         (c1("X") ** 2 * c1("S"), ("X",), ("S", "X"), ["X"]),
         (c1("X") ** 4, ("X", "X"), (), ["X"]),
@@ -181,7 +179,7 @@ def test_evaluate_rejects_mixed_four_manifold_monomials():
 def test_compile_rejects_repeated_factor_names(expr, four_manifolds, surfaces, repeated):
     message = f"factor names repeated in the layout: {repeated}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        compile_expression(expr, four_manifolds, surfaces)
+        compile_kernel([expr], four_manifolds, surfaces)
 
 
 # -- product Chern numbers ---------------------------------------------------
@@ -214,7 +212,7 @@ def test_product_matches_closed_forms(g, chi_h, c1_sq):
     assert t.c1c2 == f * (inv.c1_sq + inv.euler)
 
 
-# -- compiled plans against the per-monomial reference ----------------------
+# -- compiled kernels against the per-monomial reference --------------------
 
 
 def _reference_monomial(mono, four_manifolds, surfaces):
@@ -296,7 +294,7 @@ def top_degree_cases(draw):
     terms = draw(
         st.dictionaries(st.sampled_from(_TOP_MONOMIALS[n]), st.integers(-50, 50), max_size=8)
     )
-    # independent values, so that a plan reading the wrong field shows
+    # independent values, so that a kernel reading the wrong field shows
     x = _FreeFourManifold(draw(st.integers(-99, 99)), draw(st.integers(-99, 99)))
     surfaces = {s: SurfaceInvariants(draw(st.integers(0, 9))) for s in _SURFACES[:n]}
     return GradedClassExpression(terms), {"X": x}, surfaces
@@ -310,19 +308,10 @@ _VANISHING = (c1("X") ** 3 + 5 * (c2("X") * c1("X")) - c1("S1") ** 3
 @example(case=(_VANISHING, {"X": FourManifoldInvariants(2, 3)}, {"S1": SurfaceInvariants(0)}))
 def test_compiled_evaluation_matches_reference(case):
     expr, four_manifolds, surfaces = case
-    plan = compile_expression(expr, four_manifolds, surfaces)
-    assert plan.apply({**four_manifolds, **surfaces}) == _reference_evaluate(
-        expr, four_manifolds, surfaces
+    kernel = compile_kernel([expr], four_manifolds, surfaces)
+    assert kernel(*four_manifolds.values(), *surfaces.values()) == (
+        _reference_evaluate(expr, four_manifolds, surfaces),
     )
-    products = [product for _, product in plan.terms]
-    assert len(set(products)) == len(products)  # monomials resolve injectively
-    assert all(coeff for coeff, _ in plan.terms)
-    assert all(len(p) == 1 + len(surfaces) for p in products)
-    # nonzero invariants everywhere, so that only a vanishing monomial pairs to 0
-    probe_x = {"X": _FreeFourManifold(3, 5)}
-    probe_s = dict.fromkeys(surfaces, SurfaceInvariants(0))
-    if all(_reference_monomial(m, probe_x, probe_s) == 0 for m in expr.terms):
-        assert plan.terms == ()
 
 
 # Factor names that are not identifiers, are keywords, or are the kernel's own
@@ -358,7 +347,7 @@ _S = SurfaceInvariants(2)
 
 @given(case=renamed_top_degree_cases())
 @example(case=(_VANISHING, {"X": _X}, {"S1": _S}))  # every monomial vanishes: the kernel gives 0
-@example(case=(-7 * (c2("X") * c1("S1")), {"X": _X}, {"S1": _S}))  # a one-term plan
+@example(case=(-7 * (c2("X") * c1("S1")), {"X": _X}, {"S1": _S}))  # a one-term expression
 @example(case=(_renamed(c1("X") ** 2 * c1("S1") * c1("S2") - c2("X") * c1("S1") * c1("S2"),
                         {"X": "def", "S1": "S 1", "S2": "x.y"}),
                {"def": _X}, {"S 1": _S, "x.y": SurfaceInvariants(0)}))
@@ -367,42 +356,27 @@ _S = SurfaceInvariants(2)
 def test_kernel_matches_reference(case):
     expr, four_manifolds, surfaces = case
     expected = _reference_evaluate(expr, four_manifolds, surfaces)
-    plan = compile_expression(expr, four_manifolds, surfaces)
-    assert plan.apply({**four_manifolds, **surfaces}) == expected
-    # one fused kernel over several plans of the layout gives each plan's value
-    doubled = compile_expression(2 * expr, four_manifolds, surfaces)
-    kernel = compile_kernel([plan, doubled, plan])
-    assert kernel(*four_manifolds.values(), *surfaces.values()) == (expected, 2 * expected, expected)
+    records = (*four_manifolds.values(), *surfaces.values())
+    assert compile_kernel([expr], four_manifolds, surfaces)(*records) == (expected,)
+    # one fused kernel over several expressions of the layout gives each one's value
+    kernel = compile_kernel([expr, 2 * expr, expr], four_manifolds, surfaces)
+    assert kernel(*records) == (expected, 2 * expected, expected)
 
 
 def test_kernel_sums_long_plans_and_long_coefficients():
     x = FourManifoldInvariants(2, 3)
-    many = EvaluationPlan([(k, (("X", "c2"),)) for k in range(1, 3001)], ("X",))
-    assert many.apply({"X": x}) == sum(range(1, 3001)) * x.c2
+    many = compile_kernel([k * c2("X") for k in range(1, 3001)], ("X",))
+    assert many(x) == tuple(k * x.c2 for k in range(1, 3001))
     huge = -(10 ** 5000) + 1
-    assert EvaluationPlan([(huge, (("X", "c1_sq"),))], ("X",)).apply({"X": x}) == huge * x.c1_sq
-    assert EvaluationPlan([(4, ())], ()).apply({}) == 4
+    assert compile_kernel([huge * c1("X") ** 2], ("X",))(x) == (huge * x.c1_sq,)
+    assert compile_kernel([4 * one()])() == (4,)
+    assert compile_kernel([])() == ()
 
 
-@pytest.mark.parametrize(
-    "plans, error, message",
-    [
-        ([], ValueError, "a kernel needs at least one plan"),
-        ([EvaluationPlan([], ("X",)), EvaluationPlan([], ("Y",))], ValueError,
-         "the plans of one kernel must share a layout"),
-        ([EvaluationPlan([(1, (("Y", "c2"),))], ("X",))], ValueError,
-         "factor 'Y' of a term is not in the layout"),
-        ([EvaluationPlan([(1, (("X", "c2 + 1"),))], ("X",))], ValueError,
-         "invariant 'c2 + 1' is not an attribute name"),
-        ([EvaluationPlan([(1, (("X", "def"),))], ("X",))], ValueError,
-         "invariant 'def' is not an attribute name"),
-        ([EvaluationPlan([(0.5, (("X", "c2"),))], ("X",))], TypeError,
-         "coefficients must be int, got 0.5"),
-    ],
-)
-def test_compile_kernel_rejects_what_it_cannot_write(plans, error, message):
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        compile_kernel(plans)
+def test_compile_kernel_rejects_what_it_cannot_write():
+    half = GradedClassExpression({(ClassGenerator("X", "c2"),): 0.5})
+    with pytest.raises(TypeError, match="^coefficients must be int, got 0.5$"):
+        compile_kernel([half], ("X",))
 
 
 def _reference_product(x, s):
@@ -416,7 +390,7 @@ def _reference_product(x, s):
     )
 
 
-def test_cached_product_plans_serve_each_record():
+def test_cached_product_kernel_serves_each_record():
     a = (FourManifoldInvariants(2, 0), SurfaceInvariants(0))
     b = (FourManifoldInvariants(1, 8), SurfaceInvariants(3))
     first = chern_numbers_of_product(*a)
@@ -431,8 +405,8 @@ def test_importing_the_cli_builds_no_plan():
     code = (
         "import cherngeo.cli\n"
         "from cherngeo import algebra, fibersum\n"
-        "print(algebra._product_plans.cache_info().currsize,"
-        " fibersum._cross_section_plans.cache_info().currsize)\n"
+        "print(algebra._product_kernel.cache_info().currsize,"
+        " fibersum._cross_section_kernel.cache_info().currsize)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

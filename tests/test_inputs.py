@@ -12,6 +12,10 @@ and so does a search whose bounds allow more than
 one-value range for an SVG chart.  JSON fields are read
 strictly: an integer field takes only a JSON integer, ``simply_connected``
 only ``true`` or ``false``, ``name`` only a string that UTF-8 can encode.
+A catalog record holds only the keys it is read by: a family record its
+family's parameters, an explicit block its six fields, and sigma, euler or
+c2 only at their recomputed values.  ``--not-simply-connected`` takes no
+value.
 """
 
 import json
@@ -72,6 +76,14 @@ def test_block_unknown_option_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "--bogus" in err
+
+
+@pytest.mark.parametrize("flag", ["--not-simply-connected=false", "--not-simply-connected="])
+def test_not_simply_connected_with_a_value_is_usage_error(capsys, flag):
+    argv = ["block", "generic", "--chi", "1", "--c1sq", "0", "--genus", "1", "--n", "12", flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: option --not-simply-connected takes no value, got {flag!r}\n"
 
 
 def test_search_unknown_family_is_an_error(capsys):
@@ -252,19 +264,6 @@ def test_search_bad_bounds_in_config_exit_1(capsys, tmp_path, content, field):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
-
-
-@pytest.mark.parametrize(
-    "data, field",
-    [
-        ({"c1_cubed": 0, "c1c2": 24}, "'c3'"),
-        ({"c3": 24, "c1_cubed": "zero", "c1c2": 24}, "'c1_cubed'"),
-        ({"c3": 24, "c1_cubed": 0, "c1c2": None}, "'c1c2'"),
-    ],
-)
-def test_chern_triple_from_json_names_the_field(data, field):
-    with pytest.raises(ValueError, match=field):
-        ChernTriple.from_json(data)
 
 
 def test_plot_csv_over_the_point_limit_exits_1(capsys, tmp_path):
@@ -454,6 +453,51 @@ def test_catalog_name_outside_ascii_loads(capsys, tmp_path):
     code, out, err = run(capsys, "catalog", "--catalog", str(path), "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)[0]["name"] == "Σ×Σ"
+
+
+# -- catalog record keys -----------------------------------------------------
+
+BLOCK_KEYS = "name, chi_h, c1_sq, fiber_genus, singular_fibers, simply_connected, sigma, euler, c2"
+# GENERIC_RECORD's derived invariants, from chi_h = 1 and c1^2 = 8
+DERIVED = {"sigma": 0, "euler": 4, "c2": 4}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"family": "elliptic", "m": 2, "k": 7}, "unknown elliptic field 'k' (known: family, m)"),
+        ({"family": "ruled-spheres", "m": 1}, "unknown ruled-spheres field 'm' (known: family)"),
+        (
+            {"family": "knot-elliptic", "k": 2, "knot_genus": 0, "g": 0},
+            "unknown knot-elliptic field 'g' (known: family, k, knot_genus)",
+        ),
+        ({"family": "elliptic", "m": 2, **DERIVED}, "unknown elliptic field 'sigma'"),
+        ({**GENERIC_RECORD, "genus": 0}, f"unknown block field 'genus' (known: {BLOCK_KEYS})"),
+        ({**GENERIC_RECORD, "family": "generic", "m": 2}, "unknown block field 'm'"),
+        ({**GENERIC_RECORD, "sigma": 99}, "field 'sigma' is 99, but chi_h and c1_sq give 0"),
+        ({**GENERIC_RECORD, **DERIVED, "euler": 5}, "field 'euler' is 5, but chi_h and c1_sq give 4"),
+        ({**GENERIC_RECORD, "c2": -4}, "field 'c2' is -4, but chi_h and c1_sq give 4"),
+        ({**GENERIC_RECORD, "c2": "4"}, "field 'c2' must be int, got '4'"),
+    ],
+)
+def test_catalog_record_key_it_does_not_read_exits_1(capsys, tmp_path, record, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"family": "elliptic", "m": 1}, record]))
+    code, out, err = run(capsys, "catalog", "--catalog", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: catalog entry 1: {message}") and err.count("\n") == 1
+
+
+def test_catalog_json_output_loads_as_a_catalog(capsys, tmp_path):
+    code, out, _ = run(capsys, "catalog", "--format", "json")
+    records = json.loads(out)
+    assert code == 0 and all(set(DERIVED) <= set(record) for record in records)
+    path = tmp_path / "catalog.json"
+    for family in ({}, {"family": "generic"}):
+        path.write_text(json.dumps([{**record, **family} for record in records]))
+        assert run(capsys, "catalog", "--catalog", str(path), "--format", "json") == (0, out, "")
+    path.write_text(json.dumps([{**GENERIC_RECORD, **DERIVED}]))
+    assert run(capsys, "catalog", "--catalog", str(path))[0] == 0
 
 
 # -- the search's block limit ------------------------------------------------

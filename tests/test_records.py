@@ -223,7 +223,8 @@ def _kernels_compiled(statements: str) -> int:
         "assert algebra._product_kernel.cache_info().currsize == 0\n"
         "kernels = []\n"
         "compile_kernel = algebra.compile_kernel\n"
-        "algebra.compile_kernel = lambda plans: kernels.append(plans) or compile_kernel(plans)\n"
+        "algebra.compile_kernel = lambda *args, **kwargs: (\n"
+        "    kernels.append(args) or compile_kernel(*args, **kwargs))\n"
     )
     return int(_fresh_interpreter(f"{counting}{statements}\nprint(len(kernels))\n"))
 
@@ -236,7 +237,7 @@ PRODUCT_TWICE = (
 FIBERSUM_ORACLE = ["fibersum", "elliptic", "--m", "2", "ruled-spheres", "--oracle"]
 
 # (statements, the kernels they generate): none on import or in commands
-# that never evaluate a plan; the product's one kernel for both calls; the
+# that never run the oracle; the product's one kernel for both calls; the
 # product's and the cross-section's for a fiber sum checked by the oracle.
 KERNEL_COUNTS = [
     ("import cherngeo.fibersum", 0),
