@@ -142,14 +142,23 @@ def default_catalog() -> list[LefschetzBlock]:
 def read_json_file(path: str | os.PathLike):
     """The JSON value in a UTF-8 file.
 
-    A file that is not JSON, or nests arrays or objects deeper than the
-    decoder's recursion allows, raises a ``ValueError`` that names the file.
+    A file that is not JSON, repeats a key within one object, or nests arrays
+    or objects deeper than the decoder's recursion allows, raises a
+    ``ValueError`` that names the file.
     """
     import json
 
+    def unique_keys(pairs):
+        record = {}
+        for key, value in pairs:
+            if key in record:
+                raise ValueError(f"{os.fspath(path)} repeats the key {key!r} in one object")
+            record[key] = value
+        return record
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{os.fspath(path)} is not valid JSON: {exc}") from None
         except RecursionError:

@@ -8,8 +8,10 @@ their parameter flags, e.g.::
     cherngeo fibersum elliptic --m 2 knot-elliptic --k 2 --knot-genus 0
 
 Exit codes: 0 success (including an empty search), 1 domain/validation
-error, 2 usage error.  Output is deterministic: JSON keys are sorted and
-lists are canonically ordered.
+error, 2 usage error.  Every malformed command line, whether argparse or a
+block specification finds it, is reported as one ``usage error:`` line on
+stderr; ``-h`` prints help and exits 0.  Output is deterministic: JSON keys
+are sorted and lists are canonically ordered.
 """
 
 from __future__ import annotations
@@ -31,7 +33,16 @@ from .invariants import (
 
 
 class UsageError(Exception):
+    # Not a ValueError: argparse would replace the message of a ValueError
+    # raised by a type= function with "invalid <type> value".
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and its subparsers, that raise instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 # generic's CLI flags, in the order of generic_block's parameters
@@ -77,20 +88,23 @@ def parse_block_specs(tokens: list[str]) -> list[LefschetzBlock]:
         elif tok.startswith("--"):
             if not specs:
                 raise UsageError(f"option {tok} given before any block family")
+            family, params = specs[-1]
             name, has_value, value = tok.partition("=")
             key = name[2:].replace("-", "_")
+            if key in params:
+                raise UsageError(f"{family} takes --{key.replace('_', '-')} once, got it twice")
             if key == "not_simply_connected":
                 if has_value:
                     raise UsageError(f"option {name} takes no value, got {tok!r}")
-                specs[-1][1][key] = True
+                params[key] = True
                 i += 1
             elif has_value:
-                specs[-1][1][key] = _parse_int(value, name)
+                params[key] = _parse_int(value, name)
                 i += 1
             else:
                 if i + 1 >= len(tokens):
                     raise UsageError(f"option {tok} needs a value")
-                specs[-1][1][key] = _parse_int(tokens[i + 1], tok)
+                params[key] = _parse_int(tokens[i + 1], tok)
                 i += 2
         else:
             raise UsageError(f"unexpected token {tok!r} in block specification")
@@ -102,6 +116,13 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"range must look like a..b, got {text!r}")
     lo, hi = text.split("..", 1)
     return _parse_int(lo, "range start"), _parse_int(hi, "range end")
+
+
+def _parse_target(text: str) -> ChernTriple:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise UsageError("--target must be c3,c1cubed,c1c2")
+    return ChernTriple(*(_parse_int(p, "--target") for p in parts))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -145,19 +166,10 @@ def _print_triple(triple: ChernTriple, fmt: str) -> None:
         print(f"c1c2  = {triple.c1c2}")
 
 
-def _check_format(fmt, allowed):
-    fmt = fmt or allowed[0]
-    if fmt not in allowed:
-        raise UsageError(f"--format must be one of {'/'.join(allowed)}, got {fmt!r}")
-    return fmt
-
-
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_block(args: argparse.Namespace) -> int:
-    if len(args.blocks) != 1:
-        raise UsageError("block expects exactly one block specification")
     block = args.blocks[0]
     violations = validate_block(block)
     _print_block(block, args.format)
@@ -169,8 +181,6 @@ def _cmd_block(args: argparse.Namespace) -> int:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    if len(args.blocks) != 1:
-        raise UsageError("product expects exactly one block specification")
     from .algebra import chern_numbers_of_product
 
     surface = SurfaceInvariants(args.surface_genus)
@@ -180,8 +190,6 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_fibersum(args: argparse.Namespace) -> int:
-    if len(args.blocks) != 2:
-        raise UsageError("fibersum expects exactly two block specifications")
     from .fibersum import halic_construction, halic_construction_via_oracle
 
     block1, block2 = args.blocks
@@ -250,11 +258,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         search_realizations,
     )
 
-    parts = args.target.split(",")
-    if len(parts) != 3:
-        raise UsageError("--target must be c3,c1cubed,c1c2")
-    target = ChernTriple(*(_parse_int(p, "--target") for p in parts))
-
     given = [flag for flag in _BOUND_FLAGS if getattr(args, flag) is not None]
     if args.config:
         if given:
@@ -263,16 +266,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
         bounds = SearchBounds.from_json(catalog_mod.read_json_file(args.config))
     else:
         generic = None
-        if args.generic_chi or args.generic_c1sq or args.generic_genus:
-            if not (args.generic_chi and args.generic_c1sq and args.generic_genus):
+        grid = (args.generic_chi, args.generic_c1sq, args.generic_genus)
+        if grid != (None, None, None):
+            if None in grid:
                 raise UsageError(
                     "generic grid needs all of --generic-chi, --generic-c1sq, --generic-genus"
                 )
-            generic = GenericGrid(
-                chi_h=_parse_range(args.generic_chi),
-                c1_sq=_parse_range(args.generic_c1sq),
-                genus=_parse_range(args.generic_genus),
-            )
+            generic = GenericGrid(*grid)
         # Flags not given fall back to the SearchBounds defaults.
         limits = {
             flag: getattr(args, flag) for flag in ("max_m", "max_k", "max_knot_genus")
@@ -282,6 +282,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             limits["families"] = tuple(args.families.split(",")) if args.families else ()
         bounds = SearchBounds(generic=generic, **limits)
 
+    target = args.target
     for message in construction_obstruction(target) + plane_obstruction(target):
         print(f"obstruction: {message}", file=sys.stderr)
     results = search_realizations(target, bounds)
@@ -325,9 +326,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    chi_range = _parse_range(args.chi)
-    c1sq_range = _parse_range(args.c1sq)
-    for flag, (lo, hi) in (("--chi", chi_range), ("--c1sq", c1sq_range)):
+    for flag, (lo, hi) in (("--chi", args.chi), ("--c1sq", args.c1sq)):
         if lo > hi:
             raise ValueError(f"plot range {flag} is empty: {lo} > {hi}")
         if lo == hi and args.format == "svg":
@@ -336,7 +335,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     from . import plot as plot_mod
 
     render = plot_mod.grid_csv if args.format == "csv" else plot_mod.geography_svg
-    content = render(chi_range, c1sq_range)
+    content = render(args.chi, args.c1sq)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(content)
@@ -362,99 +361,96 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-# Subcommands whose leftover arguments are block specifications: name -> (help, run).
+# Subcommands whose leftover arguments are block specifications:
+# name -> (help, run, number of blocks).
 _BLOCK_COMMANDS = {
-    "block": ("show a building block and its derived invariants", _cmd_block),
-    "product": ("Chern numbers of a block times a surface", _cmd_product),
-    "fibersum": ("Chern numbers of the fiber-summed 6-manifold", _cmd_fibersum),
+    "block": ("show a building block and its derived invariants", _cmd_block, 1),
+    "product": ("Chern numbers of a block times a surface", _cmd_product, 1),
+    "fibersum": ("Chern numbers of the fiber-summed 6-manifold", _cmd_fibersum, 2),
 }
+_BLOCK_COUNT_TEXT = {1: "one block specification", 2: "two block specifications"}
 # --format values of every subcommand but plot; the first is the default.
 _TEXT_FORMATS = ("human", "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cherngeo",
         description="Chern-number geography of fiber-summed symplectic 6-manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, formats=_TEXT_FORMATS, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        return p
+
     # Block specifications are left over by parse_known_args; allow_abbrev=False
     # keeps a block flag from being read as an abbreviation of these options.
-    for name, (helptext, run) in _BLOCK_COMMANDS.items():
-        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
-        p.set_defaults(run=run, formats=_TEXT_FORMATS)
+    for name, (helptext, run, _) in _BLOCK_COMMANDS.items():
+        command(name, run, help=helptext, allow_abbrev=False)
     sub.choices["product"].add_argument("--surface-genus", type=int, required=True)
     sub.choices["fibersum"].add_argument("--oracle", action="store_true")
     sub.choices["fibersum"].add_argument(
         "--explain", action="store_true", help="print the triple's derivation on stderr"
     )
 
-    p = sub.add_parser("search", help="find block pairs realizing a target triple")
-    p.add_argument("--target", required=True, help="target triple c3,c1cubed,c1c2")
+    p = command("search", _cmd_search, help="find block pairs realizing a target triple")
+    p.add_argument(
+        "--target", required=True, type=_parse_target, help="target triple c3,c1cubed,c1c2"
+    )
     p.add_argument("--families", help="comma-separated family names (default: all)")
     p.add_argument("--max-m", type=int)
     p.add_argument("--max-k", type=int)
     p.add_argument("--max-knot-genus", type=int)
-    p.add_argument("--generic-chi", help="generic grid chi_h range a..b")
-    p.add_argument("--generic-c1sq", help="generic grid c1^2 range a..b")
-    p.add_argument("--generic-genus", help="generic grid fiber-genus range a..b")
+    p.add_argument("--generic-chi", type=_parse_range, help="generic grid chi_h range a..b")
+    p.add_argument("--generic-c1sq", type=_parse_range, help="generic grid c1^2 range a..b")
+    p.add_argument("--generic-genus", type=_parse_range, help="generic grid fiber-genus range a..b")
     p.add_argument("--config", help="JSON file with search bounds")
-    p.set_defaults(run=_cmd_search, formats=_TEXT_FORMATS)
 
-    p = sub.add_parser("classify", help="classify a point of the (chi_h, c1^2) plane")
+    p = command("classify", _cmd_classify, help="classify a point of the (chi_h, c1^2) plane")
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--c1sq", type=int, required=True)
-    p.set_defaults(run=_cmd_classify, formats=_TEXT_FORMATS)
 
-    p = sub.add_parser("plot", help="emit a CSV grid or SVG chart of the plane")
-    p.add_argument("--chi", required=True, help="chi_h range a..b")
-    p.add_argument("--c1sq", required=True, help="c1^2 range a..b")
+    p = command("plot", _cmd_plot, ("csv", "svg"), help="emit a CSV grid or SVG chart of the plane")
+    p.add_argument("--chi", required=True, type=_parse_range, help="chi_h range a..b")
+    p.add_argument("--c1sq", required=True, type=_parse_range, help="c1^2 range a..b")
     p.add_argument("--output", default=None)
-    p.set_defaults(run=_cmd_plot, formats=("csv", "svg"))
 
-    p = sub.add_parser("catalog", help="list the built-in or a user catalog")
+    p = command("catalog", _cmd_catalog, help="list the built-in or a user catalog")
     p.add_argument("--catalog", default=None)
-    p.set_defaults(run=_cmd_catalog, formats=_TEXT_FORMATS)
-
-    # Checked by _check_format rather than by choices, so that a bad value is a usage error.
-    for p in sub.choices.values():
-        p.add_argument("--format", default=None)
     return parser
 
 
-_VALUE_FLAGS = {
-    "--chi", "--c1sq", "--target",
-    "--generic-chi", "--generic-c1sq", "--generic-genus",
-}
-
-
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    """Join flags with values that start with '-' so argparse accepts them."""
-    merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    """Join each option and a following value that starts with '-' and a digit.
+
+    argparse would read a value such as ``-3..5`` as an option; no option of
+    this CLI starts with '-' and a digit, so such a token is always a value.
+    """
+    merged: list[str] = []
+    for tok in argv:
+        prev = merged[-1] if merged else ""
+        if tok[:1] == "-" and tok[1:2].isdecimal() and prev[:2] == "--" and "=" not in prev:
+            merged[-1] = f"{prev}={tok}"
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args, specs = parser.parse_known_args(_merge_negative_values(list(argv)))
-    if specs and args.command not in _BLOCK_COMMANDS:
-        parser.error(f"unrecognized arguments: {' '.join(specs)}")
     try:
-        args.format = _check_format(args.format, args.formats)
+        args, specs = build_parser().parse_known_args(_merge_negative_values(list(argv)))
         if args.command in _BLOCK_COMMANDS:
             args.blocks = parse_block_specs(specs)
+            count = _BLOCK_COMMANDS[args.command][2]
+            if len(args.blocks) != count:
+                raise UsageError(f"{args.command} expects exactly {_BLOCK_COUNT_TEXT[count]}")
+        elif specs:
+            raise UsageError(f"unrecognized arguments: {' '.join(specs)}")
         return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -58,9 +58,7 @@ class SurfaceInvariants(namedtuple("SurfaceInvariants", "genus")):
     def __new__(cls, genus: int):
         if genus < 0:
             raise ValueError(f"genus must be non-negative, got {genus}")
-        # What the namedtuple's own __new__ does, without its extra call.  The
-        # oracle builds one per genus, not per pair (fibersum._surface).
-        return tuple.__new__(cls, (genus,))
+        return super().__new__(cls, genus)
 
     @property
     def euler(self) -> int:

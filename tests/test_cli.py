@@ -327,7 +327,8 @@ def test_catalog_file(capsys, tmp_path):
     assert json.loads(out)[0]["name"] == "E(7)"
 
 
-def test_missing_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as excinfo:
-        main([])
-    assert excinfo.value.code == 2
+def test_missing_subcommand_is_usage_error(capsys):
+    assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: "), err

@@ -10,9 +10,12 @@ that passes the checks scans a few hundred blocks at most.
 
 Argument lists mix subcommands, family names, every flag but the three that
 name files, and values: small integers, ``a..b`` ranges, triples and
-garbage.  Whatever the list, ``main`` returns or exits (argparse) with 0, 1
-or 2.  Integers lie in -3..5, so no search enumerates more than about 600
-candidate blocks.
+garbage.  Whatever the list, ``main`` returns 0, 1 or 2, and raises
+``SystemExit`` (code 0) only for help.  Exit 2 is one ``usage error:``
+line with nothing on stdout; exit 1 is one ``error:`` or ``validation
+error:`` line, after search's ``obstruction:`` lines, or ``block``'s
+``violation:`` lines.  Integers lie in -3..5, so no search enumerates more
+than about 600 candidate blocks.
 """
 
 import json
@@ -207,10 +210,26 @@ def command_lines(draw):
 @example(argv=["search", "--target", "0,0,0", "--generic-chi", "-3..5",
                "--generic-c1sq", "-3..5", "--generic-genus", "-3..5", "--max-knot-genus", "5"])
 @example(argv=["block", "generic", "--chi", "1", "--c1sq", "8", "--genus", "0", "--n", "-3"])
-def test_random_argument_lists(argv, tmp_path, monkeypatch):
+def test_random_argument_lists(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # nothing should be written; if it is, it lands here
+    capsys.readouterr()  # drop what earlier examples printed
     try:
         code = main(argv)  # an exception other than SystemExit fails the test here
-    except SystemExit as exc:
-        code = exc.code
+    except SystemExit as exc:  # only -h/--help (or an abbreviation) exits
+        assert exc.code == 0
+        assert any(t.startswith("-h") or t.startswith("--h") and "--help".startswith(t)
+                   for t in argv), argv
+        return
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    elif code == 1:
+        lines = err.splitlines()
+        if argv[0] == "block" and lines[0].startswith("violation: "):
+            assert all(line.startswith("violation: ") for line in lines), err
+        else:
+            # search reports obstructions before the bounds it then refuses
+            assert all(line.startswith("obstruction: ") for line in lines[:-1]), err
+            assert lines[-1].startswith(("error: ", "validation error: ")), err

@@ -15,7 +15,10 @@ only ``true`` or ``false``, ``name`` only a string that UTF-8 can encode.
 A catalog record holds only the keys it is read by: a family record its
 family's parameters, an explicit block its six fields, and sigma, euler or
 c2 only at their recomputed values.  ``--not-simply-connected`` takes no
-value.
+value.  A block flag given twice in one block specification is a usage
+error, and a JSON object that repeats a key exits 1 naming the file and the
+key.  Every malformed command line exits 2 with one ``usage error:`` line
+(the cases are in ``malformed_command_lines.py``).
 """
 
 import json
@@ -33,6 +36,7 @@ from cherngeo.cli import main, parse_block_specs
 from cherngeo.fibersum import halic_construction
 from cherngeo.geography import SEARCH_BLOCK_LIMIT, GenericGrid, SearchBounds, candidate_blocks
 from cherngeo.invariants import ChernTriple, block_to_json
+from malformed_command_lines import MALFORMED
 
 
 def run(capsys, *argv):
@@ -84,6 +88,34 @@ def test_not_simply_connected_with_a_value_is_usage_error(capsys, flag):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"usage error: option --not-simply-connected takes no value, got {flag!r}\n"
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv) or "(none)")
+def test_malformed_command_line_is_one_usage_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "spec, flag",
+    [
+        (["elliptic", "--m", "2", "--m", "3"], "elliptic takes --m"),
+        (["elliptic", "--m", "2", "--m=3"], "elliptic takes --m"),
+        (["elliptic", "--m=2", "--m", "2"], "elliptic takes --m"),
+        (["knot-elliptic", "--k", "2", "--knot-genus", "0", "--knot_genus", "1"],
+         "knot-elliptic takes --knot-genus"),
+        (["generic", "--chi", "1", "--c1sq", "0", "--genus", "1", "--n", "12",
+          "--not-simply-connected", "--not-simply-connected"],
+         "generic takes --not-simply-connected"),
+        (["generic", "--chi", "1", "--chi", "-1", "--c1sq", "0", "--genus", "1", "--n", "12"],
+         "generic takes --chi"),
+    ],
+)
+def test_repeated_block_flag_is_usage_error(capsys, spec, flag):
+    code, out, err = run(capsys, "block", *spec)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {flag} once, got it twice\n"
 
 
 def test_search_unknown_family_is_an_error(capsys):
@@ -150,6 +182,9 @@ def test_malformed_files_exit_with_one_line(capsys, tmp_path, command, content, 
         (b"", "is not valid JSON: Expecting value"),
         (b"\xff[]", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
         (b"[" * 100_000 + b"]" * 100_000, "nests JSON too deeply to read"),
+        (b'[{"family": "elliptic", "m": 2, "m": 3}]', "repeats the key 'm' in one object"),
+        (b'{"max_m": 2, "max_m": 3}', "repeats the key 'max_m' in one object"),
+        (b'{"generic": {"chi_h": [0, 1], "chi_h": [0, 2]}}', "repeats the key 'chi_h' in one"),
     ],
 )
 def test_file_that_is_not_json_names_the_file(capsys, tmp_path, command, content, reason):
