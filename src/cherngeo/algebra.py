@@ -10,12 +10,16 @@ Evaluation pairs a homogeneous top-degree expression with the fundamental
 class of a product of factors.  Monomials whose per-factor degree exceeds
 the factor dimension vanish; expressions of the wrong total degree are
 rejected rather than truncated, so derivation errors surface in tests.
-A list of expressions compiles, for one layout (which factor names are
-4-manifolds, which are surfaces), to a straight-line integer kernel
-(:func:`compile_kernel`): a generated function that takes the factor
-records positionally, in layout order, and returns integer sums with the
-coefficients written in as literals.  Factor names are positions there
-and never enter the kernel's source.
+Expressions compile to a straight-line integer kernel
+(:func:`compile_kernel`).  Its layout names the factors, 4-manifolds and
+surfaces; each of its parts is a list of expressions placed on one
+sub-product of those factors, and its j-th result sums the parts' j-th
+expressions.  One part on the whole layout evaluates expressions on one
+product; the fiber sum places the X x S expansion twice and its gluing
+locus once over four factors.  The kernel is a generated function that
+takes the factor records positionally, in layout order, and returns
+integer sums with the coefficients written in as literals.  Factor names
+are positions there and never enter the kernel's source.
 """
 
 from __future__ import annotations
@@ -190,7 +194,7 @@ def _resolve_monomial(
     """The invariants, one (factor name, attribute) per factor, that a monomial pairs to.
 
     The attribute is "c1_sq" or "c2" of a 4-manifold and "euler" of a
-    surface; None means the monomial vanishes on the layout.
+    surface; None means the monomial vanishes on the product.
     """
     by_source: dict[str, list[ClassGenerator]] = {}
     for gen in mono:
@@ -223,76 +227,116 @@ def _resolve_monomial(
 
 
 def compile_kernel(
-    exprs: Iterable[GradedClassExpression],
+    parts: Iterable[tuple[Iterable[GradedClassExpression], Iterable[str], Iterable[str]]],
     four_manifolds: Iterable[str] = (),
     surfaces: Iterable[str] = (),
 ) -> Callable[..., tuple[int, ...]]:
-    """One generated function that evaluates top-degree expressions on one layout.
+    """One generated function that sums top-degree expressions over sub-products.
 
-    The layout names the 4-manifold factors and the surface factors of the
-    product; a name that appears twice, in one tuple or across both, raises
-    ValueError.  An expression of the wrong degree, a generator of a factor
-    outside the layout and a monomial touching two 4-manifolds raise
+    The layout names the kernel's factors: its 4-manifolds and its
+    surfaces.  Each part is ``(exprs, part_four_manifolds, part_surfaces)``:
+    expressions that are top-degree on the sub-product of the named
+    factors, which must be 4-manifolds and surfaces of the layout.  Every
+    part has the same number of expressions, and the kernel's j-th result
+    is the sum over the parts of their j-th expression, each evaluated on
+    its own sub-product.  One part on the whole layout is the plain case:
+    expressions evaluated on one product.
+
+    A name that appears twice in the layout or in a part, a part factor
+    outside the layout and parts of unequal lengths raise ValueError.  An
+    expression of the wrong degree for its part, a generator of a factor
+    outside its part and a monomial touching two 4-manifolds raise
     DimensionMismatchError; a coefficient that is not an int raises
     TypeError.
 
     The function takes the factors' records positionally, 4-manifolds then
-    surfaces, and returns the expressions' values as a tuple of ints, in
-    order.  It reads each invariant the expressions use once, into a local,
-    and sums the monomials that do not vanish with their coefficients as
-    integer literals.  Factors are named by position (``f0``, ``f1``, ...),
-    invariants ``v0``, ``v1``, ... and sums ``r0``, ``r1``, ..., so no
-    factor name enters its source.
+    surfaces, and returns the sums as a tuple of ints, in order.  It reads
+    each invariant the parts use once, into a local, and sums the products
+    of invariants that do not vanish, like products collected across parts,
+    with their coefficients as integer literals.  Factors are named by
+    position (``f0``, ``f1``, ...), invariants ``v0``, ``v1``, ... and sums
+    ``r0``, ``r1``, ..., so no factor name enters its source.
     """
     four_manifolds, surfaces = tuple(four_manifolds), tuple(surfaces)
     names = four_manifolds + surfaces
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"factor names repeated in the layout: {repeated}")
-    dim = 4 * len(four_manifolds) + 2 * len(surfaces)
+    _refuse_repeated(names, "the layout")
     position = {name: i for i, name in enumerate(names)}
-    local: dict[tuple[str, str], str] = {}
-    reads, sums = [], []
-    for j, expr in enumerate(exprs):
-        wrong = {d for d in expr.degrees() if d != dim}
-        if wrong:
-            raise DimensionMismatchError(
-                f"expression has degree(s) {sorted(wrong)} but the ambient dimension is {dim}"
+    parts = [(tuple(exprs), tuple(fours), tuple(twos)) for exprs, fours, twos in parts]
+    # sums[j] maps a product of invariants, one (position, attribute) per
+    # factor, to its coefficient in the j-th result
+    width = len(parts[0][0]) if parts else 0
+    sums: list[dict[tuple[tuple[int, str], ...], int]] = [{} for _ in range(width)]
+    for exprs, part_four_manifolds, part_surfaces in parts:
+        _refuse_repeated(part_four_manifolds + part_surfaces, "a part")
+        for part_names, kind, layout_names in (
+            (part_four_manifolds, "4-manifold", four_manifolds),
+            (part_surfaces, "surface", surfaces),
+        ):
+            outside = [name for name in part_names if name not in layout_names]
+            if outside:
+                raise ValueError(f"part factors {outside} are not {kind}s of the layout")
+        if len(exprs) != width:
+            raise ValueError(
+                f"parts must have equal numbers of expressions, got {width} and {len(exprs)}"
             )
-        # At most two monomials survive: each surface takes c1(S), the
-        # 4-manifold c1^2 or c2, so one sum needs no splitting.
-        parts = []
-        for mono, coeff in expr.terms.items():
-            if not isinstance(coeff, int):
-                raise TypeError(f"coefficients must be int, got {coeff!r}")
-            product = _resolve_monomial(mono, four_manifolds, surfaces)
-            if product is None:
-                continue
+        dim = 4 * len(part_four_manifolds) + 2 * len(part_surfaces)
+        for terms, expr in zip(sums, exprs):
+            wrong = {d for d in expr.degrees() if d != dim}
+            if wrong:
+                raise DimensionMismatchError(
+                    f"expression has degree(s) {sorted(wrong)} but the ambient dimension is {dim}"
+                )
+            for mono, coeff in expr.terms.items():
+                if not isinstance(coeff, int):
+                    raise TypeError(f"coefficients must be int, got {coeff!r}")
+                product = _resolve_monomial(mono, part_four_manifolds, part_surfaces)
+                if product is not None:
+                    key = tuple(sorted((position[name], attr) for name, attr in product))
+                    terms[key] = terms.get(key, 0) + coeff
+    local: dict[tuple[int, str], str] = {}
+    reads, lines = [], []
+    for j, terms in enumerate(sums):
+        summands = []
+        for product, coeff in terms.items():
+            if not coeff:
+                continue  # like products from several parts that cancel
             factors = [] if coeff == 1 and product else [_literal(int(coeff))]
             for invariant in product:
                 if invariant not in local:
                     local[invariant] = f"v{len(local)}"
-                    name, attr = invariant
-                    reads.append(f"    {local[invariant]} = f{position[name]}.{attr}")
+                    reads.append(f"    {local[invariant]} = f{invariant[0]}.{invariant[1]}")
                 factors.append(local[invariant])
-            parts.append("*".join(factors))
-        sums.append(f"    r{j} = {' + '.join(parts) or '0'}")
+            summands.append("*".join(factors))
+        lines.append(f"    r{j} = {' + '.join(summands) or '0'}")
     params = ", ".join(f"f{i}" for i in range(len(names)))
-    results = "".join(f"r{j}, " for j in range(len(sums)))
-    source = "\n".join([f"def kernel({params}):", *reads, *sums, f"    return ({results})\n"])
+    results = "".join(f"r{j}, " for j in range(len(lines)))
+    source = "\n".join([f"def kernel({params}):", *reads, *lines, f"    return ({results})\n"])
     namespace = {"__builtins__": {}}
     exec(compile(source, "<evaluation kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
+def _refuse_repeated(names: tuple[str, ...], where: str) -> None:
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"factor names repeated in {where}: {repeated}")
+
+
+def chern_number_classes(x: str, s: str) -> tuple[GradedClassExpression, ...]:
+    """c3, c1^3 and c1c2 of (4-manifold x) x (surface s): the top-degree expressions.
+
+    They are expanded from the Whitney product :func:`total_chern_of_product`.
+    """
+    total = total_chern_of_product(x, s)
+    first = total.graded_part(2)
+    second = total.graded_part(4)
+    return total.graded_part(6), first ** 3, first * second
+
+
 @functools.cache
 def _product_kernel() -> Callable[..., tuple[int, int, int]]:
     """One kernel for c3, c1^3 and c1c2 of X x S, expanded on first use, not at import."""
-    total = total_chern_of_product("X", "S")
-    first = total.graded_part(2)
-    second = total.graded_part(4)
-    top = total.graded_part(6)
-    return compile_kernel((top, first ** 3, first * second), ("X",), ("S",))
+    return compile_kernel([(chern_number_classes("X", "S"), ("X",), ("S",))], ("X",), ("S",))
 
 
 def chern_numbers_of_product(

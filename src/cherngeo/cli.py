@@ -33,9 +33,7 @@ from .invariants import (
 
 
 class UsageError(Exception):
-    # Not a ValueError: argparse would replace the message of a ValueError
-    # raised by a type= function with "invalid <type> value".
-    pass
+    """A malformed command line: ``main`` prints one ``usage error:`` line and exits 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,11 +47,11 @@ class _Parser(argparse.ArgumentParser):
 _GENERIC_FLAGS = ("chi", "c1sq", "genus", "n")
 
 
-def _parse_int(token: str, what: str) -> int:
+def _parse_int(token: str, what: str, error: type[Exception] = UsageError) -> int:
     try:
         return int(token)
     except ValueError:
-        raise UsageError(f"expected an integer for {what}, got {token!r}")
+        raise error(f"expected an integer for {what}, got {token!r}")
 
 
 def _build_block(family: str, params: dict) -> LefschetzBlock:
@@ -111,18 +109,24 @@ def parse_block_specs(tokens: list[str]) -> list[LefschetzBlock]:
     return [_build_block(family, params) for family, params in specs]
 
 
+# The type= functions below raise ArgumentTypeError, which argparse reports
+# through _Parser.error with the flag named: "argument --chi: ...".
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." not in text:
-        raise UsageError(f"range must look like a..b, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must look like a..b, got {text!r}")
     lo, hi = text.split("..", 1)
-    return _parse_int(lo, "range start"), _parse_int(hi, "range end")
+    error = argparse.ArgumentTypeError
+    return _parse_int(lo, "range start", error), _parse_int(hi, "range end", error)
 
 
 def _parse_target(text: str) -> ChernTriple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError("--target must be c3,c1cubed,c1c2")
-    return ChernTriple(*(_parse_int(p, "--target") for p in parts))
+        raise argparse.ArgumentTypeError(f"expected c3,c1cubed,c1c2, got {text!r}")
+    error = argparse.ArgumentTypeError
+    return ChernTriple(*(_parse_int(p, "a Chern number", error) for p in parts))
 
 
 # -- rendering ---------------------------------------------------------------

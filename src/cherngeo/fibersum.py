@@ -3,10 +3,15 @@
 The construction glues X1 x S2 to X2 x S1 along S1 x S2 (Si the generic
 fiber of the Lefschetz fibration on Xi).  Two independent computation
 paths are provided: :func:`halic_construction` applies the closed-form
-result directly, while :func:`halic_construction_via_oracle` composes the
-symbolic product expansion with the generic correction terms and never
-touches a closed form.  Their exact agreement is the module's central
-test.
+result directly, while :func:`halic_construction_via_oracle` never
+touches a closed form.  It runs one kernel, compiled once per process by
+:func:`algebra.compile_kernel` over the factors (X1, X2, S1, S2), that
+sums the symbolic X x S expansion placed on X1 x S2 and on X2 x S1 with
+the correction terms applied to c1^2 and c2 of S1 x S2.  The corrections
+are one table, read by that kernel and by :func:`fiber_sum_corrections`,
+which composes the public pieces the same way (``product`` and
+``fibersum --explain`` print them).  The two paths' exact agreement is
+the module's central test.
 """
 
 from __future__ import annotations
@@ -32,41 +37,60 @@ class CrossSectionInvariants(namedtuple("CrossSectionInvariants", "c1_sq c2")):
     __slots__ = ()
 
 
+# The corrections along S1 x S2, which has trivial normal bundle on both sides:
+# for c3, c1^3 and c1c2 in turn, the coefficients of the locus's (c1^2, c2).
+_CORRECTIONS = ((0, -2), (-6, 0), (-2, -2))
+
+
+def _cross_section_classes() -> tuple[algebra.GradedClassExpression, ...]:
+    """c1^2 and c2 of S1 x S2: (c1(S1) + c1(S2))^2 and the top class c1(S1)c1(S2)."""
+    first = algebra.c1("S1") + algebra.c1("S2")
+    return first * first, algebra.c1("S1") * algebra.c1("S2")
+
+
 @functools.cache
 def _cross_section_kernel():
     """One kernel for c1^2 and c2 of S1 x S2, expanded on first use, not at import."""
-    first = algebra.c1("S1") + algebra.c1("S2")
-    top = algebra.c1("S1") * algebra.c1("S2")
-    return algebra.compile_kernel((first * first, top), surfaces=("S1", "S2"))
+    surfaces = ("S1", "S2")
+    return algebra.compile_kernel([(_cross_section_classes(), (), surfaces)], (), surfaces)
 
 
-# Entries of the two per-genus caches below.  Fiber genera are few (the
-# default search bounds span 13), so these hold every genus and genus pair of a
-# search or an audit; past them the least recently used entry is dropped.
+@functools.cache
+def _fiber_sum_kernel():
+    """One kernel for the fiber sum's triple over (X1, X2, S1, S2), expanded on first use.
+
+    It sums the X x S expansion placed on X1 x S2, the same expansion placed
+    on X2 x S1, and the corrections applied to c1^2 and c2 of S1 x S2.
+    """
+    c1_sq, c2 = _cross_section_classes()
+    corrections = [k_sq * c1_sq + k_2 * c2 for k_sq, k_2 in _CORRECTIONS]
+    return algebra.compile_kernel(
+        [
+            (algebra.chern_number_classes("X1", "S2"), ("X1",), ("S2",)),
+            (algebra.chern_number_classes("X2", "S1"), ("X2",), ("S1",)),
+            (corrections, (), ("S1", "S2")),
+        ],
+        ("X1", "X2"),
+        ("S1", "S2"),
+    )
+
+
+# One immutable surface record per genus, shared by the oracle's kernel and the
+# cross-section.  Fiber genera are few (the default search bounds span 13), so
+# the cache holds every genus of a search or an audit; past it the least
+# recently used entry is dropped.  A negative genus raises and is not cached.
 _SURFACES_CACHED = 256
-_CROSS_SECTIONS_CACHED = 1024
-
-# One immutable surface record per genus, shared by the oracle's two products
-# and the cross-section.  A negative genus raises and is not cached.
 _surface = functools.lru_cache(maxsize=_SURFACES_CACHED)(SurfaceInvariants)
-
-
-# Cached behind cross_section_of_surfaces, which stays a plain function so that
-# perfbench/tracing.py, which wraps plain functions only, still counts its calls.
-@functools.lru_cache(maxsize=_CROSS_SECTIONS_CACHED)
-def _cross_section(g1: int, g2: int) -> CrossSectionInvariants:
-    c1_sq, c2 = _cross_section_kernel()(_surface(g1), _surface(g2))
-    return CrossSectionInvariants(c1_sq, c2)
 
 
 def cross_section_of_surfaces(g1: int, g2: int) -> CrossSectionInvariants:
     """Invariants of the product surface S1 x S2, via the class algebra.
 
     c2 is the top Chern class c1(S1)c1(S2); c1^2 is (c1(S1)+c1(S2))^2.
-    Both are evaluated symbolically rather than hard-coded, once per genus
-    pair: the (immutable) record is cached.
+    Both are evaluated symbolically rather than hard-coded.
     """
-    return _cross_section(g1, g2)
+    c1_sq, c2 = _cross_section_kernel()(_surface(g1), _surface(g2))
+    return CrossSectionInvariants(c1_sq, c2)
 
 
 def fiber_sum_corrections(
@@ -78,15 +102,9 @@ def fiber_sum_corrections(
     -2, -2 for c1c2) assume the locus has trivial normal bundle on both
     sides, which is the only case this construction produces.
     """
-    c3_1, c1_cubed_1, c1c2_1 = m1
-    c3_2, c1_cubed_2, c1c2_2 = m2
     c1_sq, c2 = x
-    # Positional, here and below: keyword arguments make a triple about 40% slower
-    # to build (CPython 3.11).
     return ChernTriple(
-        c3_1 + c3_2 - 2 * c2,  # c3
-        c1_cubed_1 + c1_cubed_2 - 6 * c1_sq,  # c1_cubed
-        c1c2_1 + c1c2_2 - 2 * c1_sq - 2 * c2,  # c1c2
+        *(a + b + k_sq * c1_sq + k_2 * c2 for a, b, (k_sq, k_2) in zip(m1, m2, _CORRECTIONS))
     )
 
 
@@ -117,13 +135,16 @@ def halic_construction_via_oracle(
 ) -> ChernTriple:
     """Same triple as :func:`halic_construction`, by symbolic expansion.
 
-    Composes the product Chern numbers of X1 x S2 and X2 x S1 with the
-    generic fiber-sum corrections along S1 x S2.
+    One compiled kernel sums the product Chern numbers of X1 x S2 and
+    X2 x S1 with the generic fiber-sum corrections along S1 x S2; the
+    pieces are :func:`algebra.chern_numbers_of_product`,
+    :func:`cross_section_of_surfaces` and :func:`fiber_sum_corrections`.
     """
     if check:
         require_valid(b1)
         require_valid(b2)
-    g1, g2 = b1.fiber_genus, b2.fiber_genus
-    m1 = algebra.chern_numbers_of_product(b1.invariants, _surface(g2))
-    m2 = algebra.chern_numbers_of_product(b2.invariants, _surface(g1))
-    return fiber_sum_corrections(m1, m2, cross_section_of_surfaces(g1, g2))
+    return ChernTriple(
+        *_fiber_sum_kernel()(
+            b1.invariants, b2.invariants, _surface(b1.fiber_genus), _surface(b2.fiber_genus)
+        )
+    )

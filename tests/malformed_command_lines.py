@@ -22,7 +22,9 @@ MALFORMED = [
     ["classify", "--chi", "0", "--c1sq", "0", "--format", "xml"],
     ["catalog", "--format="],
     ["plot", "--chi", "0..x", "--c1sq", "0..1"],
+    ["plot", "--chi", "0..1", "--c1sq", "0-1"],
     ["search", "--target", "24,0,24", "--generic-chi", ""],
+    ["search", "--target", "24,0,24", "--generic-genus=y..1"],
     ["fibersum", "elliptic", "--m", "2"],
     ["block", "elliptic", "--m", "2", "--m=3"],
 ]

@@ -27,15 +27,20 @@ from cherngeo.invariants import (
 )
 
 
+def _kernel(exprs, four_manifolds=(), surfaces=()):
+    """The one-part kernel: ``exprs`` evaluated on the product of the whole layout."""
+    return compile_kernel([(exprs, four_manifolds, surfaces)], four_manifolds, surfaces)
+
+
 def _on_xs(expr, chi_h, c1_sq, genus):
     """The value of ``expr`` on X x S, X of (chi_h, c1^2) and S of the genus."""
-    kernel = compile_kernel([expr], ("X",), ("S",))
+    kernel = _kernel([expr], ("X",), ("S",))
     return kernel(FourManifoldInvariants(chi_h, c1_sq), SurfaceInvariants(genus))[0]
 
 
 def _on_ss(expr, g1, g2):
     """The value of ``expr`` on S1 x S2."""
-    kernel = compile_kernel([expr], surfaces=("S1", "S2"))
+    kernel = _kernel([expr], surfaces=("S1", "S2"))
     return kernel(SurfaceInvariants(g1), SurfaceInvariants(g2))[0]
 
 
@@ -150,19 +155,19 @@ def test_evaluate_cube_on_sphere_triple():
 
 def test_evaluate_rejects_wrong_degree():
     with pytest.raises(DimensionMismatchError):
-        compile_kernel([c1("X")], ("X",), ("S",))
+        _kernel([c1("X")], ("X",), ("S",))
     with pytest.raises(DimensionMismatchError):  # non-homogeneous
-        compile_kernel([c1("X") + c1("X") ** 2 * c1("S")], ("X",), ("S",))
+        _kernel([c1("X") + c1("X") ** 2 * c1("S")], ("X",), ("S",))
 
 
 def test_evaluate_rejects_unknown_factor():
     with pytest.raises(DimensionMismatchError):
-        compile_kernel([c1("S1") * c1("Z")], surfaces=("S1", "S2"))
+        _kernel([c1("S1") * c1("Z")], surfaces=("S1", "S2"))
 
 
 def test_evaluate_rejects_mixed_four_manifold_monomials():
     with pytest.raises(DimensionMismatchError):
-        compile_kernel([c1("X1") ** 2 * c1("X2") ** 2], ("X1", "X2"))
+        _kernel([c1("X1") ** 2 * c1("X2") ** 2], ("X1", "X2"))
 
 
 @pytest.mark.parametrize(
@@ -179,7 +184,7 @@ def test_evaluate_rejects_mixed_four_manifold_monomials():
 def test_compile_rejects_repeated_factor_names(expr, four_manifolds, surfaces, repeated):
     message = f"factor names repeated in the layout: {repeated}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        compile_kernel([expr], four_manifolds, surfaces)
+        _kernel([expr], four_manifolds, surfaces)
 
 
 # -- product Chern numbers ---------------------------------------------------
@@ -308,7 +313,7 @@ _VANISHING = (c1("X") ** 3 + 5 * (c2("X") * c1("X")) - c1("S1") ** 3
 @example(case=(_VANISHING, {"X": FourManifoldInvariants(2, 3)}, {"S1": SurfaceInvariants(0)}))
 def test_compiled_evaluation_matches_reference(case):
     expr, four_manifolds, surfaces = case
-    kernel = compile_kernel([expr], four_manifolds, surfaces)
+    kernel = _kernel([expr], four_manifolds, surfaces)
     assert kernel(*four_manifolds.values(), *surfaces.values()) == (
         _reference_evaluate(expr, four_manifolds, surfaces),
     )
@@ -357,26 +362,112 @@ def test_kernel_matches_reference(case):
     expr, four_manifolds, surfaces = case
     expected = _reference_evaluate(expr, four_manifolds, surfaces)
     records = (*four_manifolds.values(), *surfaces.values())
-    assert compile_kernel([expr], four_manifolds, surfaces)(*records) == (expected,)
+    assert _kernel([expr], four_manifolds, surfaces)(*records) == (expected,)
     # one fused kernel over several expressions of the layout gives each one's value
-    kernel = compile_kernel([expr, 2 * expr, expr], four_manifolds, surfaces)
+    kernel = _kernel([expr, 2 * expr, expr], four_manifolds, surfaces)
     assert kernel(*records) == (expected, 2 * expected, expected)
 
 
 def test_kernel_sums_long_plans_and_long_coefficients():
     x = FourManifoldInvariants(2, 3)
-    many = compile_kernel([k * c2("X") for k in range(1, 3001)], ("X",))
+    many = _kernel([k * c2("X") for k in range(1, 3001)], ("X",))
     assert many(x) == tuple(k * x.c2 for k in range(1, 3001))
     huge = -(10 ** 5000) + 1
-    assert compile_kernel([huge * c1("X") ** 2], ("X",))(x) == (huge * x.c1_sq,)
-    assert compile_kernel([4 * one()])() == (4,)
-    assert compile_kernel([])() == ()
+    assert _kernel([huge * c1("X") ** 2], ("X",))(x) == (huge * x.c1_sq,)
+    assert _kernel([4 * one()])() == (4,)
+    assert _kernel([])() == ()
+    assert compile_kernel([])() == ()  # no parts: no sums
 
 
 def test_compile_kernel_rejects_what_it_cannot_write():
     half = GradedClassExpression({(ClassGenerator("X", "c2"),): 0.5})
     with pytest.raises(TypeError, match="^coefficients must be int, got 0.5$"):
-        compile_kernel([half], ("X",))
+        _kernel([half], ("X",))
+
+
+# -- kernels over several sub-products of one layout --------------------------
+
+_LAYOUT = ("X1", "X2"), ("S1", "S2")
+# Every sub-product a part may sit on, surfaces in either order; at most one
+# 4-manifold, since a monomial may not touch two.
+_SUB_PRODUCTS = [
+    (four_manifolds, surfaces)
+    for four_manifolds in ((), ("X1",), ("X2",))
+    for surfaces in ((), ("S1",), ("S2",), ("S1", "S2"), ("S2", "S1"))
+]
+# small values, and values past 64 bits, which kernels write as hex literals
+_BIG = st.integers(-50, 50) | st.integers(-(2 ** 80), 2 ** 80)
+
+
+def _sub_product_monomials(four_manifolds, surfaces):
+    """Every monomial of top degree on the sub-product; most of them vanish."""
+    gens = [ClassGenerator(x, kind) for x in four_manifolds for kind in ("c1", "c2")]
+    gens += [ClassGenerator(s, "c1") for s in surfaces]
+    dim = 4 * len(four_manifolds) + 2 * len(surfaces)
+    return [
+        mono
+        for length in range(dim // 2 + 1)
+        for mono in itertools.combinations_with_replacement(gens, length)
+        if sum(g.degree for g in mono) == dim
+    ]
+
+
+@st.composite
+def part_cases(draw):
+    """1-4 parts on random sub-products of (X1, X2, S1, S2), and records of the four factors."""
+    width = draw(st.integers(0, 3))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        four_manifolds, surfaces = draw(st.sampled_from(_SUB_PRODUCTS))
+        monomials = st.sampled_from(_sub_product_monomials(four_manifolds, surfaces))
+        exprs = [
+            GradedClassExpression(draw(st.dictionaries(monomials, _BIG, max_size=6)))
+            for _ in range(width)
+        ]
+        parts.append((exprs, four_manifolds, surfaces))
+    records = {x: _FreeFourManifold(draw(_BIG), draw(_BIG)) for x in _LAYOUT[0]}
+    records.update(
+        (s, SurfaceInvariants(draw(st.integers(0, 9) | st.integers(0, 2 ** 70))))
+        for s in _LAYOUT[1]
+    )
+    return width, parts, records
+
+
+@given(case=part_cases())
+@example(case=(1, [([c2("X1") * c1("S1")], ("X1",), ("S1",)),  # like products that cancel
+                   ([-1 * c2("X1") * c1("S1")], ("X1",), ("S1",))],
+               {"X1": _X, "X2": _X, "S1": _S, "S2": _S}))
+def test_parts_sum_their_sub_products(case):
+    width, parts, records = case
+    expected = [0] * width
+    for exprs, four_manifolds, surfaces in parts:
+        on = {x: records[x] for x in four_manifolds}, {s: records[s] for s in surfaces}
+        for j, expr in enumerate(exprs):
+            expected[j] += _reference_evaluate(expr, *on)
+    assert compile_kernel(parts, *_LAYOUT)(*records.values()) == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ([([c2("X1")], ("X1", "X1"), ())], "factor names repeated in a part: ['X1']"),
+        ([([c1("S1") * c1("S3")], (), ("S1", "S3"))],
+         "part factors ['S3'] are not surfaces of the layout"),
+        ([([c2("S1")], ("S1",), ())], "part factors ['S1'] are not 4-manifolds of the layout"),
+        ([([c2("X1")], ("X1",), ()), ([c2("X2"), c2("X2")], ("X2",), ())],
+         "parts must have equal numbers of expressions, got 1 and 2"),
+    ],
+)
+def test_compile_kernel_rejects_malformed_parts(parts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compile_kernel(parts, *_LAYOUT)
+
+
+def test_each_part_is_checked_on_its_own_sub_product():
+    with pytest.raises(DimensionMismatchError, match="ambient dimension is 4$"):
+        compile_kernel([([c1("X1") ** 2 * c1("S1")], ("X1",), ())], *_LAYOUT)
+    with pytest.raises(DimensionMismatchError, match="'S2' is not part of the ambient product"):
+        compile_kernel([([c1("X1") ** 2 * c1("S2")], ("X1",), ("S1",))], *_LAYOUT)
 
 
 def _reference_product(x, s):
@@ -406,11 +497,12 @@ def test_importing_the_cli_builds_no_plan():
         "import cherngeo.cli\n"
         "from cherngeo import algebra, fibersum\n"
         "print(algebra._product_kernel.cache_info().currsize,"
-        " fibersum._cross_section_kernel.cache_info().currsize)\n"
+        " fibersum._cross_section_kernel.cache_info().currsize,"
+        " fibersum._fiber_sum_kernel.cache_info().currsize)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.split() == ["0", "0"]
+    assert result.stdout.split() == ["0", "0", "0"]

@@ -1,7 +1,7 @@
 import inspect
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cherngeo import algebra, fibersum
 from cherngeo.catalog import elliptic_surface, knot_surgered_elliptic, ruled_spheres
@@ -120,8 +120,8 @@ def test_oracle_is_ground_truth_on_sphere_blocks():
 
 
 def test_oracle_call_graph(monkeypatch):
-    # The functions perfbench/tracing.py wraps: per-layer counts stay comparable
-    # across changes only while the oracle calls each of them as often as before.
+    # The functions perfbench/tracing.py wraps: the oracle runs one fused kernel
+    # and calls none of the public pieces it fuses, nor the closed form.
     calls = {}
 
     def count(module, name):
@@ -135,20 +135,63 @@ def test_oracle_call_graph(monkeypatch):
 
     count(algebra, "chern_numbers_of_product")
     count(fibersum, "cross_section_of_surfaces")
+    count(fibersum, "fiber_sum_corrections")
     count(fibersum, "halic_construction")
-    triple = halic_construction_via_oracle(elliptic_surface(2), knot_surgered_elliptic(3, 1))
+    b1, b2 = elliptic_surface(2), knot_surgered_elliptic(3, 1)
+    triple = halic_construction_via_oracle(b1, b2)
     assert triple == ChernTriple(-144, 0, -144)  # 24m(2 - 2g - k)
-    assert calls == {"chern_numbers_of_product": 2, "cross_section_of_surfaces": 1}
+    assert calls == {}
+    # The counters see the pieces when they are called, as --explain calls them.
+    assert _pieces(b1, b2) == triple
+    assert calls == {
+        "chern_numbers_of_product": 2, "cross_section_of_surfaces": 1, "fiber_sum_corrections": 1,
+    }
 
 
-# -- per-genus caches of the oracle -------------------------------------------
+def _pieces(b1, b2):
+    """The fused kernel's slow reference: its public pieces, composed."""
+    g1, g2 = b1.fiber_genus, b2.fiber_genus
+    return fibersum.fiber_sum_corrections(
+        algebra.chern_numbers_of_product(b1.invariants, SurfaceInvariants(g2)),
+        algebra.chern_numbers_of_product(b2.invariants, SurfaceInvariants(g1)),
+        fibersum.cross_section_of_surfaces(g1, g2),
+    )
+
+
+# Negative invariants, and invariants and genera past 64 bits.  The kernel's
+# coefficients are small; coefficients past 64 bits, which it writes as hex
+# literals, are checked in tests/test_algebra.py.
+_INVARIANT = st.integers(-60, 60) | st.integers(-(2 ** 80), 2 ** 80)
+_GENUS = st.integers(0, 8) | st.integers(0, 2 ** 70)
+
+
+@settings(max_examples=300)
+@given(chi1=_INVARIANT, c1sq1=_INVARIANT, g1=_GENUS, chi2=_INVARIANT, c1sq2=_INVARIANT, g2=_GENUS)
+@example(chi1=-(2 ** 64), c1sq1=2 ** 65 + 1, g1=2 ** 64, chi2=-3, c1sq2=-7, g2=0)
+def test_fused_kernel_matches_its_pieces_and_the_closed_form(chi1, c1sq1, g1, chi2, c1sq2, g2):
+    b1, b2 = _raw_block(chi1, c1sq1, g1), _raw_block(chi2, c1sq2, g2)
+    fused = halic_construction_via_oracle(b1, b2, check=False)
+    assert fused == _pieces(b1, b2) == halic_construction(b1, b2, check=False)
+    assert type(fused) is ChernTriple and all(type(n) is int for n in fused)
+
+
+def test_corrections_are_one_table(monkeypatch):
+    # fiber_sum_corrections and the fused kernel's builder read the same table
+    monkeypatch.setattr(fibersum, "_CORRECTIONS", ((1, 0), (0, 1), (3, 5)))
+    zero = ChernTriple(0, 0, 0)
+    assert fiber_sum_corrections(zero, zero, CrossSectionInvariants(8, 4)) == (8, 4, 44)
+    kernel = fibersum._fiber_sum_kernel.__wrapped__()  # built afresh from the patched table
+    x, s = FourManifoldInvariants(0, 0), SurfaceInvariants(0)  # the products vanish
+    assert kernel(x, x, s, s) == (8, 4, 44)
+
+
+# -- the per-genus surface cache of the oracle ----------------------------------
 
 
 @given(g1=st.integers(0, 10**6), g2=st.integers(0, 10**6), chi=st.integers(-3, 8))
 def test_cached_records_equal_uncached(g1, g2, chi):
     assert fibersum._surface(g1) == fibersum._surface.__wrapped__(g1) == SurfaceInvariants(g1)
     x = cross_section_of_surfaces(g1, g2)
-    assert x == fibersum._cross_section.__wrapped__(g1, g2)
     assert (x.c1_sq, x.c2) == (2 * (2 - 2 * g1) * (2 - 2 * g2), (2 - 2 * g1) * (2 - 2 * g2))
     b1, b2 = _raw_block(chi, 3, g1), _raw_block(2, chi, g2)
     assert halic_construction_via_oracle(b1, b2, check=False) == halic_construction(
@@ -157,22 +200,24 @@ def test_cached_records_equal_uncached(g1, g2, chi):
 
 
 def test_cache_sizes_are_fixed():
-    for cache, size in (
-        (fibersum._surface, fibersum._SURFACES_CACHED),
-        (fibersum._cross_section, fibersum._CROSS_SECTIONS_CACHED),
-    ):
-        assert type(size) is int and size > 0
-        assert cache.cache_info().maxsize == size
+    # The surface records are the module's one bounded cache; the kernels are
+    # built once each (functools.cache, no bound) and nothing caches per genus pair.
+    bounded = {
+        name: obj.cache_info().maxsize
+        for name, obj in vars(fibersum).items()
+        if hasattr(obj, "cache_info") and obj.cache_info().maxsize is not None
+    }
+    assert bounded == {"_surface": fibersum._SURFACES_CACHED}
+    assert type(fibersum._SURFACES_CACHED) is int and fibersum._SURFACES_CACHED > 0
 
 
 def test_cross_section_stays_a_plain_function():
-    # perfbench/tracing.py counts plain functions only; the cache sits behind this one.
+    # perfbench/tracing.py counts plain functions only.
     assert inspect.isfunction(fibersum.cross_section_of_surfaces)
 
 
 def test_negative_genus_raises_and_is_not_cached():
     fibersum._surface.cache_clear()
-    fibersum._cross_section.cache_clear()
     with pytest.raises(ValueError, match="genus must be non-negative"):
         cross_section_of_surfaces(-1, 0)
     negative = elliptic_surface(2)._replace(fiber_genus=-1)
@@ -181,12 +226,10 @@ def test_negative_genus_raises_and_is_not_cached():
     with pytest.raises(ValueError, match="genus must be non-negative"):
         halic_construction_via_oracle(negative, negative, check=False)
     assert fibersum._surface.cache_info().currsize == 0
-    assert fibersum._cross_section.cache_info().currsize == 0
     # Beside a valid genus, only the valid one is kept.
     with pytest.raises(ValueError, match="genus must be non-negative"):
         cross_section_of_surfaces(0, -1)
     assert fibersum._surface.cache_info().currsize == 1
-    assert fibersum._cross_section.cache_info().currsize == 0
 
 
 @settings(max_examples=200, deadline=None)

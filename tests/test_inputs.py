@@ -18,7 +18,8 @@ c2 only at their recomputed values.  ``--not-simply-connected`` takes no
 value.  A block flag given twice in one block specification is a usage
 error, and a JSON object that repeats a key exits 1 naming the file and the
 key.  Every malformed command line exits 2 with one ``usage error:`` line
-(the cases are in ``malformed_command_lines.py``).
+(the cases are in ``malformed_command_lines.py``); a malformed ``a..b`` or
+``--target`` value names the flag it was given to.
 """
 
 import json
@@ -95,6 +96,32 @@ def test_malformed_command_line_is_one_usage_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plot", "--chi", "0..x", "--c1sq", "0..1"],
+         "argument --chi: expected an integer for range end, got 'x'"),
+        (["plot", "--chi", "0..1", "--c1sq", "0-1"],
+         "argument --c1sq: range must look like a..b, got '0-1'"),
+        (["plot", "--chi", "..1", "--c1sq", "0..1"],
+         "argument --chi: expected an integer for range start, got ''"),
+        (["search", "--target", "24,0,24", "--generic-chi", ""],
+         "argument --generic-chi: range must look like a..b, got ''"),
+        (["search", "--target", "24,0,24", "--generic-c1sq", "0..1..2"],
+         "argument --generic-c1sq: expected an integer for range end, got '1..2'"),
+        (["search", "--target", "24,0,24", "--generic-genus=y..1"],
+         "argument --generic-genus: expected an integer for range start, got 'y'"),
+        (["search", "--target", "24,0"], "argument --target: expected c3,c1cubed,c1c2, got '24,0'"),
+        (["search", "--target=24,0,x"],
+         "argument --target: expected an integer for a Chern number, got 'x'"),
+    ],
+)
+def test_range_and_target_errors_name_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize(

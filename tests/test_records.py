@@ -234,11 +234,12 @@ PRODUCT_TWICE = (
     "for genus in (0, 3):\n"
     "    algebra.chern_numbers_of_product(FourManifoldInvariants(2, 0), SurfaceInvariants(genus))\n"
 )
-FIBERSUM_ORACLE = ["fibersum", "elliptic", "--m", "2", "ruled-spheres", "--oracle"]
+FIBERSUM = ["fibersum", "elliptic", "--m", "2", "ruled-spheres"]
 
 # (statements, the kernels they generate): none on import or in commands
 # that never run the oracle; the product's one kernel for both calls; the
-# product's and the cross-section's for a fiber sum checked by the oracle.
+# fused fiber-sum kernel alone for a fiber sum checked by the oracle; the
+# product's and the cross-section's for the pieces --explain prints.
 KERNEL_COUNTS = [
     ("import cherngeo.fibersum", 0),
     (_run_cli(BLOCK), 0),
@@ -246,13 +247,15 @@ KERNEL_COUNTS = [
     (_run_cli(["plot", "--chi", "0..2", "--c1sq", "0..2"]), 0),
     (_run_cli(["plot", "--chi", "0..2", "--c1sq", "0..2", "--format", "svg"]), 0),
     (PRODUCT_TWICE, 1),
-    (_run_cli(FIBERSUM_ORACLE), 2),
+    (_run_cli([*FIBERSUM, "--oracle"]), 1),
+    (_run_cli([*FIBERSUM, "--explain"]), 2),
 ]
 
 
 @pytest.mark.parametrize(
     "statements, kernels", KERNEL_COUNTS, ids=["import", "block", "classify", "plot-csv",
-                                                "plot-svg", "product-twice", "fibersum-oracle"]
+                                                "plot-svg", "product-twice", "fibersum-oracle",
+                                                "fibersum-explain"]
 )
 def test_kernels_are_generated_once_on_first_use(statements, kernels):
     assert _kernels_compiled(statements) == kernels
