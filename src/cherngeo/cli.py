@@ -47,6 +47,11 @@ class _Parser(argparse.ArgumentParser):
 _GENERIC_FLAGS = ("chi", "c1sq", "genus", "n")
 
 
+def _flag(name: str) -> str:
+    """The command-line flag of a parameter name: knot_genus -> --knot-genus."""
+    return "--" + name.replace("_", "-")
+
+
 def _parse_int(token: str, what: str, error: type[Exception] = UsageError) -> int:
     try:
         return int(token)
@@ -64,9 +69,9 @@ def _build_block(family: str, params: dict) -> LefschetzBlock:
         extra = ()
     for key in params:
         if key not in names:
-            raise UsageError(f"{family} has no option --{key.replace('_', '-')}")
+            raise UsageError(f"{family} has no option {_flag(key)}")
     if any(name not in params for name in names):
-        flags = " ".join(f"--{name.replace('_', '-')}" for name in names)
+        flags = " ".join(map(_flag, names))
         raise UsageError(f"{family} requires {flags}")
     try:
         return build(*(params[name] for name in names), *extra)
@@ -90,7 +95,7 @@ def parse_block_specs(tokens: list[str]) -> list[LefschetzBlock]:
             name, has_value, value = tok.partition("=")
             key = name[2:].replace("-", "_")
             if key in params:
-                raise UsageError(f"{family} takes --{key.replace('_', '-')} once, got it twice")
+                raise UsageError(f"{family} takes {_flag(key)} once, got it twice")
             if key == "not_simply_connected":
                 if has_value:
                     raise UsageError(f"option {name} takes no value, got {tok!r}")
@@ -265,7 +270,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     given = [flag for flag in _BOUND_FLAGS if getattr(args, flag) is not None]
     if args.config:
         if given:
-            flags = ", ".join("--" + flag.replace("_", "-") for flag in given)
+            flags = ", ".join(map(_flag, given))
             raise UsageError(f"--config cannot be combined with {flags}")
         bounds = SearchBounds.from_json(catalog_mod.read_json_file(args.config))
     else:
@@ -373,6 +378,26 @@ _BLOCK_COMMANDS = {
     "fibersum": ("Chern numbers of the fiber-summed 6-manifold", _cmd_fibersum, 2),
 }
 _BLOCK_COUNT_TEXT = {1: "one block specification", 2: "two block specifications"}
+
+
+def _block_specs_help(count: int) -> str:
+    """The --help epilog of a block command: every family and generic, with their flags.
+
+    It is read from the family registry, its aliases and generic's flags,
+    so a new family or alias shows here without an edit.
+    """
+
+    def spec(name: str, params: tuple[str, ...]) -> str:
+        return " ".join([name, *(f"{_flag(p)} {p.upper()}" for p in params)])
+
+    lines = [f"takes {_BLOCK_COUNT_TEXT[count]}; a block specification is a family and its flags:"]
+    for name, (_, params, _) in catalog_mod.FAMILIES.items():
+        aliases = [a for a, target in catalog_mod.FAMILY_ALIASES.items() if target == name]
+        lines.append(spec(name, params) + "".join(f"  (alias: {a})" for a in aliases))
+    lines.append(spec("generic", _GENERIC_FLAGS) + " [--not-simply-connected]")
+    return "\n  ".join(lines)
+
+
 # --format values of every subcommand but plot; the first is the default.
 _TEXT_FORMATS = ("human", "json")
 
@@ -392,10 +417,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Block specifications are left over by parse_known_args; allow_abbrev=False
     # keeps a block flag from being read as an abbreviation of these options.
-    for name, (helptext, run, _) in _BLOCK_COMMANDS.items():
-        command(name, run, help=helptext, allow_abbrev=False)
-    sub.choices["product"].add_argument("--surface-genus", type=int, required=True)
-    sub.choices["fibersum"].add_argument("--oracle", action="store_true")
+    for name, (helptext, run, count) in _BLOCK_COMMANDS.items():
+        command(
+            name, run, help=helptext, allow_abbrev=False, epilog=_block_specs_help(count),
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+    sub.choices["product"].add_argument(
+        "--surface-genus", type=int, required=True, help="genus of the surface factor"
+    )
+    sub.choices["fibersum"].add_argument(
+        "--oracle", action="store_true",
+        help="also compute the triple by the symbolic oracle and check that both agree",
+    )
     sub.choices["fibersum"].add_argument(
         "--explain", action="store_true", help="print the triple's derivation on stderr"
     )
@@ -443,6 +476,20 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
+# The characters str.splitlines() breaks a line at.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _report(kind: str, exc: Exception) -> None:
+    """Print ``kind: message`` on stderr as one line.
+
+    A line break in the message, such as one in a command-line token or a
+    file name it quotes, is written escaped, as repr() writes it.
+    """
+    message = "".join(repr(c)[1:-1] if c in _LINE_BREAKS else c for c in str(exc))
+    print(f"{kind}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -457,13 +504,13 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"unrecognized arguments: {' '.join(specs)}")
         return args.run(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report("usage error", exc)
         return 2
     except BlockValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        _report("validation error", exc)
         return 1
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return 1
 
 

@@ -118,16 +118,16 @@ def halic_construction(
     values, valid fibration or not; useful for grid sweeps.
     """
     if check:
-        require_valid(b1)
-        require_valid(b2)
-    chi1, c1sq1, g1 = b1.invariants.chi_h, b1.invariants.c1_sq, b1.fiber_genus
-    chi2, c1sq2, g2 = b2.invariants.chi_h, b2.invariants.c1_sq, b2.fiber_genus
+        require_valid(b1, b2)
+    _, (chi1, c1sq1), g1, _, _ = b1
+    _, (chi2, c1sq2), g2, _, _ = b2
     f1, f2 = 1 - g1, 1 - g2
-    return ChernTriple(
+    # tuple.__new__ builds the record in one C call (see the invariants module).
+    return tuple.__new__(ChernTriple, (
         2 * (12 * chi1 - c1sq1) * f2 + 2 * (12 * chi2 - c1sq2) * f1 - 8 * f1 * f2,  # c3
         6 * f2 * c1sq1 + 6 * f1 * c1sq2 - 48 * f1 * f2,  # c1_cubed
         24 * f2 * chi1 + 24 * f1 * chi2 - 24 * f1 * f2,  # c1c2
-    )
+    ))
 
 
 def halic_construction_via_oracle(
@@ -141,10 +141,7 @@ def halic_construction_via_oracle(
     :func:`cross_section_of_surfaces` and :func:`fiber_sum_corrections`.
     """
     if check:
-        require_valid(b1)
-        require_valid(b2)
-    return ChernTriple(
-        *_fiber_sum_kernel()(
-            b1.invariants, b2.invariants, _surface(b1.fiber_genus), _surface(b2.fiber_genus)
-        )
-    )
+        require_valid(b1, b2)
+    _, x1, g1, _, _ = b1
+    _, x2, g2, _, _ = b2
+    return tuple.__new__(ChernTriple, _fiber_sum_kernel()(x1, x2, _surface(g1), _surface(g2)))

@@ -12,7 +12,11 @@ rejected at construction time.
 The records here and in the other modules are immutable named tuples
 with ``__slots__ = ()``, which a cold CLI process defines without
 importing a code-generating module; construction checks live in
-``__new__``.
+``__new__``.  A record whose class has no checking ``__new__``
+(``ChernTriple``, ``DivisibilityReport``) may be built on a hot path by
+``tuple.__new__(kind, values)``: one C call that gives the same record as
+``kind(*values)``, where the named tuple's generated ``__new__`` is a
+Python call.
 """
 
 from __future__ import annotations
@@ -123,23 +127,29 @@ def validate_block(block: LefschetzBlock) -> list[str]:
     block.  The second applies only to genuine Lefschetz fibrations with
     singular fibers (n > 0); fibrations without singular fibers (e.g. a
     sphere bundle) may be flagged simply connected by family knowledge.
-    A negative genus or count raises ValueError.
+    A negative genus or count raises :func:`euler_from_fibration`'s
+    ValueError.  Both Euler numbers are computed inline, so that a
+    validation is one Python call.
     """
-    _, invariants, genus, singular_fibers, simply_connected = block
+    _, (chi_h, c1_sq), genus, singular_fibers, simply_connected = block
+    if genus < 0 or singular_fibers < 0:
+        raise ValueError("genus and singular-fiber count must be non-negative")
+    euler = 12 * chi_h - c1_sq  # Noether's formula, as FourManifoldInvariants.euler
+    expected_e = 2 * (2 - 2 * genus) + singular_fibers  # as euler_from_fibration
     out = []
-    expected_e = euler_from_fibration(genus, singular_fibers)
-    if invariants.euler != expected_e:
-        out.append(f"euler != 2(2-2g)+n ({invariants.euler} != {expected_e})")
+    if euler != expected_e:
+        out.append(f"euler != 2(2-2g)+n ({euler} != {expected_e})")
     if simply_connected and 0 < singular_fibers <= 2 * genus:
         out.append(f"simply connected requires n > 2g ({singular_fibers} <= {2 * genus})")
     return out
 
 
-def require_valid(block: LefschetzBlock) -> None:
-    """Raise BlockValidationError when the block has any violation."""
-    violations = validate_block(block)
-    if violations:
-        raise BlockValidationError(block.name, violations)
+def require_valid(*blocks: LefschetzBlock) -> None:
+    """Validate the blocks in order; raise BlockValidationError for the first invalid one."""
+    for block in blocks:
+        violations = validate_block(block)
+        if violations:
+            raise BlockValidationError(block.name, violations)
 
 
 def block_to_json(block: LefschetzBlock) -> dict:
