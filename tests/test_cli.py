@@ -332,3 +332,44 @@ def test_missing_subcommand_is_usage_error(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("usage error: "), err
+
+
+@pytest.mark.parametrize("command", ["block", "product", "fibersum"])
+def test_block_command_help_names_every_family_and_its_flags(capsys, command):
+    from cherngeo.catalog import FAMILIES, FAMILY_ALIASES
+
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for name, (_, params, _) in FAMILIES.items():
+        spec = " ".join([name, *(f"--{p.replace('_', '-')} {p.upper()}" for p in params)])
+        assert re.search(rf"^  {re.escape(spec)}(  |$)", out, re.M), spec
+    for alias in FAMILY_ALIASES:
+        assert f"(alias: {alias})" in out
+    assert "  generic --chi CHI --c1sq C1SQ --genus GENUS --n N [--not-simply-connected]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "\n", "--chi", "0", "--c1sq", "0"],
+        ["block", "--m\n", "3"],
+        ["block", "elliptic", "--m\r\n", "2"],
+        ["fibersum", "elliptic", "--m", "2", "ruled-spheres", "\u2028"],
+        ["classify", "--chi", "0", "--c1sq", "\x85"],
+    ],
+)
+def test_a_line_break_in_a_token_is_reported_on_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1, err
+
+
+def test_a_line_break_in_a_file_name_is_reported_on_one_line(capsys, tmp_path):
+    path = tmp_path / "not\njson.json"
+    path.write_text("{")
+    code, out, err = run(capsys, "catalog", "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "not\\njson.json is not valid JSON" in err

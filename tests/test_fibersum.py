@@ -3,7 +3,7 @@ import inspect
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cherngeo import algebra, fibersum
+from cherngeo import algebra, fibersum, invariants
 from cherngeo.catalog import elliptic_surface, knot_surgered_elliptic, ruled_spheres
 from cherngeo.fibersum import (
     ChernTriple,
@@ -278,3 +278,53 @@ def test_c1_cubed_divisible_by_six(chi1, c1sq1, g1, chi2, c1sq2, g2):
 def test_triple_json_roundtrip():
     t = ChernTriple(24, 0, 24)
     assert t.to_json() == {"c3": 24, "c1_cubed": 0, "c1c2": 24}
+
+
+# -- validation on the per-pair path ---------------------------------------------
+
+
+def _count_validations(monkeypatch):
+    """Record the name of every block ``validate_block`` sees, called as require_valid calls it."""
+    seen = []
+    real = invariants.validate_block
+    monkeypatch.setattr(
+        invariants, "validate_block", lambda block: seen.append(block.name) or real(block)
+    )
+    return seen
+
+
+CONSTRUCTIONS = [halic_construction, halic_construction_via_oracle]
+
+
+@pytest.mark.parametrize("construct", CONSTRUCTIONS, ids=lambda f: f.__name__)
+def test_a_checked_construction_validates_both_blocks_once(monkeypatch, construct):
+    b1, b2 = elliptic_surface(2), knot_surgered_elliptic(3, 1)
+    seen = _count_validations(monkeypatch)
+    construct(b1, b2)
+    assert seen == [b1.name, b2.name]
+    construct(b1, b2, check=False)
+    assert seen == [b1.name, b2.name]  # check=False validates nothing
+
+
+def test_one_audited_pair_validates_four_blocks(monkeypatch):
+    # What one oracle-check pair runs: two checked constructions, two blocks each.
+    b1, b2 = elliptic_surface(2), ruled_spheres()
+    seen = _count_validations(monkeypatch)
+    assert halic_construction(b1, b2) == halic_construction_via_oracle(b1, b2)
+    assert seen == [b1.name, b2.name] * 2
+
+
+@pytest.mark.parametrize("construct", CONSTRUCTIONS, ids=lambda f: f.__name__)
+def test_a_construction_names_its_first_invalid_block(monkeypatch, construct):
+    bad1, bad2 = (
+        elliptic_surface(m)._replace(name=f"bad{m}", singular_fibers=1) for m in (1, 2)
+    )
+    good = ruled_spheres()
+    seen = _count_validations(monkeypatch)
+    with pytest.raises(BlockValidationError, match="^invalid block 'bad1': ") as info:
+        construct(bad1, bad2)
+    assert info.value.block_name == "bad1" and seen == ["bad1"]
+    seen.clear()
+    with pytest.raises(BlockValidationError, match="^invalid block 'bad2': ") as info:
+        construct(good, bad2)
+    assert info.value.block_name == "bad2" and seen == ["S2xS2", "bad2"]

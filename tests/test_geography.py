@@ -164,9 +164,11 @@ def test_search_raises_on_the_first_invalid_candidate(monkeypatch):
     ]
     blocks = [elliptic_surface(1), bad[0], ruled_spheres(), bad[1]]
     monkeypatch.setattr(geography, "candidate_blocks", lambda bounds: blocks)
+    seen = _count_validations(monkeypatch)
     with pytest.raises(BlockValidationError, match="'bad2'") as info:
         search_realizations(ChernTriple(24, 0, 24), SearchBounds())
     assert info.value.block_name == "bad2"
+    assert seen == ["E(1)", "bad2"]  # in list order, stopping at the first invalid one
 
 
 def test_bounds_from_json():

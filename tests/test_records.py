@@ -5,11 +5,14 @@ Every record of the package is a ``collections.namedtuple`` subclass with
 be assigned, each construction check raises the same ValueError from the
 positional and from the keyword constructor, ``SearchBounds`` defaults and
 normalises its families, generators sort by (source, kind), and importing
-the CLI loads neither ``dataclasses`` nor ``inspect``.  Each subcommand,
-run in a fresh interpreter, loads only the package modules it uses, and
-the human formats load no ``json``.
+the CLI loads neither ``dataclasses`` nor ``inspect``.  The records the
+per-pair path builds by ``tuple.__new__`` are the records their
+constructors make, and importing the invariants or the plot loads no
+``functools``.  Each subcommand, run in a fresh interpreter, loads only the
+package modules it uses, and the human formats load no ``json``.
 """
 
+import itertools
 import os
 import re
 import subprocess
@@ -21,7 +24,11 @@ from hypothesis import given, strategies as st
 
 from cherngeo.algebra import ClassGenerator
 from cherngeo.catalog import FAMILIES, elliptic_surface
-from cherngeo.fibersum import CrossSectionInvariants
+from cherngeo.fibersum import (
+    CrossSectionInvariants,
+    halic_construction,
+    halic_construction_via_oracle,
+)
 from cherngeo.geography import (
     DivisibilityReport,
     GenericGrid,
@@ -29,6 +36,7 @@ from cherngeo.geography import (
     Realization,
     SearchBounds,
     classify_geography_point,
+    halic_divisibility_check,
 )
 from cherngeo.invariants import (
     ChernTriple,
@@ -143,6 +151,47 @@ def test_generators_sort_by_source_then_kind(gens):
     assert sorted(gens) == sorted(gens, key=lambda g: (g.source, g.kind))
 
 
+# Invariants past 64 bits as well as small ones, negative included.
+_INVARIANT = st.integers(-60, 60) | st.integers(-(2 ** 80), 2 ** 80)
+_GENUS = st.integers(0, 8) | st.integers(0, 2 ** 70)
+_BLOCK = st.builds(
+    lambda chi_h, c1_sq, genus: LefschetzBlock(
+        "B", FourManifoldInvariants(chi_h, c1_sq), genus, 0, False
+    ),
+    _INVARIANT,
+    _INVARIANT,
+    _GENUS,
+)
+
+
+def _assert_same_record(built, kind):
+    """``built``, made by tuple.__new__, is the record ``kind(*built)`` makes."""
+    made = kind(*built)
+    assert type(built) is kind
+    assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+    assert built._asdict() == made._asdict()
+
+
+@given(_BLOCK, _BLOCK)
+def test_records_built_in_c_are_the_real_records(b1, b2):
+    for construct in (halic_construction, halic_construction_via_oracle):
+        triple = construct(b1, b2, check=False)
+        _assert_same_record(triple, ChernTriple)
+        assert triple.to_json() == ChernTriple(*triple).to_json()
+        assert all(type(n) is int for n in triple)
+        report = halic_divisibility_check(triple)
+        _assert_same_record(report, DivisibilityReport)
+        assert all(type(flag) is bool for flag in report)
+
+
+@pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
+def test_all_pass_is_a_bool(flags):
+    assert DivisibilityReport(*flags).all_pass is all(flags)
+    c3, c1_cubed, c1c2 = (0 if flag else 1 for flag in flags)  # 0 passes, 1 fails every check
+    report = halic_divisibility_check(ChernTriple(c3, c1_cubed, c1c2))
+    assert report == flags and report.all_pass is all(flags)
+
+
 def _fresh_interpreter(statements: str) -> str:
     """What a fresh interpreter prints while running ``statements`` (``sys`` imported)."""
     # -S keeps site-packages hooks from importing modules before cherngeo does.
@@ -210,6 +259,12 @@ def test_the_module_probe_sees_what_a_subcommand_loads():
 
 def test_importing_plot_loads_no_fiber_sum():
     assert _loaded_in_fresh_interpreter("import cherngeo.plot", ("cherngeo.fibersum",)) == []
+
+
+@pytest.mark.parametrize("module", ["cherngeo.invariants", "cherngeo.plot"])
+def test_the_records_and_the_plot_load_no_functools(module):
+    # The records are built without functools.partial; plot-grid and a cold CLI import these.
+    assert _loaded_in_fresh_interpreter(f"import {module}", ("functools",)) == []
 
 
 def _kernels_compiled(statements: str) -> int:
