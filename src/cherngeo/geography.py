@@ -317,26 +317,45 @@ _CUT_LINES = {line for _, lower, upper in REGIONS for line in (lower, upper)} | 
     SIGNATURE_LINE,
 }
 
+# Two cut lines a1*chi_h + b1 and a2*chi_h + b2 cross at chi_h = (b2 - b1) / (a1 - a2).
+# Every column strictly left of the leftmost crossing has its cuts in one
+# order, as has every column strictly right of the rightmost, so a run key
+# clamps chi_h to the columns from _KEY_LO to _KEY_HI.  The window also keeps
+# chi_h = 0 and 1 apart, the two sides of the elliptic flag's chi_h >= 1.
+_CROSSINGS = [
+    (b2 - b1, a1 - a2) for (a1, b1), (a2, b2) in itertools.combinations(_CUT_LINES, 2) if a1 != a2
+]
+_KEY_LO = min(0, min(-(-num // den) for num, den in _CROSSINGS) - 1)  # ceiling, less one
+_KEY_HI = max(1, max(num // den for num, den in _CROSSINGS) + 1)  # floor, plus one
+
 
 def column_runs(chi_h: int, lo: int, hi: int):
-    """Yield (first, last, classification of (chi_h, first)) for the runs of one column.
+    """Yield (first, last, key) for the runs of one column.
 
     Every condition of :func:`classify_geography_point` compares c1^2 with
     one of the column's cut values a*chi_h + b, so the labels and both flags
     are the same at every point strictly between two consecutive cuts, and
     each cut is a run of its own.  Within a run only ``basic_class_count``
     changes: it falls by one for each step up in c1^2.  The runs cover
-    [lo, hi] in increasing order, clipped to it; each is classified once.
+    [lo, hi] in increasing order, clipped to it.
+
+    ``key`` is (chi_h clamped to [_KEY_LO, _KEY_HI], the run's slot).  With
+    the column's distinct cut values sorted and counted from 0, slot 2*i
+    lies strictly below cut i and above cut i - 1, and slot 2*i + 1 is cut i.  Columns with equal
+    clamped chi_h have their cuts in the same order, ties included, and lie
+    on the same side of chi_h = 1, so runs with equal keys, in any columns,
+    have the same labels and flags.
     """
-    first = lo
+    column = min(max(chi_h, _KEY_LO), _KEY_HI)
+    first, slot = lo, 0
     for cut in sorted({a * chi_h + b for a, b in _CUT_LINES}):
-        if cut < lo:
-            continue
         if cut > hi:
             break
-        if first < cut:
-            yield first, cut - 1, classify_geography_point(chi_h, first)
-        yield cut, cut, classify_geography_point(chi_h, cut)
-        first = cut + 1
+        if cut >= lo:
+            if first < cut:
+                yield first, cut - 1, (column, slot)
+            yield cut, cut, (column, slot + 1)
+            first = cut + 1
+        slot += 2
     if first <= hi:
-        yield first, hi, classify_geography_point(chi_h, first)
+        yield first, hi, (column, slot)

@@ -8,7 +8,7 @@ grid points stays exact and integer-valued in :mod:`cherngeo.geography`.
 
 from __future__ import annotations
 
-from .geography import REGIONS, SIGNATURE_LINE, column_runs
+from .geography import REGIONS, SIGNATURE_LINE, classify_geography_point, column_runs
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 56
@@ -17,6 +17,11 @@ _FILLS = {"many-basic-classes": "#cfe8ff", "one-basic-class": "#d8f2d0", "genera
 
 # grid_csv refuses larger windows before doing any work; SVG output has a fixed size.
 GRID_POINT_LIMIT = 1_000_000
+
+# geography_svg refuses a window with an end beyond this.  Each chart
+# coordinate is at most about 3,700 times the largest end (the line
+# c1^2 = 9*chi_h over a c1^2 range of one), so every one stays a finite float.
+SVG_END_LIMIT = 10**300
 
 
 def _line_title(line: tuple[int, int]) -> str:
@@ -38,9 +43,13 @@ def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
     """One CSV row per integer point of the window, rendered a column run at a time.
 
     The window's c1^2 values are formatted once and shared by every column.
-    A run without a basic class count is one ``str.join`` over a slice of
-    them, since all its other fields are constant.  Raises ``ValueError``
-    before any work when the window has more than ``GRID_POINT_LIMIT`` points.
+    Runs with equal keys (see :func:`~cherngeo.geography.column_runs`) have
+    the same labels and flags, so each key is classified and its fields
+    formatted once per call.  A run without a basic class count is one
+    ``str.join`` over a slice of the c1^2 values, since all its other fields
+    are constant; a run with one takes its count from the classifier.
+    Raises ``ValueError`` before any work when the window has more than
+    ``GRID_POINT_LIMIT`` points.
     """
     (chi_lo, chi_hi), (lo, hi) = chi_range, c1sq_range
     points = max(0, chi_hi - chi_lo + 1) * max(0, hi - lo + 1)
@@ -51,17 +60,27 @@ def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
     lines = ["chi_h,c1_sq,labels,basic_class_count,on_elliptic_axis,signature_sign"]
     # An empty window formats no values, however long its c1^2 range.
     values = [str(c1sq) for c1sq in range(lo, hi + 1)] if points else []
+    # run key -> (labels field, flag fields, whether the run counts basic classes)
+    fields = {}
     for chi in range(chi_lo, chi_hi + 1):
         head = f"{chi},"
-        for first, last, cls in column_runs(chi, lo, hi):
+        for first, last, key in column_runs(chi, lo, hi):
             run = values[first - lo : last - lo + 1]
-            labels = f",{';'.join(cls.labels)},"
-            tail = f",{int(cls.on_elliptic_axis)},{cls.signature_sign}"
-            count = cls.basic_class_count
-            if count is None:
+            known = fields.get(key)
+            if known is None or known[2]:
+                cls = classify_geography_point(chi, first)
+                if known is None:
+                    known = fields[key] = (
+                        f",{';'.join(cls.labels)},",
+                        f",{int(cls.on_elliptic_axis)},{cls.signature_sign}",
+                        cls.basic_class_count is not None,
+                    )
+            labels, tail, counted = known
+            if not counted:
                 lines.append(head + f"{labels}{tail}\n{head}".join(run) + labels + tail)
             else:
                 # The count falls by one per step up in c1^2.
+                count = cls.basic_class_count
                 lines += [
                     f"{head}{c1sq}{labels}{n}{tail}"
                     for c1sq, n in zip(run, range(count, count - len(run), -1))
@@ -75,6 +94,10 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
     y_lo, y_hi = c1sq_range
     if chi_hi <= chi_lo or y_hi <= y_lo:
         raise ValueError("plot ranges must be non-degenerate")
+    if max(abs(chi_lo), abs(chi_hi), abs(y_lo), abs(y_hi)) > SVG_END_LIMIT:
+        raise ValueError(
+            "plot window is too far out for svg: both ranges must lie within -10**300..10**300"
+        )
 
     plot_w = _WIDTH - 2 * _MARGIN
     plot_h = _HEIGHT - 2 * _MARGIN
@@ -84,6 +107,8 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
 
     def py(c1sq: float) -> float:
         return round(_MARGIN + (y_hi - c1sq) / (y_hi - y_lo) * plot_h, 2)
+
+    x_lo, x_hi = px(chi_lo), px(chi_hi)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -97,10 +122,10 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
 
     for label, (lo_a, lo_b), (hi_a, hi_b) in REGIONS:
         pts = [
-            (px(chi_lo), py(lo_a * chi_lo + lo_b)),
-            (px(chi_hi), py(lo_a * chi_hi + lo_b)),
-            (px(chi_hi), py(hi_a * chi_hi + hi_b)),
-            (px(chi_lo), py(hi_a * chi_lo + hi_b)),
+            (x_lo, py(lo_a * chi_lo + lo_b)),
+            (x_hi, py(lo_a * chi_hi + lo_b)),
+            (x_hi, py(hi_a * chi_hi + hi_b)),
+            (x_lo, py(hi_a * chi_lo + hi_b)),
         ]
         point_str = " ".join(f"{x},{y}" for x, y in pts)
         parts.append(
@@ -110,14 +135,14 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
 
     for (a, b), label in _LINES:
         parts.append(
-            f'<line x1="{px(chi_lo)}" y1="{py(a * chi_lo + b)}" '
-            f'x2="{px(chi_hi)}" y2="{py(a * chi_hi + b)}" '
+            f'<line x1="{x_lo}" y1="{py(a * chi_lo + b)}" '
+            f'x2="{x_hi}" y2="{py(a * chi_hi + b)}" '
             'stroke="#444" stroke-width="1.2"><title>' + label + "</title></line>"
         )
     # elliptic axis: c1^2 = 0 for chi_h >= 1, dashed
     if y_lo <= 0 <= y_hi and chi_hi >= 1:
         parts.append(
-            f'<line x1="{px(max(1, chi_lo))}" y1="{py(0)}" x2="{px(chi_hi)}" y2="{py(0)}" '
+            f'<line x1="{px(max(1, chi_lo))}" y1="{py(0)}" x2="{x_hi}" y2="{py(0)}" '
             'stroke="#a00" stroke-width="1.6" stroke-dasharray="6,4">'
             "<title>elliptic surfaces E(n) at (n, 0)</title></line>"
         )
@@ -130,15 +155,16 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
     )
     axis_y = py(0) if y_lo <= 0 <= y_hi else py(y_lo)
     parts.append(
-        f'<line x1="{_MARGIN}" y1="{axis_y}" x2="{px(chi_hi)}" y2="{axis_y}" '
+        f'<line x1="{_MARGIN}" y1="{axis_y}" x2="{x_hi}" y2="{axis_y}" '
         'stroke="black" stroke-width="1.5"/>'
     )
-    parts.append(f'<text x="{px(chi_hi) - 34}" y="{axis_y - 6}">chi_h</text>')
+    parts.append(f'<text x="{x_hi - 34}" y="{axis_y - 6}">chi_h</text>')
     parts.append(f'<text x="{_MARGIN + 6}" y="{_MARGIN - 8}">c1^2</text>')
+    chi_at = chi_lo + 0.82 * (chi_hi - chi_lo)  # where the line labels go
+    x_at = px(chi_at) + 4
     for (a, b), label in _LINES:
-        chi_at = chi_lo + 0.82 * (chi_hi - chi_lo)
         y_at = a * chi_at + b
         if y_lo <= y_at <= y_hi:
-            parts.append(f'<text x="{px(chi_at) + 4}" y="{py(y_at) - 4}">{label}</text>')
+            parts.append(f'<text x="{x_at}" y="{py(y_at) - 4}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

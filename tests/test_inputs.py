@@ -9,7 +9,8 @@ A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work,
 and so does a search whose bounds allow more than
 ``geography.SEARCH_BLOCK_LIMIT`` candidate blocks, or none.  An empty
 ``plot`` range exits 1 naming the flag and both ends, and so does a
-one-value range for an SVG chart.  JSON fields are read
+one-value range for an SVG chart; an SVG window with an end beyond
+``plot.SVG_END_LIMIT`` exits 1 too, writing no ``--output`` file.  JSON fields are read
 strictly: an integer field takes only a JSON integer, ``simply_connected``
 only ``true`` or ``false``, ``name`` only a string that UTF-8 can encode.
 A catalog record holds only the keys it is read by: a family record its
@@ -17,8 +18,9 @@ family's parameters, an explicit block its six fields, and sigma, euler or
 c2 only at their recomputed values.  ``--not-simply-connected`` takes no
 value.  A block flag given twice in one block specification is a usage
 error, and a JSON object that repeats a key exits 1 naming the file and the
-key.  Every malformed command line exits 2 with one ``usage error:`` line
-(the cases are in ``malformed_command_lines.py``); a malformed ``a..b`` or
+key.  Every malformed command line exits 2 with one ``usage error:`` line,
+and every listed invalid value exits 1 with one ``error:`` line (the cases
+are in ``malformed_command_lines.py``); a malformed ``a..b`` or
 ``--target`` value names the flag it was given to.
 """
 
@@ -37,7 +39,7 @@ from cherngeo.cli import main, parse_block_specs
 from cherngeo.fibersum import halic_construction
 from cherngeo.geography import SEARCH_BLOCK_LIMIT, GenericGrid, SearchBounds, candidate_blocks
 from cherngeo.invariants import ChernTriple, block_to_json
-from malformed_command_lines import MALFORMED
+from malformed_command_lines import INVALID, MALFORMED
 
 
 def run(capsys, *argv):
@@ -96,6 +98,13 @@ def test_malformed_command_line_is_one_usage_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", INVALID, ids=lambda argv: " ".join(argv)[:60])
+def test_invalid_value_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -346,6 +355,34 @@ def test_plot_svg_has_no_point_limit(capsys):
     code, out, _ = run(capsys, "plot", "--chi", "0..2000", "--c1sq", "0..1000", "--format", "svg")
     assert code == 0
     assert out.startswith("<svg ")
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        ["--chi", f"0..{10**308}", "--c1sq", "0..5"],
+        ["--chi", f"0..{10**306}", "--c1sq", "0..1"],
+        ["--chi", "0..1", "--c1sq", f"-{10**300 + 1}..0"],
+    ],
+)
+def test_plot_svg_beyond_the_end_limit_exits_1(capsys, tmp_path, ranges):
+    out_file = tmp_path / "plot.svg"
+    for extra in ((), ("--output", str(out_file))):
+        code, out, err = run(capsys, "plot", *ranges, "--format", "svg", *extra)
+        assert (code, out, err) == (
+            1, "",
+            "error: plot window is too far out for svg: both ranges must lie within "
+            "-10**300..10**300\n",
+        )
+    assert not out_file.exists()
+
+
+def test_plot_svg_at_the_end_limit_is_drawn(capsys):
+    code, out, _ = run(
+        capsys, "plot", "--chi", f"-{10**300}..{10**300}", "--c1sq", "0..1", "--format", "svg"
+    )
+    assert code == 0
+    assert out.startswith("<svg ") and "inf" not in out
 
 
 # -- bounds that select no block, empty plot windows -------------------------

@@ -1,11 +1,14 @@
-"""CSV grids of the geography plane.
+"""CSV grids and SVG charts of the geography plane.
 
-``grid_csv`` classifies one point per column run and joins a run's rows over
-c1^2 strings shared by the whole window; the per-point renderer it replaced
-is kept here as ``_reference_grid_csv`` and the two must agree byte for byte.
+``grid_csv`` classifies one point per run key, not per point, and joins a
+run's rows over c1^2 strings shared by the whole window; the per-point
+renderer it replaced is kept here as ``_reference_grid_csv`` and the two must
+agree byte for byte.  ``geography_svg`` is pinned by digests of its output.
 """
 
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +23,7 @@ from cherngeo.geography import (
     classify_geography_point,
     column_runs,
 )
-from cherngeo.plot import GRID_POINT_LIMIT, grid_csv
+from cherngeo.plot import GRID_POINT_LIMIT, SVG_END_LIMIT, geography_svg, grid_csv
 
 
 def _reference_grid_csv(chi_range, c1sq_range):
@@ -93,13 +96,64 @@ def test_column_runs_cover_the_column_once(chi, lo, length):
     assert runs[0][0] == lo and runs[-1][1] == hi
     for (_, last, _), (first, _, _) in zip(runs, runs[1:]):
         assert first == last + 1
-    for first, last, cls in runs:
+    for first, last, _ in runs:
         assert first <= last
-        assert cls == classify_geography_point(chi, first)
-        end = classify_geography_point(chi, last)
-        assert (end.labels, end.on_elliptic_axis, end.signature_sign) == (
-            cls.labels, cls.on_elliptic_axis, cls.signature_sign,
-        )
+        assert _fields(chi, first) == _fields(chi, last)
+
+
+def _fields(chi, c1sq):
+    """What a run shares at every point: labels and both flags."""
+    cls = classify_geography_point(chi, c1sq)
+    return cls.labels, cls.on_elliptic_axis, cls.signature_sign
+
+
+def _key_fields(chi, lo, hi):
+    """Run key -> the fields at both ends of every run of one column with that key."""
+    found = {}
+    for first, last, key in column_runs(chi, lo, hi):
+        found.setdefault(key, set()).update({_fields(chi, first), _fields(chi, last)})
+    return found
+
+
+# Every cut crossing lies between chi_h = -1 and 3, so the run keys clamp
+# chi_h to -2..4; -3 and 5 are the first columns that share keys with others.
+_NEAR_COLUMNS = range(-3, 6)
+_FAR_COLUMNS = (-10**12, -1001, -40, -7, 6, 9, 40, 1001, 10**12)
+
+
+def _columns():
+    return st.one_of(
+        st.sampled_from(_NEAR_COLUMNS),
+        st.integers(-60, 60),
+        st.sampled_from(_FAR_COLUMNS),
+        st.integers(-10**15, 10**15),
+    )
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_columns(), st.integers(-200, 200), st.integers(0, 200)),
+                min_size=2, max_size=4))
+def test_runs_with_equal_keys_share_labels_and_flags(columns):
+    found = {}
+    for chi, shift, length in columns:
+        # Windows placed around the column's cuts, so that every slot is met.
+        lo = min(a * chi + b for a, b in _LINES) + shift - 100
+        for key, fields in _key_fields(chi, lo, lo + length + 9 * abs(chi)).items():
+            found.setdefault(key, set()).update(fields)
+    for key, fields in found.items():
+        assert len(fields) == 1, (key, fields)
+
+
+def test_every_run_key_near_the_crossings_has_one_set_of_fields():
+    found = {}
+    for chi in (*_NEAR_COLUMNS, *_FAR_COLUMNS):
+        cuts = [a * chi + b for a, b in _LINES]
+        for key, fields in _key_fields(chi, min(cuts) - 5, max(cuts) + 5).items():
+            found.setdefault(key, set()).update(fields)
+    for key, fields in found.items():
+        assert len(fields) == 1, (key, fields)
+    # Columns -2..4 each have keys of their own, and every column beyond shares them.
+    assert {column for column, _ in found} == set(range(-2, 5))
 
 
 def test_column_runs_of_an_empty_range():
@@ -108,10 +162,11 @@ def test_column_runs_of_an_empty_range():
 
 
 def test_grid_csv_limit_is_checked_before_any_work(monkeypatch):
-    def no_runs(*args):
-        raise AssertionError("an oversized window must not be classified")
+    def no_work(*args):
+        raise AssertionError("an oversized window must not be split or classified")
 
-    monkeypatch.setattr("cherngeo.plot.column_runs", no_runs)
+    monkeypatch.setattr("cherngeo.plot.column_runs", no_work)
+    monkeypatch.setattr("cherngeo.plot.classify_geography_point", no_work)
     points = GRID_POINT_LIMIT + 1
     message = f"has {points} points, more than the CSV limit of {GRID_POINT_LIMIT}$"
     with pytest.raises(ValueError, match=message):
@@ -163,3 +218,58 @@ def test_grid_csv_empty_windows_are_the_header_alone():
     assert (proc.returncode, proc.stderr) == (0, "")
     header = "chi_h,c1_sq,labels,basic_class_count,on_elliptic_axis,signature_sign\n"
     assert proc.stdout == header + header
+
+
+# -- the SVG chart -----------------------------------------------------------
+
+# (chi_h range, c1^2 range, SHA-256 of geography_svg's output), recorded from
+# the chart before its x coordinates at the window's edges were computed once.
+_SVG_DIGESTS = [
+    ((-1, 6), (-10, 40), "dfe863d266356f65f6b97fa56be53ad3f7d6840a327bfe640a974e4909997beb"),
+    ((2, 9), (5, 60), "4376d000f82786ce3aad274278ec69658a526a3d30f438a22bbc93a731030bf7"),
+    ((-6, -2), (-60, -5), "a41be4059b03c97713918b75b01a2f30791cf408608fcf91032bcc7c017ce685"),
+    ((5, 6), (-3, 20), "26f1a07ba62d6f367582144b25b399b6d7c49a181742efb8b7cd630a4482720b"),
+    ((0, 3), (0, 30), "eb42bc8de990c10f427903503b296664d3f889f24df1b14eca5a725ff290b03d"),
+    ((10, 200), (-100, 1500), "7feada8dd2e87b19ca20f62bf320b5edf203dd2fdeddc28bd8038d4dc2c7ed7b"),
+    ((3, 12), (-8, 100), "6f438b67d24ea099451713326f77a69619d5fd5a186ff63cdf4fbac9fad628fa"),
+]
+
+
+@pytest.mark.parametrize(
+    "chi_range, c1sq_range, want",
+    _SVG_DIGESTS,
+    # chi_h from below 1, above the axis c1^2 = 0, negative chi_h, two
+    # columns, the axis at the bottom edge, a wide window, chi_h from 3.
+    ids=lambda value: "..".join(map(str, value)) if isinstance(value, tuple) else "",
+)
+def test_geography_svg_is_byte_identical_to_recorded_charts(chi_range, c1sq_range, want):
+    assert hashlib.sha256(geography_svg(chi_range, c1sq_range).encode()).hexdigest() == want
+
+
+def _coordinates(svg):
+    """Every number written into a coordinate attribute of the chart."""
+    return [float(v) for v in re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]*)"', svg)] + [
+        float(v) for pair in re.findall(r'points="([^"]*)"', svg)
+        for point in pair.split() for v in point.split(",")
+    ]
+
+
+@pytest.mark.parametrize("window", [
+    ((-SVG_END_LIMIT, SVG_END_LIMIT), (0, 1)),
+    ((0, 1), (-SVG_END_LIMIT, SVG_END_LIMIT)),
+    ((SVG_END_LIMIT - 1, SVG_END_LIMIT), (-SVG_END_LIMIT, -SVG_END_LIMIT + 1)),
+])
+def test_geography_svg_coordinates_are_finite_up_to_the_limit(window):
+    values = _coordinates(geography_svg(*window))
+    assert values and all(abs(v) < 1e308 for v in values)
+
+
+@pytest.mark.parametrize("window", [
+    ((0, 10**308), (0, 5)),  # was an OverflowError
+    ((0, 10**306), (0, 1)),  # wrote inf coordinates
+    ((0, 1), (-SVG_END_LIMIT - 1, 0)),
+    ((-SVG_END_LIMIT - 1, 0), (0, 1)),
+])
+def test_geography_svg_refuses_windows_beyond_the_limit(window):
+    with pytest.raises(ValueError, match=r"^plot window is too far out for svg: .*10\*\*300$"):
+        geography_svg(*window)
