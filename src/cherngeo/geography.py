@@ -341,10 +341,10 @@ def column_runs(chi_h: int, lo: int, hi: int):
 
     ``key`` is (chi_h clamped to [_KEY_LO, _KEY_HI], the run's slot).  With
     the column's distinct cut values sorted and counted from 0, slot 2*i
-    lies strictly below cut i and above cut i - 1, and slot 2*i + 1 is cut i.  Columns with equal
-    clamped chi_h have their cuts in the same order, ties included, and lie
-    on the same side of chi_h = 1, so runs with equal keys, in any columns,
-    have the same labels and flags.
+    lies strictly below cut i and above cut i - 1, and slot 2*i + 1 is cut
+    i.  Columns with equal clamped chi_h have their cuts in the same order,
+    ties included, and lie on the same side of chi_h = 1, so runs with
+    equal keys, in any columns, have the same labels and flags.
     """
     column = min(max(chi_h, _KEY_LO), _KEY_HI)
     first, slot = lo, 0

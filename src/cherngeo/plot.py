@@ -18,10 +18,12 @@ _FILLS = {"many-basic-classes": "#cfe8ff", "one-basic-class": "#d8f2d0", "genera
 # grid_csv refuses larger windows before doing any work; SVG output has a fixed size.
 GRID_POINT_LIMIT = 1_000_000
 
-# geography_svg refuses a window with an end beyond this.  Each chart
-# coordinate is at most about 3,700 times the largest end (the line
-# c1^2 = 9*chi_h over a c1^2 range of one), so every one stays a finite float.
-SVG_END_LIMIT = 10**300
+# geography_svg refuses a window with an end beyond 10**_SVG_END_EXPONENT.
+# Each chart coordinate is at most about 3,700 times the largest end (the
+# line c1^2 = 9*chi_h over a c1^2 range of one), so every one stays a finite
+# float.
+_SVG_END_EXPONENT = 300
+SVG_END_LIMIT = 10**_SVG_END_EXPONENT
 
 
 def _line_title(line: tuple[int, int]) -> str:
@@ -96,7 +98,8 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
         raise ValueError("plot ranges must be non-degenerate")
     if max(abs(chi_lo), abs(chi_hi), abs(y_lo), abs(y_hi)) > SVG_END_LIMIT:
         raise ValueError(
-            "plot window is too far out for svg: both ranges must lie within -10**300..10**300"
+            "plot window is too far out for svg: both ranges must lie within "
+            f"-10**{_SVG_END_EXPONENT}..10**{_SVG_END_EXPONENT}"
         )
 
     plot_w = _WIDTH - 2 * _MARGIN
