@@ -69,7 +69,7 @@ def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
         for first, last, key in column_runs(chi, lo, hi):
             run = values[first - lo : last - lo + 1]
             known = fields.get(key)
-            if known is None or known[2]:
+            if known is None or known[2]:  # a strip run reads its own count
                 cls = classify_geography_point(chi, first)
                 if known is None:
                     known = fields[key] = (

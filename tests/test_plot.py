@@ -240,7 +240,7 @@ _SVG_DIGESTS = [
     _SVG_DIGESTS,
     # chi_h from below 1, above the axis c1^2 = 0, negative chi_h, two
     # columns, the axis at the bottom edge, a wide window, chi_h from 3.
-    ids=lambda value: "..".join(map(str, value)) if isinstance(value, tuple) else "",
+    ids=[f"chi{chi}-c1sq{c1sq}" for chi, c1sq, _ in _SVG_DIGESTS],
 )
 def test_geography_svg_is_byte_identical_to_recorded_charts(chi_range, c1sq_range, want):
     assert hashlib.sha256(geography_svg(chi_range, c1sq_range).encode()).hexdigest() == want
