@@ -283,11 +283,20 @@ _AXIS_A, _AXIS_B = ELLIPTIC_AXIS
 _SIGNATURE_A, _SIGNATURE_B = SIGNATURE_LINE
 
 
+def basic_class_count(chi_h: int, c1_sq: int) -> int:
+    """The basic-class count chi_h - c1_sq - 2 of a point in the many-basic-classes strip.
+
+    Only points of the strip 0 <= c1_sq <= chi_h - 3 have one, and there it
+    is at least 1; the caller checks the strip.
+    """
+    return chi_h - c1_sq - 2
+
+
 def classify_geography_point(chi_h: int, c1_sq: int) -> GeographyClassification:
     """All regions whose defining inequalities the point satisfies.
 
     Boundaries are closed, so points on a dividing line get both labels.
-    The basic-class count chi_h - c1_sq - 2 is reported whenever the
+    The :func:`basic_class_count` is reported whenever the
     many-basic-classes strip 0 <= c1_sq <= chi_h - 3 matches, so it is
     always at least 1; elsewhere it is None.
     """
@@ -304,7 +313,7 @@ def classify_geography_point(chi_h: int, c1_sq: int) -> GeographyClassification:
         chi_h,
         c1_sq,
         tuple(labels),
-        chi_h - c1_sq - 2 if "many-basic-classes" in labels else None,  # basic_class_count
+        basic_class_count(chi_h, c1_sq) if "many-basic-classes" in labels else None,
         c1_sq == _AXIS_A * chi_h + _AXIS_B and chi_h >= 1,  # on_elliptic_axis
         _sign(c1_sq - (_SIGNATURE_A * chi_h + _SIGNATURE_B)),  # signature_sign
     )
@@ -329,8 +338,21 @@ _KEY_LO = min(0, min(-(-num // den) for num, den in _CROSSINGS) - 1)  # ceiling,
 _KEY_HI = max(1, max(num // den for num, den in _CROSSINGS) + 1)  # floor, plus one
 
 
-def column_runs(chi_h: int, lo: int, hi: int):
-    """Yield (first, last, key) for the runs of one column.
+def _column_lines(chi_h: int) -> tuple[tuple[int, int], ...]:
+    """One cut line per distinct cut value of the column, in increasing order of value."""
+    by_value = {}
+    for a, b in _CUT_LINES:
+        by_value.setdefault(a * chi_h + b, (a, b))
+    return tuple(by_value[value] for value in sorted(by_value))
+
+
+# Clamped column -> its cut lines in order.  Every column beyond the window
+# has the order of the window's end on its side, and its cuts are distinct.
+_COLUMN_LINES = {column: _column_lines(column) for column in range(_KEY_LO, _KEY_HI + 1)}
+
+
+def column_runs(chi_h: int, lo: int, hi: int) -> list[tuple[int, int, tuple[int, int]]]:
+    """The runs of one column, as a list of (first, last, key).
 
     Every condition of :func:`classify_geography_point` compares c1^2 with
     one of the column's cut values a*chi_h + b, so the labels and both flags
@@ -344,18 +366,22 @@ def column_runs(chi_h: int, lo: int, hi: int):
     lies strictly below cut i and above cut i - 1, and slot 2*i + 1 is cut
     i.  Columns with equal clamped chi_h have their cuts in the same order,
     ties included, and lie on the same side of chi_h = 1, so runs with
-    equal keys, in any columns, have the same labels and flags.
+    equal keys, in any columns, have the same labels and flags.  That order
+    is read from ``_COLUMN_LINES``; nothing is sorted per call.
     """
     column = min(max(chi_h, _KEY_LO), _KEY_HI)
+    runs = []
     first, slot = lo, 0
-    for cut in sorted({a * chi_h + b for a, b in _CUT_LINES}):
+    for a, b in _COLUMN_LINES[column]:
+        cut = a * chi_h + b
         if cut > hi:
             break
         if cut >= lo:
             if first < cut:
-                yield first, cut - 1, (column, slot)
-            yield cut, cut, (column, slot + 1)
+                runs.append((first, cut - 1, (column, slot)))
+            runs.append((cut, cut, (column, slot + 1)))
             first = cut + 1
         slot += 2
     if first <= hi:
-        yield first, hi, (column, slot)
+        runs.append((first, hi, (column, slot)))
+    return runs

@@ -8,7 +8,13 @@ grid points stays exact and integer-valued in :mod:`cherngeo.geography`.
 
 from __future__ import annotations
 
-from .geography import REGIONS, SIGNATURE_LINE, classify_geography_point, column_runs
+from .geography import (
+    REGIONS,
+    SIGNATURE_LINE,
+    basic_class_count,
+    classify_geography_point,
+    column_runs,
+)
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN = 56
@@ -40,6 +46,11 @@ _LINES = [
     for line in sorted({upper for _, _, upper in REGIONS} | {SIGNATURE_LINE}, reverse=True)
 ]
 
+# Every line the chart shades or draws; each is evaluated once per chart at both window ends.
+_CHART_LINES = {line for _, lower, upper in REGIONS for line in (lower, upper)} | {
+    line for line, _ in _LINES
+}
+
 
 def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
     """One CSV row per integer point of the window, rendered a column run at a time.
@@ -49,7 +60,9 @@ def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
     the same labels and flags, so each key is classified and its fields
     formatted once per call.  A run without a basic class count is one
     ``str.join`` over a slice of the c1^2 values, since all its other fields
-    are constant; a run with one takes its count from the classifier.
+    are constant; a run with one reads its first count from
+    :func:`~cherngeo.geography.basic_class_count`, not from the classifier.
+    Every piece goes into one list, joined once at the end.
     Raises ``ValueError`` before any work when the window has more than
     ``GRID_POINT_LIMIT`` points.
     """
@@ -59,35 +72,33 @@ def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
         raise ValueError(
             f"plot window has {points} points, more than the CSV limit of {GRID_POINT_LIMIT}"
         )
-    lines = ["chi_h,c1_sq,labels,basic_class_count,on_elliptic_axis,signature_sign"]
+    pieces = ["chi_h,c1_sq,labels,basic_class_count,on_elliptic_axis,signature_sign\n"]
     # An empty window formats no values, however long its c1^2 range.
-    values = [str(c1sq) for c1sq in range(lo, hi + 1)] if points else []
-    # run key -> (labels field, flag fields, whether the run counts basic classes)
+    values = list(map(str, range(lo, hi + 1))) if points else []
+    # run key -> (labels field, flag fields and newline, both joined, whether the run counts)
     fields = {}
     for chi in range(chi_lo, chi_hi + 1):
         head = f"{chi},"
         for first, last, key in column_runs(chi, lo, hi):
             run = values[first - lo : last - lo + 1]
             known = fields.get(key)
-            if known is None or known[2]:  # a strip run reads its own count
+            if known is None:
                 cls = classify_geography_point(chi, first)
-                if known is None:
-                    known = fields[key] = (
-                        f",{';'.join(cls.labels)},",
-                        f",{int(cls.on_elliptic_axis)},{cls.signature_sign}",
-                        cls.basic_class_count is not None,
-                    )
-            labels, tail, counted = known
+                labels = f",{';'.join(cls.labels)},"
+                tail = f",{int(cls.on_elliptic_axis)},{cls.signature_sign}\n"
+                counted = cls.basic_class_count is not None
+                known = fields[key] = (labels, tail, labels + tail, counted)
+            labels, tail, end, counted = known
             if not counted:
-                lines.append(head + f"{labels}{tail}\n{head}".join(run) + labels + tail)
+                pieces += (head, (end + head).join(run), end)
             else:
                 # The count falls by one per step up in c1^2.
-                count = cls.basic_class_count
-                lines += [
+                count = basic_class_count(chi, first)
+                pieces += [
                     f"{head}{c1sq}{labels}{n}{tail}"
                     for c1sq, n in zip(run, range(count, count - len(run), -1))
                 ]
-    return "\n".join(lines) + "\n"
+    return "".join(pieces)
 
 
 def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
@@ -112,6 +123,9 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
         return round(_MARGIN + (y_hi - c1sq) / (y_hi - y_lo) * plot_h, 2)
 
     x_lo, x_hi = px(chi_lo), px(chi_hi)
+    # line -> its y at the window's left and right ends
+    ends = {(a, b): (py(a * chi_lo + b), py(a * chi_hi + b)) for a, b in _CHART_LINES}
+    y_zero = py(0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -123,29 +137,24 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
         '<g clip-path="url(#plotarea)">',
     ]
 
-    for label, (lo_a, lo_b), (hi_a, hi_b) in REGIONS:
-        pts = [
-            (x_lo, py(lo_a * chi_lo + lo_b)),
-            (x_hi, py(lo_a * chi_hi + lo_b)),
-            (x_hi, py(hi_a * chi_hi + hi_b)),
-            (x_lo, py(hi_a * chi_lo + hi_b)),
-        ]
-        point_str = " ".join(f"{x},{y}" for x, y in pts)
+    for label, lower, upper in REGIONS:
+        (lower_left, lower_right), (upper_left, upper_right) = ends[lower], ends[upper]
         parts.append(
-            f'<polygon points="{point_str}" fill="{_FILLS[label]}">'
+            f'<polygon points="{x_lo},{lower_left} {x_hi},{lower_right} '
+            f'{x_hi},{upper_right} {x_lo},{upper_left}" fill="{_FILLS[label]}">'
             f"<title>{label.replace('-', ' ')}</title></polygon>"
         )
 
-    for (a, b), label in _LINES:
+    for line, label in _LINES:
+        y_left, y_right = ends[line]
         parts.append(
-            f'<line x1="{x_lo}" y1="{py(a * chi_lo + b)}" '
-            f'x2="{x_hi}" y2="{py(a * chi_hi + b)}" '
+            f'<line x1="{x_lo}" y1="{y_left}" x2="{x_hi}" y2="{y_right}" '
             'stroke="#444" stroke-width="1.2"><title>' + label + "</title></line>"
         )
     # elliptic axis: c1^2 = 0 for chi_h >= 1, dashed
     if y_lo <= 0 <= y_hi and chi_hi >= 1:
         parts.append(
-            f'<line x1="{px(max(1, chi_lo))}" y1="{py(0)}" x2="{x_hi}" y2="{py(0)}" '
+            f'<line x1="{px(max(1, chi_lo))}" y1="{y_zero}" x2="{x_hi}" y2="{y_zero}" '
             'stroke="#a00" stroke-width="1.6" stroke-dasharray="6,4">'
             "<title>elliptic surfaces E(n) at (n, 0)</title></line>"
         )
@@ -156,18 +165,22 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
         f'<line x1="{_MARGIN}" y1="{py(y_lo)}" x2="{_MARGIN}" y2="{py(y_hi)}" '
         'stroke="black" stroke-width="1.5"/>'
     )
-    axis_y = py(0) if y_lo <= 0 <= y_hi else py(y_lo)
+    axis_y = y_zero if y_lo <= 0 <= y_hi else py(y_lo)
     parts.append(
         f'<line x1="{_MARGIN}" y1="{axis_y}" x2="{x_hi}" y2="{axis_y}" '
         'stroke="black" stroke-width="1.5"/>'
     )
     parts.append(f'<text x="{x_hi - 34}" y="{axis_y - 6}">chi_h</text>')
     parts.append(f'<text x="{_MARGIN + 6}" y="{_MARGIN - 8}">c1^2</text>')
-    chi_at = chi_lo + 0.82 * (chi_hi - chi_lo)  # where the line labels go
-    x_at = px(chi_at) + 4
+    # The line labels go at chi_h = chi_lo + d.  Only the offset d is a float:
+    # chi_lo stays exact, since rounding it to a float would misplace every
+    # label of a window whose ends are beyond 2**53.
+    d = 0.82 * (chi_hi - chi_lo)
+    x_at = round(_MARGIN + d / (chi_hi - chi_lo) * plot_w, 2) + 4
     for (a, b), label in _LINES:
-        y_at = a * chi_at + b
-        if y_lo <= y_at <= y_hi:
-            parts.append(f'<text x="{x_at}" y="{py(y_at) - 4}">{label}</text>')
+        below_top = (y_hi - a * chi_lo - b) - a * d  # y_hi less the line's c1^2 there
+        if below_top >= 0 and (a * chi_lo + b - y_lo) + a * d >= 0:
+            y_at = round(_MARGIN + below_top / (y_hi - y_lo) * plot_h, 2) - 4
+            parts.append(f'<text x="{x_at}" y="{y_at}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -3,7 +3,10 @@
 ``grid_csv`` classifies one point per run key, not per point, and joins a
 run's rows over c1^2 strings shared by the whole window; the per-point
 renderer it replaced is kept here as ``_reference_grid_csv`` and the two must
-agree byte for byte.  ``geography_svg`` is pinned by digests of its output.
+agree byte for byte.  ``column_runs`` reads each column's cut order from a
+table built at import; the per-call sort it replaced is kept here as
+``_reference_column_runs`` and the two must return the same list.
+``geography_svg`` is pinned by digests of its output.
 """
 
 import hashlib
@@ -16,10 +19,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cherngeo import geography
 from cherngeo.geography import (
     ELLIPTIC_AXIS,
     REGIONS,
     SIGNATURE_LINE,
+    basic_class_count,
     classify_geography_point,
     column_runs,
 )
@@ -156,6 +161,98 @@ def test_every_run_key_near_the_crossings_has_one_set_of_fields():
     assert {column for column, _ in found} == set(range(-2, 5))
 
 
+def _reference_column_runs(chi_h, lo, hi):
+    """The runs of one column, with the column's cut values sorted afresh."""
+    column = min(max(chi_h, geography._KEY_LO), geography._KEY_HI)
+    runs = []
+    first, slot = lo, 0
+    for cut in sorted({a * chi_h + b for a, b in geography._CUT_LINES}):
+        if cut > hi:
+            break
+        if cut >= lo:
+            if first < cut:
+                runs.append((first, cut - 1, (column, slot)))
+            runs.append((cut, cut, (column, slot + 1)))
+            first = cut + 1
+        slot += 2
+    if first <= hi:
+        runs.append((first, hi, (column, slot)))
+    return runs
+
+
+def _window_around_cuts(chi):
+    """c1^2 windows of column ``chi`` placed on, next to and between its cut values."""
+    cuts = [a * chi + b for a, b in _LINES]
+    edge = st.one_of(
+        st.sampled_from(cuts).flatmap(lambda cut: st.integers(cut - 3, cut + 3)),
+        st.integers(min(cuts) - 20, max(cuts) + 20),
+    )
+    # One in three windows is empty or one value wide.
+    return st.one_of(
+        st.tuples(edge, edge).map(sorted).map(tuple),
+        edge.map(lambda v: (v, v)),
+        edge.map(lambda v: (v + 1, v)),
+    ).map(lambda window: (chi, *window))
+
+
+_TABLE_COLUMNS = st.one_of(
+    st.integers(-40, 40),
+    st.sampled_from((-1, 0, 3)),  # where two or more cut lines meet
+    st.sampled_from((-2**70 - 1, -2**70, 2**70, 2**70 + 1)),
+    st.integers(2**70, 2**80),
+    st.integers(-2**80, -2**70),
+)
+
+
+@settings(max_examples=400)
+@given(_TABLE_COLUMNS.flatmap(_window_around_cuts))
+@example((-1, -8, 0))  # the tie 2*chi_h - 6 = 8*chi_h = -8, at the window's bottom
+@example((0, -6, 0))  # four lines meet at 0
+@example((3, 0, 27))  # three lines meet at 0, then 24 and 27
+@example((3, 1, 0))  # an empty range
+@example((3, 0, 0))  # one value, on the triple cut
+def test_table_driven_column_runs_match_the_sorting_reference(column):
+    chi, lo, hi = column
+    assert column_runs(chi, lo, hi) == _reference_column_runs(chi, lo, hi)
+
+
+@settings(max_examples=300)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+@example(3, 0)  # the strip's single point in column 3
+@example(10, 7)  # the strip's top, where the count is 1
+def test_basic_class_count_is_the_classifiers(chi, c1sq):
+    cls = classify_geography_point(chi, c1sq)
+    if "many-basic-classes" in cls.labels:
+        assert basic_class_count(chi, c1sq) == cls.basic_class_count
+    else:
+        assert cls.basic_class_count is None
+
+
+@pytest.mark.parametrize("chi_range, c1sq_range", [
+    ((0, 30), (-20, 60)),
+    ((-3, 12), (-5, 9)),
+    ((3, 3), (-2, 2)),
+    ((20, 40), (0, 35)),
+])
+def test_grid_csv_classifies_once_per_run_key(monkeypatch, chi_range, c1sq_range):
+    # Strip runs read their count from basic_class_count, so each distinct
+    # run key of the window is classified once and no run is classified again.
+    keys = {
+        key
+        for chi in range(chi_range[0], chi_range[1] + 1)
+        for _, _, key in column_runs(chi, *c1sq_range)
+    }
+    calls = []
+
+    def counted(chi, c1sq):
+        calls.append((chi, c1sq))
+        return classify_geography_point(chi, c1sq)
+
+    monkeypatch.setattr("cherngeo.plot.classify_geography_point", counted)
+    assert grid_csv(chi_range, c1sq_range) == _reference_grid_csv(chi_range, c1sq_range)
+    assert len(calls) == len(keys)
+
+
 def test_column_runs_of_an_empty_range():
     assert list(column_runs(3, 5, 4)) == []
     assert grid_csv((3, 2), (0, 10)) == _reference_grid_csv((3, 2), (0, 10))
@@ -167,6 +264,7 @@ def test_grid_csv_limit_is_checked_before_any_work(monkeypatch):
 
     monkeypatch.setattr("cherngeo.plot.column_runs", no_work)
     monkeypatch.setattr("cherngeo.plot.classify_geography_point", no_work)
+    monkeypatch.setattr("cherngeo.plot.basic_class_count", no_work)
     points = GRID_POINT_LIMIT + 1
     message = f"has {points} points, more than the CSV limit of {GRID_POINT_LIMIT}$"
     with pytest.raises(ValueError, match=message):
@@ -273,3 +371,13 @@ def test_geography_svg_coordinates_are_finite_up_to_the_limit(window):
 def test_geography_svg_refuses_windows_beyond_the_limit(window):
     with pytest.raises(ValueError, match=r"^plot window is too far out for svg: .*10\*\*300$"):
         geography_svg(*window)
+
+
+def test_geography_svg_labels_of_a_window_beyond_2_to_the_53():
+    # The label column is chi_lo plus an exact offset: rounding chi_lo = 10**20
+    # to a float put the label at the plot's left edge and top (60.0, 52.0).
+    svg = geography_svg((10**20, 10**20 + 1), (9 * 10**20 - 100, 9 * 10**20 + 100))
+    labels = re.findall(r'<text x="([^"]*)" y="([^"]*)">(c1\^2 = [^<]*)</text>', svg)
+    assert labels == [("492.96", "222.42", "c1^2 = 9*chi_h")]
+    x, y = float(labels[0][0]), float(labels[0][1])
+    assert 56 < x < 640 - 56 and 56 < y < 480 - 56
