@@ -115,9 +115,6 @@ class GradedClassExpression:
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedClassExpression) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- grading ----------------------------------------------------------
 
     def graded_part(self, degree: int) -> "GradedClassExpression":

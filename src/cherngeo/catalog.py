@@ -79,19 +79,20 @@ def generic_block(
     fiber_genus: int,
     singular_fibers: int,
     simply_connected: bool,
-    name: str | None = None,
 ) -> LefschetzBlock:
     """User-supplied block; broken fibration rules are left to validate_block."""
-    if name is None:
-        name = f"generic(chi_h={chi_h},c1_sq={c1_sq},g={fiber_genus},n={singular_fibers})"
     return LefschetzBlock(
-        name=name,
+        name=f"generic(chi_h={chi_h},c1_sq={c1_sq},g={fiber_genus},n={singular_fibers})",
         invariants=FourManifoldInvariants(chi_h, c1_sq),
         fiber_genus=fiber_genus,
         singular_fibers=singular_fibers,
         simply_connected=simply_connected,
     )
 
+
+# The integer limits of geography.SearchBounds, in field order; the range
+# functions of FAMILIES read them.
+SEARCH_LIMITS = ("max_m", "max_k", "max_knot_genus")
 
 # family name -> (constructor, its integer parameters in order, the range of
 # each parameter that a search enumerates, as a function of SearchBounds)

@@ -23,6 +23,7 @@ import sys
 # or writes JSON: a cold process then compiles no module it does not run.
 from . import catalog as catalog_mod
 from .invariants import (
+    DERIVED_FIELDS,
     BlockValidationError,
     ChernTriple,
     LefschetzBlock,
@@ -139,11 +140,7 @@ def _parse_target(text: str) -> ChernTriple:
 
 def _block_record(block: LefschetzBlock) -> dict:
     record = block_to_json(block)
-    record.update(
-        sigma=block.invariants.sigma,
-        euler=block.invariants.euler,
-        c2=block.invariants.c2,
-    )
+    record.update((key, getattr(block.invariants, key)) for key in DERIVED_FIELDS)
     return record
 
 
@@ -168,7 +165,7 @@ def _print_block(block: LefschetzBlock, fmt: str) -> None:
 
 def _print_triple(triple: ChernTriple, fmt: str) -> None:
     if fmt == "json":
-        _print_json(triple.to_json())
+        _print_json(triple._asdict())
     else:
         print(f"c3    = {triple.c3}")
         print(f"c1^3  = {triple.c1_cubed}")
@@ -210,7 +207,7 @@ def _cmd_fibersum(args: argparse.Namespace) -> int:
         symbolic = halic_construction_via_oracle(block1, block2, check=False)
         if symbolic != triple:
             print(
-                f"oracle mismatch: closed form {triple.to_json()} vs symbolic {symbolic.to_json()}",
+                f"oracle mismatch: closed form {triple._asdict()} vs symbolic {symbolic._asdict()}",
                 file=sys.stderr,
             )
             return 1
@@ -253,8 +250,7 @@ def _triple_text(triple: ChernTriple) -> str:
 
 # search flags that set a bound; a --config file sets all bounds instead.
 _BOUND_FLAGS = (
-    "families", "max_m", "max_k", "max_knot_genus",
-    "generic_chi", "generic_c1sq", "generic_genus",
+    "families", *catalog_mod.SEARCH_LIMITS, "generic_chi", "generic_c1sq", "generic_genus"
 )
 
 
@@ -284,7 +280,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             generic = GenericGrid(*grid)
         # Flags not given fall back to the SearchBounds defaults.
         limits = {
-            flag: getattr(args, flag) for flag in ("max_m", "max_k", "max_knot_genus")
+            flag: getattr(args, flag) for flag in catalog_mod.SEARCH_LIMITS
             if getattr(args, flag) is not None
         }
         if args.families is not None:
@@ -300,7 +296,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             {
                 "block1": _block_record(r.block1),
                 "block2": _block_record(r.block2),
-                "triple": r.triple.to_json(),
+                "triple": r.triple._asdict(),
             }
             for r in results
         ]
@@ -438,9 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--target", required=True, type=_parse_target, help="target triple c3,c1cubed,c1c2"
     )
     p.add_argument("--families", help="comma-separated family names (default: all)")
-    p.add_argument("--max-m", type=int)
-    p.add_argument("--max-k", type=int)
-    p.add_argument("--max-knot-genus", type=int)
+    for limit in catalog_mod.SEARCH_LIMITS:
+        p.add_argument(_flag(limit), type=int)
     p.add_argument("--generic-chi", type=_parse_range, help="generic grid chi_h range a..b")
     p.add_argument("--generic-c1sq", type=_parse_range, help="generic grid c1^2 range a..b")
     p.add_argument("--generic-genus", type=_parse_range, help="generic grid fiber-genus range a..b")

@@ -113,21 +113,27 @@ def halic_construction(
 ) -> ChernTriple:
     """Chern numbers of the fiber-summed 6-manifold, by closed form.
 
-    Only chi_h, c1^2 and the fiber genus of each block enter.  With
-    ``check=False`` the arithmetic is applied to arbitrary invariant
-    values, valid fibration or not; useful for grid sweeps.
+    Only chi_h, c1^2 and the fiber genus of each block enter, through two
+    invariants bilinear in the blocks' (chi_h, c1^2) and f = 1 - g:
+
+        A = c1c2 / 24 = f2*chi1 + f1*chi2 - f1*f2
+        B = c1^3 / 6  = f2*c1sq1 + f1*c1sq2 - 8*f1*f2
+
+    and the triple is (24A - 2B, 6B, 24A).  So c3 = 24A - 2B is the plane
+    3*c3 = 3*c1c2 - c1^3 that :func:`cherngeo.geography.plane_obstruction`
+    checks.  With ``check=False`` the arithmetic is applied to arbitrary
+    invariant values, valid fibration or not; useful for grid sweeps.
     """
     if check:
         require_valid(b1, b2)
     _, (chi1, c1sq1), g1, _, _ = b1
     _, (chi2, c1sq2), g2, _, _ = b2
     f1, f2 = 1 - g1, 1 - g2
+    f12 = f1 * f2
+    a = f2 * chi1 + f1 * chi2 - f12  # c1c2 / 24
+    b = f2 * c1sq1 + f1 * c1sq2 - 8 * f12  # c1^3 / 6
     # tuple.__new__ builds the record in one C call (see the invariants module).
-    return tuple.__new__(ChernTriple, (
-        2 * (12 * chi1 - c1sq1) * f2 + 2 * (12 * chi2 - c1sq2) * f1 - 8 * f1 * f2,  # c3
-        6 * f2 * c1sq1 + 6 * f1 * c1sq2 - 48 * f1 * f2,  # c1_cubed
-        24 * f2 * chi1 + 24 * f1 * chi2 - 24 * f1 * f2,  # c1c2
-    ))
+    return tuple.__new__(ChernTriple, (24 * a - 2 * b, 6 * b, 24 * a))
 
 
 def halic_construction_via_oracle(

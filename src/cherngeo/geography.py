@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .catalog import FAMILIES, family_name, generic_block
+from .catalog import FAMILIES, SEARCH_LIMITS, family_name, generic_block
 from .invariants import (
     ChernTriple,
     FourManifoldInvariants,
@@ -42,6 +42,13 @@ REGIONS = (
 # sigma = c1^2 - 8*chi_h changes sign across the signature line.
 ELLIPTIC_AXIS = (0, 0)
 SIGNATURE_LINE = (8, 0)
+
+# Every line the classifier compares c1^2 against, and the chart draws or
+# shades: the region boundaries and the two flag lines.
+CUT_LINES = {line for _, lower, upper in REGIONS for line in (lower, upper)} | {
+    ELLIPTIC_AXIS,
+    SIGNATURE_LINE,
+}
 
 
 class DivisibilityReport(namedtuple("DivisibilityReport", "c3_even c1cubed_even c1c2_mod24")):
@@ -112,32 +119,32 @@ class GenericGrid(namedtuple("GenericGrid", "chi_h c1_sq genus")):
 
 
 class SearchBounds(
-    namedtuple("SearchBounds", "families max_m max_k max_knot_genus generic")
+    namedtuple(
+        "SearchBounds",
+        ("families", *SEARCH_LIMITS, "generic"),
+        defaults=(tuple(FAMILIES), 5, 5, 4, None),
+    )
 ):
     """Search limits; ``families`` are resolved through the catalog's registry and aliases.
 
     Fields: ``families: tuple[str, ...]`` (default: every registry family),
-    ``max_m``, ``max_k``, ``max_knot_genus`` (``int``; default 5, 5, 4) and
+    the catalog's ``SEARCH_LIMITS`` (``int``; default 5, 5, 4) and
     ``generic: GenericGrid | None`` (default: no generic grid).
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        families: tuple[str, ...] = tuple(FAMILIES),
-        max_m: int = 5,
-        max_k: int = 5,
-        max_knot_genus: int = 4,
-        generic: GenericGrid | None = None,
-    ):
+    def __new__(cls, *args, **kwargs):
+        bounds = super().__new__(cls, *args, **kwargs)
+        families = bounds.families
         if not isinstance(families, (list, tuple)):
             raise ValueError(f"families must be a list of family names, got {families!r}")
         families = tuple(family_name(f) for f in families)
-        for key, value in (("max_m", max_m), ("max_k", max_k), ("max_knot_genus", max_knot_genus)):
+        for key in SEARCH_LIMITS:
+            value = getattr(bounds, key)
             if value < 0:
                 raise ValueError(f"{key!r} must be non-negative, got {value}")
-        return super().__new__(cls, families, max_m, max_k, max_knot_genus, generic)
+        return super().__new__(cls, families, *bounds[1:])
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchBounds":
@@ -149,8 +156,8 @@ class SearchBounds(
             if not isinstance(generic, dict):
                 raise ValueError(f"field 'generic' must be an object, got {generic!r}")
             refuse_unknown_fields(generic, GenericGrid._fields, "'generic'")
-            generic = GenericGrid(*(_range_field(generic, k) for k in ("chi_h", "c1_sq", "genus")))
-        given = {k: json_field(data, k) for k in ("max_m", "max_k", "max_knot_genus") if k in data}
+            generic = GenericGrid(*(_range_field(generic, k) for k in GenericGrid._fields))
+        given = {k: json_field(data, k) for k in SEARCH_LIMITS if k in data}
         if "families" in data:
             given["families"] = data["families"]
         return cls(generic=generic, **given)
@@ -190,12 +197,13 @@ def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
     Bounds that allow more than :data:`SEARCH_BLOCK_LIMIT` blocks raise
     ValueError before any block is built.  The count is an upper bound: the
     product of the search ranges of each selected family, plus the size of
-    the generic grid before genera without a fibration are dropped.
+    the generic grid before genera without a fibration are dropped.  A
+    family with an empty range has no blocks, and no range of it is read.
     """
     selected = [
-        (build, search_ranges(bounds))
+        (build, ranges)
         for name, (build, _, search_ranges) in FAMILIES.items()
-        if name in bounds.families
+        if name in bounds.families and all(ranges := search_ranges(bounds))
     ]
     count = sum(math.prod(map(_range_size, ranges)) for _, ranges in selected)
     if bounds.generic is not None:
@@ -319,20 +327,13 @@ def classify_geography_point(chi_h: int, c1_sq: int) -> GeographyClassification:
     )
 
 
-# Every line the classifier compares c1^2 against: the region boundaries and
-# the two flag lines.
-_CUT_LINES = {line for _, lower, upper in REGIONS for line in (lower, upper)} | {
-    ELLIPTIC_AXIS,
-    SIGNATURE_LINE,
-}
-
 # Two cut lines a1*chi_h + b1 and a2*chi_h + b2 cross at chi_h = (b2 - b1) / (a1 - a2).
 # Every column strictly left of the leftmost crossing has its cuts in one
 # order, as has every column strictly right of the rightmost, so a run key
 # clamps chi_h to the columns from _KEY_LO to _KEY_HI.  The window also keeps
 # chi_h = 0 and 1 apart, the two sides of the elliptic flag's chi_h >= 1.
 _CROSSINGS = [
-    (b2 - b1, a1 - a2) for (a1, b1), (a2, b2) in itertools.combinations(_CUT_LINES, 2) if a1 != a2
+    (b2 - b1, a1 - a2) for (a1, b1), (a2, b2) in itertools.combinations(CUT_LINES, 2) if a1 != a2
 ]
 _KEY_LO = min(0, min(-(-num // den) for num, den in _CROSSINGS) - 1)  # ceiling, less one
 _KEY_HI = max(1, max(num // den for num, den in _CROSSINGS) + 1)  # floor, plus one
@@ -341,7 +342,7 @@ _KEY_HI = max(1, max(num // den for num, den in _CROSSINGS) + 1)  # floor, plus 
 def _column_lines(chi_h: int) -> tuple[tuple[int, int], ...]:
     """One cut line per distinct cut value of the column, in increasing order of value."""
     by_value = {}
-    for a, b in _CUT_LINES:
+    for a, b in CUT_LINES:
         by_value.setdefault(a * chi_h + b, (a, b))
     return tuple(by_value[value] for value in sorted(by_value))
 

@@ -109,9 +109,6 @@ class ChernTriple(namedtuple("ChernTriple", "c3 c1_cubed c1c2")):
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 def euler_from_fibration(genus: int, singular_fibers: int) -> int:
     """Euler characteristic of a Lefschetz fibration: 2(2 - 2g) + n."""
@@ -194,7 +191,7 @@ def refuse_unknown_fields(record: dict, known: tuple[str, ...], what: str) -> No
 
 # The fields block_to_json writes, and the derived ones a block record may repeat.
 _BLOCK_FIELDS = ("name", "chi_h", "c1_sq", "fiber_genus", "singular_fibers", "simply_connected")
-_DERIVED_FIELDS = ("sigma", "euler", "c2")
+DERIVED_FIELDS = ("sigma", "euler", "c2")
 
 
 def block_from_json(data: dict) -> LefschetzBlock:
@@ -204,7 +201,7 @@ def block_from_json(data: dict) -> LefschetzBlock:
     and c1_sq, and any other key outside the block's fields raises
     ValueError.
     """
-    refuse_unknown_fields(data, _BLOCK_FIELDS + _DERIVED_FIELDS, "block")
+    refuse_unknown_fields(data, _BLOCK_FIELDS + DERIVED_FIELDS, "block")
     block = LefschetzBlock(
         name=json_field(data, "name", str),
         invariants=FourManifoldInvariants(json_field(data, "chi_h"), json_field(data, "c1_sq")),
@@ -212,7 +209,7 @@ def block_from_json(data: dict) -> LefschetzBlock:
         singular_fibers=json_field(data, "singular_fibers"),
         simply_connected=json_field(data, "simply_connected", bool),
     )
-    for key in _DERIVED_FIELDS:
+    for key in DERIVED_FIELDS:
         if key in data:
             derived = getattr(block.invariants, key)
             if json_field(data, key) != derived:

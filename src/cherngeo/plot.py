@@ -9,6 +9,8 @@ grid points stays exact and integer-valued in :mod:`cherngeo.geography`.
 from __future__ import annotations
 
 from .geography import (
+    CUT_LINES,
+    ELLIPTIC_AXIS,
     REGIONS,
     SIGNATURE_LINE,
     basic_class_count,
@@ -39,17 +41,9 @@ def _line_title(line: tuple[int, int]) -> str:
     return text + " (sigma = 0)" if line == SIGNATURE_LINE else text
 
 
-# The solid lines, top to bottom: the upper line of every region and the
-# signature line.  c1^2 = 0 is drawn as the axis and the elliptic line.
-_LINES = [
-    (line, _line_title(line))
-    for line in sorted({upper for _, _, upper in REGIONS} | {SIGNATURE_LINE}, reverse=True)
-]
-
-# Every line the chart shades or draws; each is evaluated once per chart at both window ends.
-_CHART_LINES = {line for _, lower, upper in REGIONS for line in (lower, upper)} | {
-    line for line, _ in _LINES
-}
+# The solid lines, top to bottom: every cut line but c1^2 = 0, which is
+# drawn as the axis and the elliptic line.
+_LINES = [(line, _line_title(line)) for line in sorted(CUT_LINES - {ELLIPTIC_AXIS}, reverse=True)]
 
 
 def grid_csv(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> str:
@@ -123,8 +117,8 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
         return round(_MARGIN + (y_hi - c1sq) / (y_hi - y_lo) * plot_h, 2)
 
     x_lo, x_hi = px(chi_lo), px(chi_hi)
-    # line -> its y at the window's left and right ends
-    ends = {(a, b): (py(a * chi_lo + b), py(a * chi_hi + b)) for a, b in _CHART_LINES}
+    # Every line the chart shades or draws -> its y at the window's left and right ends
+    ends = {(a, b): (py(a * chi_lo + b), py(a * chi_hi + b)) for a, b in CUT_LINES}
     y_zero = py(0)
 
     parts = [
@@ -170,17 +164,18 @@ def geography_svg(chi_range: tuple[int, int], c1sq_range: tuple[int, int]) -> st
         f'<line x1="{_MARGIN}" y1="{axis_y}" x2="{x_hi}" y2="{axis_y}" '
         'stroke="black" stroke-width="1.5"/>'
     )
-    parts.append(f'<text x="{x_hi - 34}" y="{axis_y - 6}">chi_h</text>')
+    # A pixel offset is rounded again, so that no float noise reaches the text.
+    parts.append(f'<text x="{round(x_hi - 34, 2)}" y="{round(axis_y - 6, 2)}">chi_h</text>')
     parts.append(f'<text x="{_MARGIN + 6}" y="{_MARGIN - 8}">c1^2</text>')
     # The line labels go at chi_h = chi_lo + d.  Only the offset d is a float:
     # chi_lo stays exact, since rounding it to a float would misplace every
     # label of a window whose ends are beyond 2**53.
     d = 0.82 * (chi_hi - chi_lo)
-    x_at = round(_MARGIN + d / (chi_hi - chi_lo) * plot_w, 2) + 4
+    x_at = round(round(_MARGIN + d / (chi_hi - chi_lo) * plot_w, 2) + 4, 2)
     for (a, b), label in _LINES:
         below_top = (y_hi - a * chi_lo - b) - a * d  # y_hi less the line's c1^2 there
         if below_top >= 0 and (a * chi_lo + b - y_lo) + a * d >= 0:
-            y_at = round(_MARGIN + below_top / (y_hi - y_lo) * plot_h, 2) - 4
+            y_at = round(round(_MARGIN + below_top / (y_hi - y_lo) * plot_h, 2) - 4, 2)
             parts.append(f'<text x="{x_at}" y="{y_at}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

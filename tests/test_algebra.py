@@ -192,7 +192,7 @@ def test_compile_rejects_repeated_factor_names(expr, four_manifolds, surfaces, r
 
 def test_product_chern_numbers_examples():
     k3 = FourManifoldInvariants(2, 0)
-    assert chern_numbers_of_product(k3, SurfaceInvariants(1)).to_json() == {
+    assert chern_numbers_of_product(k3, SurfaceInvariants(1))._asdict() == {
         "c3": 0, "c1_cubed": 0, "c1c2": 0,
     }
     spheres = FourManifoldInvariants(1, 8)

@@ -350,6 +350,19 @@ def test_block_command_help_names_every_family_and_its_flags(capsys, command):
     assert "  generic --chi CHI --c1sq C1SQ --genus GENUS --n N [--not-simply-connected]" in out
 
 
+def test_search_help_lists_one_flag_per_search_limit_in_order(capsys):
+    from cherngeo.catalog import SEARCH_LIMITS
+    from cherngeo.geography import SearchBounds
+
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    flags = re.findall(r"^  (--max-[a-z-]+) ", out, re.M)
+    assert flags == [f"--{limit.replace('_', '-')}" for limit in SEARCH_LIMITS]
+    assert SearchBounds._fields == ("families", *SEARCH_LIMITS, "generic")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

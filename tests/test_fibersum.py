@@ -277,7 +277,7 @@ def test_c1_cubed_divisible_by_six(chi1, c1sq1, g1, chi2, c1sq2, g2):
 
 def test_triple_json_roundtrip():
     t = ChernTriple(24, 0, 24)
-    assert t.to_json() == {"c3": 24, "c1_cubed": 0, "c1c2": 24}
+    assert t._asdict() == {"c3": 24, "c1_cubed": 0, "c1c2": 24}
 
 
 # -- validation on the per-pair path ---------------------------------------------

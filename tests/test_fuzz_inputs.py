@@ -111,6 +111,8 @@ def test_random_catalog_files(capsys, tmp_path, content):
 @FUZZ
 @given(content=configs, target=st.sampled_from(["0,0,0", "24,0,24", "-48,0,-48"]))
 @example(content={"max_m": float("inf")}, target="24,0,24")
+# itertools.product read the knot genus range in full though max_k = 0: MemoryError
+@example(content={"max_k": 0, "max_knot_genus": 2_147_483_648}, target="0,0,0")
 def test_random_search_configs(capsys, tmp_path, content, target):
     path = tmp_path / "bounds.json"
     run_on_file(capsys, path, content, ["search", "--target", target, "--config", str(path)])

@@ -394,6 +394,8 @@ def test_plot_svg_at_the_end_limit_is_drawn(capsys):
         ["--families", ""],
         ["--max-m", "0", "--families", "elliptic"],
         ["--max-k", "0", "--families", "knot-elliptic,elliptic", "--max-m", "0"],
+        # itertools.product read the knot genus range in full: an OverflowError
+        ["--families", "knot-elliptic", "--max-k", "0", "--max-knot-genus", str(10**30)],
         # a grid whose only point has no fibration (n < 0)
         ["--families", "", "--generic-chi", "0..0", "--generic-c1sq", "100..100",
          "--generic-genus", "0..0"],
@@ -405,6 +407,12 @@ def test_search_bounds_selecting_no_block_exit_1(capsys, argv):
     assert out == ""
     assert err.startswith("error: search bounds select no candidate block: SearchBounds(")
     assert err.count("\n") == 1
+
+
+def test_a_family_with_an_empty_range_reads_none_of_its_ranges():
+    # itertools.product read range(max_knot_genus + 1) in full: an OverflowError here.
+    bounds = SearchBounds(families=("knot-elliptic",), max_k=0, max_knot_genus=10**30)
+    assert candidate_blocks(bounds) == []
 
 
 def test_search_config_selecting_no_block_exits_1(capsys, tmp_path):

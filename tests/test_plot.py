@@ -6,7 +6,8 @@ renderer it replaced is kept here as ``_reference_grid_csv`` and the two must
 agree byte for byte.  ``column_runs`` reads each column's cut order from a
 table built at import; the per-call sort it replaced is kept here as
 ``_reference_column_runs`` and the two must return the same list.
-``geography_svg`` is pinned by digests of its output.
+``geography_svg`` is pinned by digests of its output, and every number it
+writes has at most two decimals.
 """
 
 import hashlib
@@ -166,7 +167,7 @@ def _reference_column_runs(chi_h, lo, hi):
     column = min(max(chi_h, geography._KEY_LO), geography._KEY_HI)
     runs = []
     first, slot = lo, 0
-    for cut in sorted({a * chi_h + b for a, b in geography._CUT_LINES}):
+    for cut in sorted({a * chi_h + b for a, b in geography.CUT_LINES}):
         if cut > hi:
             break
         if cut >= lo:
@@ -381,3 +382,24 @@ def test_geography_svg_labels_of_a_window_beyond_2_to_the_53():
     assert labels == [("492.96", "222.42", "c1^2 = 9*chi_h")]
     x, y = float(labels[0][0]), float(labels[0][1])
     assert 56 < x < 640 - 56 and 56 < y < 480 - 56
+
+
+def _numbers_written(svg):
+    """Every number the chart writes into an attribute, as written."""
+    return [
+        token
+        for value in re.findall(r'="([^"]*)"', svg)
+        for token in re.split(r"[ ,]", value)
+        if re.fullmatch(r"-?[0-9.]+", token)
+    ]
+
+
+@settings(max_examples=200)
+@given(st.integers(-300, 300), st.integers(1, 60), st.integers(-600, 2000), st.integers(1, 200))
+@example(253, 8, -52, 115)  # wrote y="251.60000000000002" for the chi_h axis text
+def test_geography_svg_writes_at_most_two_decimals(chi_lo, width, c1sq_lo, height):
+    svg = geography_svg((chi_lo, chi_lo + width), (c1sq_lo, c1sq_lo + height))
+    numbers = _numbers_written(svg)
+    assert numbers
+    for number in numbers:
+        assert re.fullmatch(r"-?[0-9]+(\.[0-9]{1,2})?", number), number

@@ -177,7 +177,7 @@ def test_records_built_in_c_are_the_real_records(b1, b2):
     for construct in (halic_construction, halic_construction_via_oracle):
         triple = construct(b1, b2, check=False)
         _assert_same_record(triple, ChernTriple)
-        assert triple.to_json() == ChernTriple(*triple).to_json()
+        assert triple._asdict() == ChernTriple(*triple)._asdict()
         assert all(type(n) is int for n in triple)
         report = halic_divisibility_check(triple)
         _assert_same_record(report, DivisibilityReport)
