@@ -143,9 +143,9 @@ def default_catalog() -> list[LefschetzBlock]:
 def read_json_file(path: str | os.PathLike):
     """The JSON value in a UTF-8 file.
 
-    A file that is not JSON, repeats a key within one object, or nests arrays
-    or objects deeper than the decoder's recursion allows, raises a
-    ``ValueError`` that names the file.
+    A file that is not JSON, repeats a key within one object, holds an
+    integer too long to convert, or nests arrays or objects deeper than the
+    decoder's recursion allows, raises a ``ValueError`` that names the file.
     """
     import json
 
@@ -157,9 +157,15 @@ def read_json_file(path: str | os.PathLike):
             record[key] = value
         return record
 
+    def integer(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise ValueError(f"{os.fspath(path)} holds an integer too long to read") from None
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_pairs_hook=unique_keys)
+            return json.load(fh, object_pairs_hook=unique_keys, parse_int=integer)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{os.fspath(path)} is not valid JSON: {exc}") from None
         except RecursionError:

@@ -217,17 +217,12 @@ def _cmd_fibersum(args: argparse.Namespace) -> int:
 
 
 def _explain_fibersum(block1: LefschetzBlock, block2: LefschetzBlock) -> None:
-    """The fiber sum's triple, derived on stderr from the oracle's public pieces."""
-    from .algebra import chern_numbers_of_product
-    from .fibersum import cross_section_of_surfaces, fiber_sum_corrections
+    """The fiber sum's triple, derived on stderr from the three parts the oracle sums."""
+    from .fibersum import cross_section_of_surfaces, fiber_sum_parts
 
     g1, g2 = block1.fiber_genus, block2.fiber_genus
-    product1 = chern_numbers_of_product(block1.invariants, SurfaceInvariants(g2))
-    product2 = chern_numbers_of_product(block2.invariants, SurfaceInvariants(g1))
+    parts = product1, product2, corrections = fiber_sum_parts(block1, block2)
     cross = cross_section_of_surfaces(g1, g2)
-    # With both summands zero, what is left is the correction terms alone.
-    zero = ChernTriple(0, 0, 0)
-    corrections = fiber_sum_corrections(zero, zero, cross)
     lines = (
         f"X1 x S2 = {block1.name} x (genus {g2} surface): {_triple_text(product1)}",
         f"X2 x S1 = {block2.name} x (genus {g1} surface): {_triple_text(product2)}",
@@ -238,7 +233,7 @@ def _explain_fibersum(block1: LefschetzBlock, block2: LefschetzBlock) -> None:
         f"c1^3 += -6*c1^2 = {corrections.c1_cubed}, "
         f"c1c2 += -2*c1^2 - 2*c2 = {corrections.c1c2}",
         "result = X1 x S2 + X2 x S1 + corrections: "
-        + _triple_text(fiber_sum_corrections(product1, product2, cross)),
+        + _triple_text(ChernTriple(*map(sum, zip(*parts)))),
     )
     for line in lines:
         print(f"explain: {line}", file=sys.stderr)

@@ -6,12 +6,12 @@ paths are provided: :func:`halic_construction` applies the closed-form
 result directly, while :func:`halic_construction_via_oracle` never
 touches a closed form.  It runs one kernel, compiled once per process by
 :func:`algebra.compile_kernel` over the factors (X1, X2, S1, S2), that
-sums the symbolic X x S expansion placed on X1 x S2 and on X2 x S1 with
-the correction terms applied to c1^2 and c2 of S1 x S2.  The corrections
-are one table, read by that kernel and by :func:`fiber_sum_corrections`,
-which composes the public pieces the same way (``product`` and
-``fibersum --explain`` print them).  The two paths' exact agreement is
-the module's central test.
+sums three parts: the symbolic X x S expansion placed on X1 x S2 and on
+X2 x S1, and the correction terms applied to c1^2 and c2 of S1 x S2.
+The parts are written once, in one list; :func:`fiber_sum_parts`
+compiles each of them on its own and returns the three triples the
+oracle sums, which ``fibersum --explain`` prints.  The two paths' exact
+agreement is the module's central test.
 """
 
 from __future__ import annotations
@@ -55,30 +55,30 @@ def _cross_section_kernel():
     return algebra.compile_kernel([(_cross_section_classes(), (), surfaces)], (), surfaces)
 
 
+# The oracle's factors, 4-manifolds then surfaces, as algebra.compile_kernel takes them.
+_LAYOUT = (("X1", "X2"), ("S1", "S2"))
+
+
+def _fiber_sum_parts() -> list:
+    """The oracle's parts: X x S on X1 x S2 and on X2 x S1, and the corrections on S1 x S2."""
+    c1_sq, c2 = _cross_section_classes()
+    return [
+        (algebra.chern_number_classes("X1", "S2"), ("X1",), ("S2",)),
+        (algebra.chern_number_classes("X2", "S1"), ("X2",), ("S1",)),
+        ([k_sq * c1_sq + k_2 * c2 for k_sq, k_2 in _CORRECTIONS], (), ("S1", "S2")),
+    ]
+
+
 @functools.cache
 def _fiber_sum_kernel():
-    """One kernel for the fiber sum's triple over (X1, X2, S1, S2), expanded on first use.
-
-    It sums the X x S expansion placed on X1 x S2, the same expansion placed
-    on X2 x S1, and the corrections applied to c1^2 and c2 of S1 x S2.
-    """
-    c1_sq, c2 = _cross_section_classes()
-    corrections = [k_sq * c1_sq + k_2 * c2 for k_sq, k_2 in _CORRECTIONS]
-    return algebra.compile_kernel(
-        [
-            (algebra.chern_number_classes("X1", "S2"), ("X1",), ("S2",)),
-            (algebra.chern_number_classes("X2", "S1"), ("X2",), ("S1",)),
-            (corrections, (), ("S1", "S2")),
-        ],
-        ("X1", "X2"),
-        ("S1", "S2"),
-    )
+    """One kernel for the fiber sum's triple, the sum of its parts, expanded on first use."""
+    return algebra.compile_kernel(_fiber_sum_parts(), *_LAYOUT)
 
 
-# One immutable surface record per genus, shared by the oracle's kernel and the
-# cross-section.  Fiber genera are few (the default search bounds span 13), so
-# the cache holds every genus of a search or an audit; past it the least
-# recently used entry is dropped.  A negative genus raises and is not cached.
+# One immutable surface record per genus, shared by the oracle's kernel, its
+# parts and the cross-section.  Fiber genera are few (the default search bounds
+# span 13), so the cache holds every genus of a search or an audit; past it the
+# least recently used entry is dropped.  A negative genus raises and is not cached.
 _SURFACES_CACHED = 256
 _surface = functools.lru_cache(maxsize=_SURFACES_CACHED)(SurfaceInvariants)
 
@@ -93,18 +93,16 @@ def cross_section_of_surfaces(g1: int, g2: int) -> CrossSectionInvariants:
     return CrossSectionInvariants(c1_sq, c2)
 
 
-def fiber_sum_corrections(
-    m1: ChernTriple, m2: ChernTriple, x: CrossSectionInvariants
-) -> ChernTriple:
-    """Chern numbers of a fiber sum from the summands and the gluing locus.
+def fiber_sum_parts(b1: LefschetzBlock, b2: LefschetzBlock) -> tuple[ChernTriple, ...]:
+    """The three triples the oracle sums: X1 x S2, X2 x S1 and the corrections.
 
-    The correction coefficients (-2 on c2 for c3; -6 on c1^2 for c1^3;
-    -2, -2 for c1c2) assume the locus has trivial normal bundle on both
-    sides, which is the only case this construction produces.
+    Each part is compiled on its own on every call, with no cache
+    (``fibersum --explain`` runs once per process); the blocks are not validated.
     """
-    c1_sq, c2 = x
-    return ChernTriple(
-        *(a + b + k_sq * c1_sq + k_2 * c2 for a, b, (k_sq, k_2) in zip(m1, m2, _CORRECTIONS))
+    factors = (b1.invariants, b2.invariants, _surface(b1.fiber_genus), _surface(b2.fiber_genus))
+    return tuple(
+        ChernTriple(*algebra.compile_kernel([part], *_LAYOUT)(*factors))
+        for part in _fiber_sum_parts()
     )
 
 
@@ -143,8 +141,7 @@ def halic_construction_via_oracle(
 
     One compiled kernel sums the product Chern numbers of X1 x S2 and
     X2 x S1 with the generic fiber-sum corrections along S1 x S2; the
-    pieces are :func:`algebra.chern_numbers_of_product`,
-    :func:`cross_section_of_surfaces` and :func:`fiber_sum_corrections`.
+    same three parts, one kernel each, are :func:`fiber_sum_parts`.
     """
     if check:
         require_valid(b1, b2)

@@ -30,6 +30,8 @@ MALFORMED = [
     ["search", "--target", "24,0,24", "--generic-genus=y..1"],
     ["fibersum", "elliptic", "--m", "2"],
     ["block", "elliptic", "--m", "2", "--m=3"],
+    ["block", "elliptic", "--m"],  # a block flag with no value
+    ["search", "--target", "24,0,24", "--generic-chi", "0..1"],  # part of the generic grid
 ]
 
 INVALID = [

@@ -70,6 +70,11 @@ def test_cube_expansion():
     assert cube == expected
 
 
+def test_negative_power_raises():
+    with pytest.raises(ValueError, match="^negative powers are not defined$"):
+        c1("X") ** -1
+
+
 def test_square_of_surface_sum():
     sq = (c1("S1") + c1("S2")) ** 2
     expected = c1("S1") ** 2 + 2 * (c1("S1") * c1("S2")) + c1("S2") ** 2

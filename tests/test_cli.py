@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cherngeo.cli import main, parse_block_specs
 from cherngeo.catalog import elliptic_surface, ruled_spheres
+from cherngeo.invariants import ChernTriple
 
 
 def run(capsys, *argv):
@@ -194,6 +195,34 @@ def test_fibersum_explain_reproduces_the_printed_triple(capsys, pair):
     printed = [triple["c3"], triple["c1_cubed"], triple["c1c2"]]
     assert [a + b + c for a, b, c in zip(product1, product2, corrections)] == printed
     assert result == printed
+
+
+def test_fibersum_explain_prints_the_parts_the_oracle_sums(capsys, monkeypatch):
+    from cherngeo import fibersum
+
+    parts = ChernTriple(1, 2, 3), ChernTriple(10, 20, 30), ChernTriple(100, 200, 300)
+    monkeypatch.setattr(fibersum, "fiber_sum_parts", lambda b1, b2: parts)
+    code, _, err = run(capsys, "fibersum", "elliptic", "--m", "3", "ruled-spheres", "--explain")
+    lines = err.splitlines()
+    assert code == 0 and len(lines) == 5
+    assert lines[0].endswith(": c3=1 c1^3=2 c1c2=3")
+    assert lines[1].endswith(": c3=10 c1^3=20 c1c2=30")
+    assert lines[3].endswith(
+        "c3 += -2*c2 = 100, c1^3 += -6*c1^2 = 200, c1c2 += -2*c1^2 - 2*c2 = 300"
+    )
+    assert lines[4].endswith(": c3=111 c1^3=222 c1c2=333")
+
+
+def test_fibersum_oracle_mismatch_exits_1(capsys, monkeypatch):
+    from cherngeo import fibersum
+
+    monkeypatch.setattr(
+        fibersum, "halic_construction_via_oracle", lambda b1, b2, check=True: ChernTriple(1, 2, 3)
+    )
+    code, out, err = run(capsys, "fibersum", "elliptic", "--m", "3", "ruled-spheres", "--oracle")
+    assert (code, out) == (1, "")
+    assert err.startswith("oracle mismatch: closed form ") and err.count("\n") == 1
+    assert "vs symbolic {'c3': 1, 'c1_cubed': 2, 'c1c2': 3}" in err
 
 
 def test_fibersum_explain_rejects_an_invalid_block_first(capsys):

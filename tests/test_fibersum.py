@@ -9,7 +9,7 @@ from cherngeo.fibersum import (
     ChernTriple,
     CrossSectionInvariants,
     cross_section_of_surfaces,
-    fiber_sum_corrections,
+    fiber_sum_parts,
     halic_construction,
     halic_construction_via_oracle,
 )
@@ -45,22 +45,35 @@ def test_cross_section_closed_form(g1, g2):
     assert x.c1_sq == 2 * (2 - 2 * g1) * (2 - 2 * g2)
 
 
+# The slow reference's corrections, with Gompf's coefficients written here rather
+# than read from fibersum._CORRECTIONS: c3 += -2*c2, c1^3 += -6*c1^2 and
+# c1c2 += -2*c1^2 - 2*c2 along a locus with trivial normal bundle.
+def _reference_fiber_sum(m1, m2, x):
+    """Chern numbers of a fiber sum from the summands and the gluing locus."""
+    c1_sq, c2 = x
+    return ChernTriple(
+        m1.c3 + m2.c3 - 2 * c2,
+        m1.c1_cubed + m2.c1_cubed - 6 * c1_sq,
+        m1.c1c2 + m2.c1c2 - 2 * c1_sq - 2 * c2,
+    )
+
+
 def test_corrections_zero_case():
     zero = ChernTriple(0, 0, 0)
-    assert fiber_sum_corrections(zero, zero, CrossSectionInvariants(0, 0)) == zero
+    assert _reference_fiber_sum(zero, zero, CrossSectionInvariants(0, 0)) == zero
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_corrections_elliptic_decomposition(m):
     m1 = ChernTriple(24 * m, 0, 24 * m)
     m2 = ChernTriple(0, 0, 0)
-    out = fiber_sum_corrections(m1, m2, CrossSectionInvariants(0, 0))
+    out = _reference_fiber_sum(m1, m2, CrossSectionInvariants(0, 0))
     assert out == ChernTriple(24 * m, 0, 24 * m)
 
 
 def test_corrections_genus_zero_self_sum():
     summand = ChernTriple(8, 48, 24)
-    out = fiber_sum_corrections(summand, summand, CrossSectionInvariants(8, 4))
+    out = _reference_fiber_sum(summand, summand, CrossSectionInvariants(8, 4))
     assert out == ChernTriple(8, 48, 24)
 
 
@@ -120,8 +133,8 @@ def test_oracle_is_ground_truth_on_sphere_blocks():
 
 
 def test_oracle_call_graph(monkeypatch):
-    # The functions perfbench/tracing.py wraps: the oracle runs one fused kernel
-    # and calls none of the public pieces it fuses, nor the closed form.
+    # The functions perfbench/tracing.py wraps, and fiber_sum_parts: the oracle
+    # runs one fused kernel and calls none of them, nor the closed form.
     calls = {}
 
     def count(module, name):
@@ -135,27 +148,32 @@ def test_oracle_call_graph(monkeypatch):
 
     count(algebra, "chern_numbers_of_product")
     count(fibersum, "cross_section_of_surfaces")
-    count(fibersum, "fiber_sum_corrections")
+    count(fibersum, "fiber_sum_parts")
     count(fibersum, "halic_construction")
     b1, b2 = elliptic_surface(2), knot_surgered_elliptic(3, 1)
     triple = halic_construction_via_oracle(b1, b2)
     assert triple == ChernTriple(-144, 0, -144)  # 24m(2 - 2g - k)
     assert calls == {}
-    # The counters see the pieces when they are called, as --explain calls them.
-    assert _pieces(b1, b2) == triple
-    assert calls == {
-        "chern_numbers_of_product": 2, "cross_section_of_surfaces": 1, "fiber_sum_corrections": 1,
-    }
+    # The parts --explain prints compile their own kernels and call no public piece.
+    assert _summed(fibersum.fiber_sum_parts(b1, b2)) == triple
+    assert calls == {"fiber_sum_parts": 1}
+    # The counters see the reference's pieces when they are called.
+    assert _reference(b1, b2)[-1] == triple
+    assert calls == {"fiber_sum_parts": 1, "chern_numbers_of_product": 2,
+                     "cross_section_of_surfaces": 1}
 
 
-def _pieces(b1, b2):
-    """The fused kernel's slow reference: its public pieces, composed."""
+def _summed(parts):
+    return ChernTriple(*map(sum, zip(*parts)))
+
+
+def _reference(b1, b2):
+    """The fused kernel's slow reference: X1 x S2, X2 x S1, S1 x S2 and their fiber sum."""
     g1, g2 = b1.fiber_genus, b2.fiber_genus
-    return fibersum.fiber_sum_corrections(
-        algebra.chern_numbers_of_product(b1.invariants, SurfaceInvariants(g2)),
-        algebra.chern_numbers_of_product(b2.invariants, SurfaceInvariants(g1)),
-        fibersum.cross_section_of_surfaces(g1, g2),
-    )
+    product1 = algebra.chern_numbers_of_product(b1.invariants, SurfaceInvariants(g2))
+    product2 = algebra.chern_numbers_of_product(b2.invariants, SurfaceInvariants(g1))
+    cross = fibersum.cross_section_of_surfaces(g1, g2)
+    return product1, product2, cross, _reference_fiber_sum(product1, product2, cross)
 
 
 # Negative invariants, and invariants and genera past 64 bits.  The kernel's
@@ -171,17 +189,22 @@ _GENUS = st.integers(0, 8) | st.integers(0, 2 ** 70)
 def test_fused_kernel_matches_its_pieces_and_the_closed_form(chi1, c1sq1, g1, chi2, c1sq2, g2):
     b1, b2 = _raw_block(chi1, c1sq1, g1), _raw_block(chi2, c1sq2, g2)
     fused = halic_construction_via_oracle(b1, b2, check=False)
-    assert fused == _pieces(b1, b2) == halic_construction(b1, b2, check=False)
+    parts = fiber_sum_parts(b1, b2)
+    product1, product2, cross, reference = _reference(b1, b2)
+    assert parts[:2] == (product1, product2)
+    assert parts[2] == _reference_fiber_sum(ChernTriple(0, 0, 0), ChernTriple(0, 0, 0), cross)
+    assert fused == _summed(parts) == reference == halic_construction(b1, b2, check=False)
     assert type(fused) is ChernTriple and all(type(n) is int for n in fused)
+    assert all(type(part) is ChernTriple for part in parts)
 
 
 def test_corrections_are_one_table(monkeypatch):
-    # fiber_sum_corrections and the fused kernel's builder read the same table
+    # fiber_sum_parts and _fiber_sum_kernel read the same table
     monkeypatch.setattr(fibersum, "_CORRECTIONS", ((1, 0), (0, 1), (3, 5)))
-    zero = ChernTriple(0, 0, 0)
-    assert fiber_sum_corrections(zero, zero, CrossSectionInvariants(8, 4)) == (8, 4, 44)
+    b = _raw_block(0, 0, 0)  # S1 x S2 has (c1^2, c2) = (8, 4); the products vanish
+    assert fiber_sum_parts(b, b) == ((0, 0, 0), (0, 0, 0), (8, 4, 44))
     kernel = fibersum._fiber_sum_kernel.__wrapped__()  # built afresh from the patched table
-    x, s = FourManifoldInvariants(0, 0), SurfaceInvariants(0)  # the products vanish
+    x, s = FourManifoldInvariants(0, 0), SurfaceInvariants(0)
     assert kernel(x, x, s, s) == (8, 4, 44)
 
 

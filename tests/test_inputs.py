@@ -3,8 +3,9 @@
 Family names and aliases are checked against ``catalog.FAMILIES``; every
 malformed catalog or search config, negative search limit or empty grid
 range exits 1 with one line that names the offending entry or field, never
-with a traceback, and a file that is not JSON exits 1 with one line naming
-the file; ``search --config`` together with a bound flag exits 2.
+with a traceback, and a file that is not JSON, or holds an integer too long
+to convert, exits 1 with one line naming the file; ``search --config``
+together with a bound flag exits 2.
 A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work,
 and so does a search whose bounds allow more than
 ``geography.SEARCH_BLOCK_LIMIT`` candidate blocks, or none.  An empty
@@ -221,6 +222,15 @@ def test_malformed_files_exit_with_one_line(capsys, tmp_path, command, content, 
         (b'[{"family": "elliptic", "m": 2, "m": 3}]', "repeats the key 'm' in one object"),
         (b'{"max_m": 2, "max_m": 3}', "repeats the key 'max_m' in one object"),
         (b'{"generic": {"chi_h": [0, 1], "chi_h": [0, 2]}}', "repeats the key 'chi_h' in one"),
+        # More digits than Python converts by default (sys.get_int_max_str_digits(), 4300).
+        pytest.param(
+            b'{"max_m": ' + b"1" * 4301 + b"}", "holds an integer too long to read", id="4301-digits"
+        ),
+        pytest.param(
+            b'[{"family": "elliptic", "m": -' + b"9" * 5000 + b"}]",
+            "holds an integer too long to read",
+            id="5000-digits",
+        ),
     ],
 )
 def test_file_that_is_not_json_names_the_file(capsys, tmp_path, command, content, reason):

@@ -374,6 +374,13 @@ def test_geography_svg_refuses_windows_beyond_the_limit(window):
         geography_svg(*window)
 
 
+@pytest.mark.parametrize("window", [((2, 2), (0, 1)), ((0, 1), (3, 3)), ((1, 0), (0, 1))])
+def test_geography_svg_refuses_degenerate_ranges(window):
+    # The CLI refuses these before it calls the library (tests/test_inputs.py).
+    with pytest.raises(ValueError, match="^plot ranges must be non-degenerate$"):
+        geography_svg(*window)
+
+
 def test_geography_svg_labels_of_a_window_beyond_2_to_the_53():
     # The label column is chi_lo plus an exact offset: rounding chi_lo = 10**20
     # to a float put the label at the plot's left edge and top (60.0, 52.0).

@@ -293,8 +293,9 @@ FIBERSUM = ["fibersum", "elliptic", "--m", "2", "ruled-spheres"]
 
 # (statements, the kernels they generate): none on import or in commands
 # that never run the oracle; the product's one kernel for both calls; the
-# fused fiber-sum kernel alone for a fiber sum checked by the oracle; the
-# product's and the cross-section's for the pieces --explain prints.
+# fused fiber-sum kernel alone for a fiber sum checked by the oracle; for
+# --explain, one kernel for each of the oracle's three parts and the
+# cross-section's.
 KERNEL_COUNTS = [
     ("import cherngeo.fibersum", 0),
     (_run_cli(BLOCK), 0),
@@ -303,7 +304,7 @@ KERNEL_COUNTS = [
     (_run_cli(["plot", "--chi", "0..2", "--c1sq", "0..2", "--format", "svg"]), 0),
     (PRODUCT_TWICE, 1),
     (_run_cli([*FIBERSUM, "--oracle"]), 1),
-    (_run_cli([*FIBERSUM, "--explain"]), 2),
+    (_run_cli([*FIBERSUM, "--explain"]), 4),
 ]
 
 
