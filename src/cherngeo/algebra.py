@@ -253,6 +253,13 @@ def compile_kernel(
     with their coefficients as integer literals.  Factors are named by
     position (``f0``, ``f1``, ...), invariants ``v0``, ``v1``, ... and sums
     ``r0``, ``r1``, ..., so no factor name enters its source.
+
+    The function is straight-line code: attribute reads, then ``+``, ``-``
+    and ``*`` of the values read and integer literals, and nothing else (no
+    division, comparison, call or branch).  So it runs unchanged on any
+    values with those three operations; ``tests/test_fibersum.py`` runs it
+    on polynomials to prove the oracle equal to the closed form.  Keep it
+    so: an operation only ints have would fail that test.
     """
     four_manifolds, surfaces = tuple(four_manifolds), tuple(surfaces)
     names = four_manifolds + surfaces

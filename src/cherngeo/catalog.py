@@ -140,12 +140,38 @@ def default_catalog() -> list[LefschetzBlock]:
     return blocks
 
 
+# The most decimal digits an integer input may have, on the command line or in
+# a JSON file.  Every printed value is at most a product of two inputs times a
+# small constant, about 2 * INPUT_DIGITS + 3 digits, so each one stays under
+# Python's limit of 4,300 digits for converting an int to or from a string.
+INPUT_DIGITS = 2_000
+
+
+def _path_to(data, target) -> str:
+    """The path of the first ``target`` in ``data``, in document order: generic.genus[1]."""
+    stack = [(data, "")]
+    while stack:
+        value, path = stack.pop()
+        if value is target:
+            return path.lstrip(".")
+        if type(value) is dict:
+            children = [(v, f"{path}.{k}") for k, v in value.items()]
+        elif type(value) is list:
+            children = [(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        else:
+            continue
+        stack.extend(reversed(children))
+    return ""
+
+
 def read_json_file(path: str | os.PathLike):
     """The JSON value in a UTF-8 file.
 
     A file that is not JSON, repeats a key within one object, holds an
-    integer too long to convert, or nests arrays or objects deeper than the
-    decoder's recursion allows, raises a ``ValueError`` that names the file.
+    integer of more than :data:`INPUT_DIGITS` digits, or nests arrays or
+    objects deeper than the decoder's recursion allows, raises a
+    ``ValueError`` that names the file; a long integer's message also names
+    its field by its path, such as ``[0].m`` or ``generic.genus[1]``.
     """
     import json
 
@@ -157,19 +183,31 @@ def read_json_file(path: str | os.PathLike):
             record[key] = value
         return record
 
+    # An integer over the budget is read as LONG, and its digit count kept.
+    LONG, long_digits = object(), []
+
     def integer(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-            raise ValueError(f"{os.fspath(path)} holds an integer too long to read") from None
+        digits = len(text) - text.startswith("-")
+        if digits > INPUT_DIGITS:
+            long_digits.append(digits)
+            return LONG
+        return int(text)
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_pairs_hook=unique_keys, parse_int=integer)
+            data = json.load(fh, object_pairs_hook=unique_keys, parse_int=integer)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{os.fspath(path)} is not valid JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"{os.fspath(path)} nests JSON too deeply to read") from None
+    if long_digits:
+        field = _path_to(data, LONG)
+        raise ValueError(
+            f"{os.fspath(path)} holds an integer too long to read"
+            + (f" in field {field!r}" if field else "")
+            + f": {long_digits[0]} digits, more than the limit of {INPUT_DIGITS}"
+        )
+    return data
 
 
 def load_catalog(path: str | os.PathLike) -> list[LefschetzBlock]:

@@ -53,11 +53,24 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _parse_int(token: str, what: str, error: type[Exception] = UsageError) -> int:
+def _quote(token: str) -> str:
+    """``repr(token)``, cut to its first 20 characters and "..." when it is longer."""
+    return repr(token) if len(token) <= 20 else f"{token[:20]!r}..."
+
+
+def _parse_int(token: str, what: str | None = None, error: type[Exception] = UsageError) -> int:
+    """An integer of at most ``catalog.INPUT_DIGITS`` digits; ``what`` names it in errors."""
+    where = f" for {what}" if what else ""
+    digits = sum(map(str.isdecimal, token))
+    if digits > catalog_mod.INPUT_DIGITS:
+        raise error(
+            f"expected an integer of at most {catalog_mod.INPUT_DIGITS} digits{where}, "
+            f"got {_quote(token)} ({digits} digits)"
+        )
     try:
         return int(token)
     except ValueError:
-        raise error(f"expected an integer for {what}, got {token!r}")
+        raise error(f"expected an integer{where}, got {_quote(token)}")
 
 
 def _build_block(family: str, params: dict) -> LefschetzBlock:
@@ -111,7 +124,7 @@ def parse_block_specs(tokens: list[str]) -> list[LefschetzBlock]:
                 params[key] = _parse_int(tokens[i + 1], tok)
                 i += 2
         else:
-            raise UsageError(f"unexpected token {tok!r} in block specification")
+            raise UsageError(f"unexpected token {_quote(tok)} in block specification")
     return [_build_block(family, params) for family, params in specs]
 
 
@@ -119,9 +132,13 @@ def parse_block_specs(tokens: list[str]) -> list[LefschetzBlock]:
 # through _Parser.error with the flag named: "argument --chi: ...".
 
 
+def _parse_integer(text: str) -> int:
+    return _parse_int(text, error=argparse.ArgumentTypeError)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." not in text:
-        raise argparse.ArgumentTypeError(f"range must look like a..b, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must look like a..b, got {_quote(text)}")
     lo, hi = text.split("..", 1)
     error = argparse.ArgumentTypeError
     return _parse_int(lo, "range start", error), _parse_int(hi, "range end", error)
@@ -130,7 +147,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _parse_target(text: str) -> ChernTriple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected c3,c1cubed,c1c2, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected c3,c1cubed,c1c2, got {_quote(text)}")
     error = argparse.ArgumentTypeError
     return ChernTriple(*(_parse_int(p, "a Chern number", error) for p in parts))
 
@@ -414,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
     sub.choices["product"].add_argument(
-        "--surface-genus", type=int, required=True, help="genus of the surface factor"
+        "--surface-genus", type=_parse_integer, required=True, help="genus of the surface factor"
     )
     sub.choices["fibersum"].add_argument(
         "--oracle", action="store_true",
@@ -430,15 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--families", help="comma-separated family names (default: all)")
     for limit in catalog_mod.SEARCH_LIMITS:
-        p.add_argument(_flag(limit), type=int)
+        p.add_argument(_flag(limit), type=_parse_integer)
     p.add_argument("--generic-chi", type=_parse_range, help="generic grid chi_h range a..b")
     p.add_argument("--generic-c1sq", type=_parse_range, help="generic grid c1^2 range a..b")
     p.add_argument("--generic-genus", type=_parse_range, help="generic grid fiber-genus range a..b")
     p.add_argument("--config", help="JSON file with search bounds")
 
     p = command("classify", _cmd_classify, help="classify a point of the (chi_h, c1^2) plane")
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--c1sq", type=int, required=True)
+    p.add_argument("--chi", type=_parse_integer, required=True)
+    p.add_argument("--c1sq", type=_parse_integer, required=True)
 
     p = command("plot", _cmd_plot, ("csv", "svg"), help="emit a CSV grid or SVG chart of the plane")
     p.add_argument("--chi", required=True, type=_parse_range, help="chi_h range a..b")

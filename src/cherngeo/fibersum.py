@@ -12,6 +12,10 @@ The parts are written once, in one list; :func:`fiber_sum_parts`
 compiles each of them on its own and returns the three triples the
 oracle sums, which ``fibersum --explain`` prints.  The two paths' exact
 agreement is the module's central test.
+
+Only the functions that build the oracle's expressions or kernels import
+:mod:`cherngeo.algebra`.  Importing this module and running the closed form
+load no algebra; the oracle's first call loads it with the kernel it builds.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from . import algebra
 from .invariants import (
     ChernTriple,
     LefschetzBlock,
@@ -44,6 +47,8 @@ _CORRECTIONS = ((0, -2), (-6, 0), (-2, -2))
 
 def _cross_section_classes() -> tuple[algebra.GradedClassExpression, ...]:
     """c1^2 and c2 of S1 x S2: (c1(S1) + c1(S2))^2 and the top class c1(S1)c1(S2)."""
+    from . import algebra
+
     first = algebra.c1("S1") + algebra.c1("S2")
     return first * first, algebra.c1("S1") * algebra.c1("S2")
 
@@ -51,6 +56,8 @@ def _cross_section_classes() -> tuple[algebra.GradedClassExpression, ...]:
 @functools.cache
 def _cross_section_kernel():
     """One kernel for c1^2 and c2 of S1 x S2, expanded on first use, not at import."""
+    from . import algebra
+
     surfaces = ("S1", "S2")
     return algebra.compile_kernel([(_cross_section_classes(), (), surfaces)], (), surfaces)
 
@@ -61,6 +68,8 @@ _LAYOUT = (("X1", "X2"), ("S1", "S2"))
 
 def _fiber_sum_parts() -> list:
     """The oracle's parts: X x S on X1 x S2 and on X2 x S1, and the corrections on S1 x S2."""
+    from . import algebra
+
     c1_sq, c2 = _cross_section_classes()
     return [
         (algebra.chern_number_classes("X1", "S2"), ("X1",), ("S2",)),
@@ -72,6 +81,8 @@ def _fiber_sum_parts() -> list:
 @functools.cache
 def _fiber_sum_kernel():
     """One kernel for the fiber sum's triple, the sum of its parts, expanded on first use."""
+    from . import algebra
+
     return algebra.compile_kernel(_fiber_sum_parts(), *_LAYOUT)
 
 
@@ -99,6 +110,8 @@ def fiber_sum_parts(b1: LefschetzBlock, b2: LefschetzBlock) -> tuple[ChernTriple
     Each part is compiled on its own on every call, with no cache
     (``fibersum --explain`` runs once per process); the blocks are not validated.
     """
+    from . import algebra
+
     factors = (b1.invariants, b2.invariants, _surface(b1.fiber_genus), _surface(b2.fiber_genus))
     return tuple(
         ChernTriple(*algebra.compile_kernel([part], *_LAYOUT)(*factors))

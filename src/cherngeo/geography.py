@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .catalog import FAMILIES, SEARCH_LIMITS, family_name, generic_block
+from .catalog import FAMILIES, INPUT_DIGITS, SEARCH_LIMITS, family_name, generic_block
 from .invariants import (
     ChernTriple,
     FourManifoldInvariants,
@@ -107,6 +107,7 @@ class GenericGrid(namedtuple("GenericGrid", "chi_h c1_sq genus")):
     """Inclusive ranges for brute-force generic blocks in the search.
 
     Fields (each a ``tuple[int, int]`` (lo, hi)): chi_h, c1_sq, genus.
+    An empty range, and a genus range that starts below 0, raise ValueError.
     """
 
     __slots__ = ()
@@ -115,6 +116,8 @@ class GenericGrid(namedtuple("GenericGrid", "chi_h c1_sq genus")):
         for key, (lo, hi) in zip(cls._fields, (chi_h, c1_sq, genus)):
             if lo > hi:
                 raise ValueError(f"generic grid range {key!r} is empty: {lo} > {hi}")
+        if genus[0] < 0:
+            raise ValueError(f"generic grid range 'genus' must be non-negative, got {genus[0]}")
         return super().__new__(cls, chi_h, c1_sq, genus)
 
 
@@ -209,8 +212,12 @@ def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
     if bounds.generic is not None:
         count += math.prod(hi - lo + 1 for lo, hi in bounds.generic)
     if count > SEARCH_BLOCK_LIMIT:
+        # Three grid ranges of INPUT_DIGITS digits give a count longer than any
+        # printed value (see catalog.INPUT_DIGITS), and than str() converts.
+        too_long = count >= 10 ** (2 * INPUT_DIGITS)
+        shown = f"at least 10**{2 * INPUT_DIGITS}" if too_long else count
         raise ValueError(
-            f"search bounds allow {count} candidate blocks, more than the limit of "
+            f"search bounds allow {shown} candidate blocks, more than the limit of "
             f"{SEARCH_BLOCK_LIMIT}"
         )
     blocks: list[LefschetzBlock] = []
@@ -221,7 +228,7 @@ def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
         for chi in range(grid.chi_h[0], grid.chi_h[1] + 1):
             for c1sq in range(grid.c1_sq[0], grid.c1_sq[1] + 1):
                 euler = FourManifoldInvariants(chi, c1sq).euler
-                for genus in range(max(0, grid.genus[0]), grid.genus[1] + 1):
+                for genus in range(grid.genus[0], grid.genus[1] + 1):
                     n = euler - euler_from_fibration(genus, 0)
                     if n < 0:
                         continue  # no fibration with this genus hits that Euler number

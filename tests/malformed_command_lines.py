@@ -15,6 +15,9 @@ starting with its prefix::
 import subprocess
 import sys
 
+# One digit more than any integer input may have (cherngeo.catalog.INPUT_DIGITS).
+OVER_BUDGET = "1" * 2_001
+
 MALFORMED = [
     [],  # no subcommand
     ["geography"],  # unknown subcommand
@@ -32,6 +35,25 @@ MALFORMED = [
     ["block", "elliptic", "--m", "2", "--m=3"],
     ["block", "elliptic", "--m"],  # a block flag with no value
     ["search", "--target", "24,0,24", "--generic-chi", "0..1"],  # part of the generic grid
+    # An integer of more than the digit budget, for every integer flag.
+    ["block", "elliptic", "--m", OVER_BUDGET],
+    ["block", "knot-elliptic", "--k", OVER_BUDGET, "--knot-genus", "0"],
+    ["block", "knot-elliptic", "--k", "1", "--knot-genus", OVER_BUDGET],
+    ["block", "generic", "--chi", OVER_BUDGET, "--c1sq", "0", "--genus", "0", "--n", "0"],
+    ["block", "generic", "--chi", "0", "--c1sq", OVER_BUDGET, "--genus", "0", "--n", "0"],
+    ["block", "generic", "--chi", "0", "--c1sq", "0", "--genus", OVER_BUDGET, "--n", "0"],
+    ["block", "generic", "--chi", "0", "--c1sq", "0", "--genus", "0", "--n", OVER_BUDGET],
+    ["product", "elliptic", "--m", "1", "--surface-genus", OVER_BUDGET],
+    ["search", "--target", f"{OVER_BUDGET},0,0"],
+    ["search", "--target", f"0,0,-{OVER_BUDGET}"],
+    *(["search", "--target", "24,0,24", flag, OVER_BUDGET]
+      for flag in ("--max-m", "--max-k", "--max-knot-genus")),
+    *(["search", "--target", "24,0,24", flag, f"0..{OVER_BUDGET}"]
+      for flag in ("--generic-chi", "--generic-c1sq", "--generic-genus")),
+    ["classify", "--chi", OVER_BUDGET, "--c1sq", "0"],
+    ["classify", "--chi", "0", "--c1sq", f"-{OVER_BUDGET}"],
+    ["plot", "--chi", f"{OVER_BUDGET}..{OVER_BUDGET}", "--c1sq", "0..1"],
+    ["plot", "--chi", "0..1", "--c1sq", f"-{OVER_BUDGET}..0"],
 ]
 
 INVALID = [
@@ -43,6 +65,9 @@ INVALID = [
     ["plot", "--chi", "0.." + "1" + "0" * 306, "--c1sq", "0..1", "--format", "svg"],
     # One block over geography.SEARCH_BLOCK_LIMIT.
     ["search", "--target", "24,0,24", "--families", "elliptic", "--max-m", "5001"],
+    # A generic grid whose genus range lies below 0.
+    ["search", "--target", "24,0,24", "--max-m", "1", "--max-k", "0", "--generic-chi", "0..1",
+     "--generic-c1sq", "0..1", "--generic-genus", "-3..-1"],
 ]
 
 # (cases, exit code, stderr prefix, what the summary calls them)

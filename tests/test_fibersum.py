@@ -208,6 +208,133 @@ def test_corrections_are_one_table(monkeypatch):
     assert kernel(x, x, s, s) == (8, 4, 44)
 
 
+# -- the two paths agree as polynomials -----------------------------------------
+#
+# The kernels and the closed form are straight-line +, - and * over the records'
+# fields, so they run unchanged on polynomials in the six inputs.  Two equal
+# polynomials agree at every integer input, past 64 bits included: these tests
+# prove what the Hypothesis tests above sample.
+
+_VARIABLES = ("chi1", "c1sq1", "g1", "chi2", "c1sq2", "g2")
+
+
+class Poly:
+    """An integer polynomial in _VARIABLES: a dict from exponent tuples to int coefficients.
+
+    It has +, - and * with another Poly or an int, and nothing else, so an
+    int-only operation on it (//, %, <, bool(), hash()) fails loudly.
+    """
+
+    __slots__ = ("terms",)
+    __hash__ = None
+
+    def __init__(self, terms):
+        self.terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+
+    @classmethod
+    def variable(cls, name):
+        return cls({tuple(int(v == name) for v in _VARIABLES): 1})
+
+    @classmethod
+    def of(cls, value):
+        if isinstance(value, Poly):
+            return value
+        if type(value) is not int:
+            raise TypeError(f"not an int or a Poly: {value!r}")
+        return cls({(0,) * len(_VARIABLES): value})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for mono, coeff in Poly.of(other).terms.items():
+            terms[mono] = terms.get(mono, 0) + coeff
+        return Poly(terms)
+
+    def __mul__(self, other):
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in Poly.of(other).terms.items():
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return Poly(terms)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __eq__(self, other):
+        return self.terms == Poly.of(other).terms
+
+    def __repr__(self):
+        return " + ".join(f"{c}*{m}" for m, c in sorted(self.terms.items())) or "0"
+
+
+chi1, c1sq1, g1, chi2, c1sq2, g2 = map(Poly.variable, _VARIABLES)
+f1, f2 = 1 - g1, 1 - g2  # f = 1 - g = e(S)/2
+
+
+def _poly_factors():
+    """X1, X2, S1, S2 with polynomial fields, built by tuple.__new__ (the constructors compare)."""
+    return (
+        tuple.__new__(FourManifoldInvariants, (chi1, c1sq1)),
+        tuple.__new__(FourManifoldInvariants, (chi2, c1sq2)),
+        tuple.__new__(SurfaceInvariants, (g1,)),
+        tuple.__new__(SurfaceInvariants, (g2,)),
+    )
+
+
+# The oracle's three parts as polynomials, each (c3, c1^3, c1c2), written out
+# here: X x S has c3 = e(X)e(S), c1^3 = 3*c1^2(X)*e(S) and c1c2 = 12*chi_h(X)*e(S)
+# with e(S) = 2f; S1 x S2 has c2 = 4*f1*f2 and c1^2 = 8*f1*f2, which Gompf's
+# corrections turn into -(2*c2, 6*c1^2, 2*c1^2 + 2*c2).
+PINNED_PARTS = (
+    (2 * f2 * (12 * chi1 - c1sq1), 6 * f2 * c1sq1, 24 * f2 * chi1),
+    (2 * f1 * (12 * chi2 - c1sq2), 6 * f1 * c1sq2, 24 * f1 * chi2),
+    (-8 * f1 * f2, -48 * f1 * f2, -24 * f1 * f2),
+)
+
+
+def test_the_polynomial_type_is_exact():
+    assert (chi1 + 2) * (chi1 - 2) == chi1 * chi1 - 4
+    assert 3 - g1 * 0 == 3 and (chi1 - chi1) == 0
+    assert 2 ** 70 * g2 - g2 * 2 ** 70 == 0
+    assert f1 * f2 == 1 - g1 - g2 + g1 * g2
+    for refused in (lambda: chi1 // 2, lambda: chi1 < 0, lambda: hash(chi1), lambda: chi1 * 1.0):
+        with pytest.raises(TypeError):
+            refused()
+
+
+def test_each_part_is_its_pinned_polynomial():
+    factors = _poly_factors()
+    for part, pinned in zip(fibersum._fiber_sum_parts(), PINNED_PARTS):
+        kernel = algebra.compile_kernel([part], *fibersum._LAYOUT)
+        assert kernel(*factors) == pinned
+
+
+def test_the_first_part_is_the_product_x1_times_s2():
+    x1, _, _, s2 = _poly_factors()
+    assert tuple(algebra.chern_numbers_of_product(x1, s2)) == PINNED_PARTS[0]
+
+
+def test_the_oracle_is_its_parts_summed_and_the_closed_form():
+    oracle = fibersum._fiber_sum_kernel()(*_poly_factors())
+    assert oracle == tuple(map(sum, zip(*PINNED_PARTS)))
+    b1 = tuple.__new__(LefschetzBlock, ("B1", _poly_factors()[0], g1, 0, False))
+    b2 = tuple.__new__(LefschetzBlock, ("B2", _poly_factors()[1], g2, 0, False))
+    closed = halic_construction(b1, b2, check=False)
+    assert type(closed) is ChernTriple and closed == oracle
+    # The closed form's own terms: A = c1c2/24 and B = c1^3/6.
+    a = f2 * chi1 + f1 * chi2 - f1 * f2
+    b = f2 * c1sq1 + f1 * c1sq2 - 8 * f1 * f2
+    assert oracle == (24 * a - 2 * b, 6 * b, 24 * a)
+
+
 # -- the per-genus surface cache of the oracle ----------------------------------
 
 

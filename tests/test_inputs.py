@@ -1,11 +1,14 @@
 """Family names, block flags, search bounds and malformed files at the input boundary.
 
 Family names and aliases are checked against ``catalog.FAMILIES``; every
-malformed catalog or search config, negative search limit or empty grid
-range exits 1 with one line that names the offending entry or field, never
-with a traceback, and a file that is not JSON, or holds an integer too long
-to convert, exits 1 with one line naming the file; ``search --config``
-together with a bound flag exits 2.
+malformed catalog or search config, negative search limit, empty grid
+range or grid genus range below 0 exits 1 with one line that names the
+offending entry or field, never with a traceback, and a file that is not
+JSON exits 1 with one line naming the file; ``search --config`` together
+with a bound flag exits 2.  Every integer input has at most
+``catalog.INPUT_DIGITS`` digits: at the budget every subcommand prints its
+values in full, and one digit more is one line, exit 2 naming the flag on
+argv and exit 1 naming the file and the field in JSON.
 A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work,
 and so does a search whose bounds allow more than
 ``geography.SEARCH_BLOCK_LIMIT`` candidate blocks, or none.  An empty
@@ -28,10 +31,12 @@ are in ``malformed_command_lines.py``); a malformed ``a..b`` or
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cherngeo import geography
 from cherngeo.catalog import (
     FAMILIES,
+    INPUT_DIGITS,
     block_from_family,
     elliptic_surface,
     knot_surgered_elliptic,
@@ -40,7 +45,7 @@ from cherngeo.cli import main, parse_block_specs
 from cherngeo.fibersum import halic_construction
 from cherngeo.geography import SEARCH_BLOCK_LIMIT, GenericGrid, SearchBounds, candidate_blocks
 from cherngeo.invariants import ChernTriple, block_to_json
-from malformed_command_lines import INVALID, MALFORMED
+from malformed_command_lines import INVALID, MALFORMED, OVER_BUDGET
 
 
 def run(capsys, *argv):
@@ -94,11 +99,20 @@ def test_not_simply_connected_with_a_value_is_usage_error(capsys, flag):
     assert err == f"usage error: option --not-simply-connected takes no value, got {flag!r}\n"
 
 
-@pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv) or "(none)")
+def _case_id(argv):
+    """A test id for a command line; a token over 24 characters is shown by its length."""
+    return " ".join(t if len(t) <= 24 else f"<{len(t)} characters>" for t in argv) or "(none)"
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=_case_id)
 def test_malformed_command_line_is_one_usage_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_the_malformed_cases_go_one_digit_over_the_budget():
+    assert OVER_BUDGET.isdecimal() and len(OVER_BUDGET) == INPUT_DIGITS + 1
 
 
 @pytest.mark.parametrize("argv", INVALID, ids=lambda argv: " ".join(argv)[:60])
@@ -309,6 +323,13 @@ def test_generic_grid_rejects_empty_ranges(field):
     assert GenericGrid(**{**ranges, field: (1, 1)})
 
 
+@pytest.mark.parametrize("genus", [(-3, -1), (-1, 0), (-1, 5)])
+def test_generic_grid_rejects_a_negative_genus(genus):
+    with pytest.raises(ValueError, match="^generic grid range 'genus' must be non-negative, got -"):
+        GenericGrid((0, 1), (0, 1), genus)
+    assert GenericGrid((0, 1), (0, 1), (0, genus[1] + 3))
+
+
 GRID_FLAGS = ["--generic-chi", "0..2", "--generic-c1sq", "0..2", "--generic-genus", "0..1"]
 
 
@@ -319,6 +340,8 @@ GRID_FLAGS = ["--generic-chi", "0..2", "--generic-c1sq", "0..2", "--generic-genu
         (["--max-knot-genus", "-1"], "'max_knot_genus'"),
         ([*GRID_FLAGS[:5], "3..1"], "'genus'"),
         (["--generic-chi", "5..0", *GRID_FLAGS[2:]], "'chi_h'"),
+        # A negative genus range, once clipped to nothing and searched without a word.
+        (["--max-m", "1", "--max-k", "0", *GRID_FLAGS[:5], "-3..-1"], "'genus'"),
     ],
 )
 def test_search_bad_bounds_on_argv_exit_1(capsys, argv, field):
@@ -336,6 +359,8 @@ def test_search_bad_bounds_on_argv_exit_1(capsys, argv, field):
         ({"generic": {"chi_h": [0, 2], "c1_sq": [2, 0], "genus": [0, 1]}}, "'c1_sq'"),
         ({"max-m": 9}, "'max-m'"),
         ({"generic": {"chi_h": [0, 2], "c1sq": [0, 2], "genus": [0, 1]}}, "'c1sq'"),
+        ({"max_m": 1, "max_k": 0, "generic": {"chi_h": [0, 1], "c1_sq": [0, 1], "genus": [-3, -1]}},
+         "'genus'"),
     ],
 )
 def test_search_bad_bounds_in_config_exit_1(capsys, tmp_path, content, field):
@@ -639,7 +664,7 @@ def no_blocks(monkeypatch):
         (SearchBounds(max_m=99999999999999), 100000000000025),
         (SearchBounds(families=("elliptic",), max_m=10**30), 10**30),
         (SearchBounds(families=(), generic=GenericGrid((0, 10**9), (0, 1), (0, 1))), 4000000004),
-        (SearchBounds(families=(), generic=GenericGrid((0, 99), (0, 49), (-1, 0))), 10000),
+        (SearchBounds(families=(), generic=GenericGrid((0, 99), (0, 49), (0, 1))), 10000),
     ],
 )
 def test_candidate_blocks_over_the_limit_raise_before_building(no_blocks, bounds, count):
@@ -676,3 +701,172 @@ def test_search_over_the_block_limit_exits_1(capsys, tmp_path, no_blocks, argv, 
     assert out == ""
     assert err.startswith("error: search bounds allow ") and err.count("\n") == 1
     assert err.endswith(" candidate blocks, more than the limit of 5000\n")
+
+
+def test_a_count_too_long_to_print_is_shown_by_its_order(capsys, no_blocks):
+    at_budget = f"0..{10 ** INPUT_DIGITS - 1}"
+    argv = ["--generic-chi", at_budget, "--generic-c1sq", at_budget, "--generic-genus", at_budget]
+    code, out, err = run(capsys, "search", "--target", "24,0,24", "--families", "", *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: search bounds allow at least 10**{2 * INPUT_DIGITS} candidate blocks, "
+        "more than the limit of 5000\n"
+    )
+
+
+# -- one digit budget for every integer input --------------------------------
+
+AT_BUDGET = "9" * INPUT_DIGITS
+
+
+def _budget_line(what: str, token: str) -> str:
+    """The usage error for an argv integer over the budget; ``what`` names where it was given."""
+    return (
+        f"usage error: {what.format(f'at most {INPUT_DIGITS} digits')}, got {token[:20]!r}... "
+        f"({len(token) - token.startswith('-')} digits)\n"
+    )
+
+
+# subcommand -> (command line with {n} for the integer, its exit code with n at the
+# budget, what it then prints in full, on stdout and stderr, as a function of n,
+# and where its first over-budget integer was given, as _budget_line takes it)
+BUDGET_COMMANDS = {
+    "block": (
+        ["block", "elliptic", "--m", "{n}"],
+        0,
+        lambda n: f"E({n})\nchi_h             {n}",
+        "expected an integer of {} for --m",
+    ),
+    "product": (
+        ["product", "elliptic", "--m", "{n}", "--surface-genus", "{n}"],
+        0,
+        lambda n: f"c3    = {12 * n * (2 - 2 * n)}\n",
+        "argument --surface-genus: expected an integer of {}",
+    ),
+    "fibersum": (
+        ["fibersum", "elliptic", "--m", "{n}", "knot-elliptic", "--k", "{n}", "--knot-genus",
+         "{n}", "--oracle", "--explain"],
+        0,
+        lambda n: "c1c2  = {}\n".format(
+            halic_construction(elliptic_surface(n), knot_surgered_elliptic(n, n)).c1c2
+        ),
+        "expected an integer of {} for --m",
+    ),
+    "search-target": (
+        ["search", "--target", "{n},0,-{n}"],
+        0,
+        lambda n: f"3*c3 = {3 * n} differs",
+        "argument --target: expected an integer of {} for a Chern number",
+    ),
+    "search-limit": (
+        ["search", "--target", "24,0,24", "--families", "elliptic", "--max-m", "{n}"],
+        1,
+        lambda n: f"search bounds allow {n} candidate blocks",
+        "argument --max-m: expected an integer of {}",
+    ),
+    "search-grid": (
+        ["search", "--target", "24,0,24", "--families", "", "--generic-chi", "{n}..{n}",
+         "--generic-c1sq", "0..0", "--generic-genus", "0..{n}"],
+        1,
+        lambda n: f"search bounds allow {n + 1} candidate blocks",
+        "argument --generic-chi: expected an integer of {} for range start",
+    ),
+    "classify": (
+        ["classify", "--chi", "{n}", "--c1sq", "-{n}"],
+        0,
+        lambda n: f"({n}, {-n})",
+        "argument --chi: expected an integer of {}",
+    ),
+    "plot": (
+        ["plot", "--chi", "{n}..{n}", "--c1sq", "0..0"],
+        0,
+        lambda n: f"{n},0,many-basic-classes,{n - 2},",
+        "argument --chi: expected an integer of {} for range start",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+def test_every_subcommand_prints_integers_at_the_budget_in_full(capsys, request, command):
+    template, code, printed, _ = BUDGET_COMMANDS[command]
+    if template[0] == "search":
+        request.getfixturevalue("no_blocks")  # these bounds are refused before any block
+    result, out, err = run(capsys, *(arg.format(n=AT_BUDGET) for arg in template))
+    assert result == code, err
+    assert printed(int(AT_BUDGET)) in out + err
+    assert "Traceback" not in err and "int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+def test_every_subcommand_refuses_an_integer_over_the_budget(capsys, command):
+    template, _, _, what = BUDGET_COMMANDS[command]
+    over = AT_BUDGET + "9"
+    assert run(capsys, *(arg.format(n=over) for arg in template)) == (
+        2, "", _budget_line(what, over)
+    )
+
+
+# (file content with {n} for the integer, the subcommand, what it prints with n
+# at the budget, and the field an over-budget integer is named by)
+BUDGET_FILES = [
+    ('[{{"family": "elliptic", "m": {n}}}]', "catalog", lambda n: f"e={12 * n} g=1", "[0].m"),
+    ('{{"families": ["elliptic"], "max_m": {n}}}', "search", lambda n: f"allow {n} candidate",
+     "max_m"),
+    ('{{"families": [], "generic": {{"chi_h": [0, 0], "c1_sq": [0, 0], "genus": [0, {n}]}}}}',
+     "search", lambda n: f"allow {n + 1} candidate", "generic.genus[1]"),
+]
+
+
+@pytest.mark.parametrize("content, command, printed, field", BUDGET_FILES)
+def test_json_integers_at_and_over_the_budget(capsys, request, tmp_path, content, command,
+                                              printed, field):
+    path = tmp_path / "input.json"
+    if command == "catalog":
+        argv = ["catalog", "--catalog", str(path)]
+    else:
+        argv = ["search", "--target", "24,0,24", "--config", str(path)]
+        request.getfixturevalue("no_blocks")  # these bounds are refused before any block
+    path.write_text(content.format(n=AT_BUDGET))
+    _, out, err = run(capsys, *argv)
+    assert printed(int(AT_BUDGET)) in out + err
+    assert "too long" not in err
+    path.write_text(content.format(n="-" + AT_BUDGET + "0"))
+    assert run(capsys, *argv) == (1, "", (
+        f"error: {path} holds an integer too long to read in field {field!r}: "
+        f"{INPUT_DIGITS + 1} digits, more than the limit of {INPUT_DIGITS}\n"
+    ))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    digits=st.integers(INPUT_DIGITS - 3, INPUT_DIGITS + 3),
+    sign=st.sampled_from(["", "-"]),
+    first=st.sampled_from("123456789"),
+    data=st.data(),
+)
+def test_digit_counts_near_the_budget(capsys, tmp_path, digits, sign, first, data):
+    token = sign + first + data.draw(st.text("0123456789", min_size=digits - 1, max_size=digits - 1))
+    value = int(token)
+    code, out, err = run(capsys, "classify", "--chi", token, "--c1sq", "0")
+    if digits <= INPUT_DIGITS:
+        assert (code, err) == (0, "")
+        assert out.startswith(f"point             ({value}, 0)\n")
+    else:
+        assert (code, out, err) == (
+            2, "", _budget_line("argument --chi: expected an integer of {}", token)
+        )
+    path = tmp_path / "blocks.json"
+    record = {"name": "x", "chi_h": 0, "c1_sq": 0, "fiber_genus": 0, "singular_fibers": 0,
+              "simply_connected": False}
+    path.write_text(json.dumps([record]).replace('"chi_h": 0', f'"chi_h": {token}'))
+    code, out, err = run(capsys, "catalog", "--catalog", str(path))
+    if digits <= INPUT_DIGITS:
+        assert (code, err) == (0, "")
+        assert f" chi_h={value} c1_sq=0 sigma={-8 * value} e={12 * value} " in out
+    else:
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {path} holds an integer too long to read in field '[0].chi_h': "
+            f"{digits} digits, more than the limit of {INPUT_DIGITS}\n"
+        )

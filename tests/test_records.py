@@ -9,7 +9,8 @@ the CLI loads neither ``dataclasses`` nor ``inspect``.  The records the
 per-pair path builds by ``tuple.__new__`` are the records their
 constructors make, and importing the invariants or the plot loads no
 ``functools``.  Each subcommand, run in a fresh interpreter, loads only the
-package modules it uses, and the human formats load no ``json``.
+package modules it uses, and the human formats load no ``json``; the
+closed form loads no ``algebra``, which only the oracle's first call loads.
 """
 
 import itertools
@@ -230,6 +231,7 @@ def _run_cli(argv: list[str]) -> str:
 LAYERS = tuple(f"cherngeo.{m}" for m in ("geography", "plot", "algebra", "fibersum"))
 BLOCK = ["block", "elliptic", "--m", "2"]
 CLASSIFY = ["classify", "--chi", "2", "--c1sq", "0"]
+CLOSED_FORM = ["fibersum", "elliptic", "--m", "3", "ruled-spheres"]
 
 
 # (command line, the modules it must not load)
@@ -242,6 +244,9 @@ MODULE_LOADS = [
     (CLASSIFY + ["--format", "json"], LAYERS[2:]),
     (["plot", "--chi", "0..2", "--c1sq", "0..2"], LAYERS[2:]),
     (["plot", "--chi", "0..2", "--c1sq", "0..2", "--format", "svg"], LAYERS[2:]),
+    # A fiber sum without --oracle or --explain runs only the closed form.
+    (CLOSED_FORM, ("cherngeo.algebra", "json")),
+    (CLOSED_FORM + ["--format", "json"], ("cherngeo.algebra",)),
 ]
 
 
@@ -251,10 +256,38 @@ def test_each_subcommand_loads_only_its_own_modules(argv, absent):
 
 
 def test_the_module_probe_sees_what_a_subcommand_loads():
-    argv = ["fibersum", "elliptic", "--m", "3", "ruled-spheres", "--format", "json"]
+    argv = [*CLOSED_FORM, "--format", "json"]
     assert _loaded_in_fresh_interpreter(_run_cli(argv), (*LAYERS, "json")) == [
-        "cherngeo.algebra", "cherngeo.fibersum", "json",
+        "cherngeo.fibersum", "json",
     ]
+
+
+def test_a_search_without_a_hit_loads_the_fiber_sum_but_no_algebra():
+    argv = ["search", "--target", "24,0,24", "--families", "elliptic", "--max-m", "1"]
+    statements = (
+        "import io\n"
+        "sys.stderr = io.StringIO()\n"
+        f"{_run_cli(argv)}"
+        "print(repr(sys.stderr.getvalue()))\n"
+    )
+    stderr, loaded = _fresh_interpreter(
+        f"{statements}print(*[m for m in {LAYERS[2:]!r} if m in sys.modules])\n"
+    ).splitlines()
+    assert stderr == repr("no realizations found\n")
+    assert loaded == "cherngeo.fibersum"
+
+
+@pytest.mark.parametrize(
+    "construction, loaded",
+    [("halic_construction", []), ("halic_construction_via_oracle", ["cherngeo.algebra"])],
+)
+def test_only_the_oracle_loads_the_algebra(construction, loaded):
+    statements = (
+        "import cherngeo.fibersum\n"
+        "from cherngeo.catalog import elliptic_surface, ruled_spheres\n"
+        f"cherngeo.fibersum.{construction}(elliptic_surface(3), ruled_spheres())\n"
+    )
+    assert _loaded_in_fresh_interpreter(statements, ("cherngeo.algebra",)) == loaded
 
 
 def test_importing_plot_loads_no_fiber_sum():
