@@ -98,7 +98,9 @@ if __name__ == "__main__":
         for argv in cases:
             found = problem(argv, code, prefix)
             failed_here += found is not None
-            print(f"{'FAIL' if found else 'ok'}: cherngeo {' '.join(map(repr, argv))}"
+            # A token over 24 characters is shown by its length.
+            tokens = [repr(t) if len(t) <= 24 else f"<{len(t)} characters>" for t in argv]
+            print(f"{'FAIL' if found else 'ok'}: cherngeo {' '.join(tokens)}"
                   + (f": {found}" if found else ""))
         print(f"{len(cases) - failed_here} of {len(cases)} {summary}")
         failed += failed_here
