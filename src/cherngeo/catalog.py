@@ -6,11 +6,14 @@ fibration without singular fibers, and knot-surgered elliptic surfaces
 E(k)_K whose fibration has fiber genus 2g + k - 1 for a fibered knot of
 genus g.  A generic family admits arbitrary user-supplied invariants.
 
-Each named family is one entry of :data:`FAMILIES`, which the CLI's block
-specifications, catalog records and the realization search all read: a new
-family is one registry entry, plus an entry of :data:`FAMILY_ALIASES` if it
-has a short name.  Generic blocks are the one special case, because their
-CLI flags differ from their JSON keys.
+Each named family is one row of :data:`FAMILIES`, which states its block
+name, its integer parameters with their least values and search limits,
+and its (chi_h, c1^2, fiber genus) as a function of the parameters.
+:func:`family_block` builds every named block from its row, and the CLI,
+catalog records and the realization search read the rows: a new family is
+one row, plus an entry of :data:`FAMILY_ALIASES` if it has a short name.
+Generic blocks are the one special case, because their CLI flags differ
+from their JSON keys.
 """
 
 from __future__ import annotations
@@ -26,51 +29,59 @@ from .invariants import (
     refuse_unknown_fields,
 )
 
+# family name -> (block name as a str.format template of the parameters,
+# {parameter: (least value, SearchBounds limit, the limit's default)} in
+# parameter order, (chi_h, c1^2, fiber genus) as a function of the parameters)
+FAMILIES = {
+    "elliptic": ("E({})", {"m": (1, "max_m", 5)}, lambda m: (m, 0, 1)),
+    "ruled-spheres": ("S2xS2", {}, lambda: (1, 8, 0)),
+    # E(k)_K is homeomorphic to E(k), so chi_h and c1^2 are E(k)'s.
+    "knot-surgered-elliptic": (
+        "E({})_K(g={})",
+        {"k": (1, "max_k", 5), "knot_genus": (0, "max_knot_genus", 4)},
+        lambda k, knot_genus: (k, 0, 2 * knot_genus + k - 1),
+    ),
+}
+FAMILY_ALIASES = {"knot-elliptic": "knot-surgered-elliptic"}
+
+# The integer limits of geography.SearchBounds in field order, each with its default.
+SEARCH_LIMITS = {
+    limit: default
+    for _, params, _ in FAMILIES.values()
+    for _, limit, default in params.values()
+}
+
+
+def family_block(family: str, *params: int) -> LefschetzBlock:
+    """The block of a :data:`FAMILIES` row at its parameters, e.g. E(2) for ("elliptic", 2).
+
+    The block is simply connected, with the singular-fiber count its Euler
+    number fixes.  A parameter below its least value raises ValueError
+    naming the family and the parameter.
+    """
+    name, parameters, signature = FAMILIES[family]
+    for (param, (least, _, _)), value in zip(parameters.items(), params):
+        if value < least:
+            raise ValueError(f"{family} parameter {param} must be >= {least}, got {value}")
+    chi_h, c1_sq, fiber_genus = signature(*params)
+    invariants = FourManifoldInvariants(chi_h, c1_sq)
+    n = invariants.euler - euler_from_fibration(fiber_genus, 0)
+    return LefschetzBlock(name.format(*params), invariants, fiber_genus, n, simply_connected=True)
+
 
 def elliptic_surface(m: int) -> LefschetzBlock:
-    """E(m): chi_h = m, c1^2 = 0, torus fibers, 12m singular fibers."""
-    if m < 1:
-        raise ValueError(f"elliptic surface parameter m must be >= 1, got {m}")
-    return LefschetzBlock(
-        name=f"E({m})",
-        invariants=FourManifoldInvariants(m, 0),
-        fiber_genus=1,
-        singular_fibers=12 * m,
-        simply_connected=True,
-    )
+    """E(m), the "elliptic" row of :data:`FAMILIES` at m."""
+    return family_block("elliptic", m)
 
 
 def ruled_spheres() -> LefschetzBlock:
-    """S^2 x S^2 as a sphere fibration with no singular fibers."""
-    return LefschetzBlock(
-        name="S2xS2",
-        invariants=FourManifoldInvariants(1, 8),
-        fiber_genus=0,
-        singular_fibers=0,
-        simply_connected=True,
-    )
+    """S^2 x S^2, the "ruled-spheres" row of :data:`FAMILIES`."""
+    return family_block("ruled-spheres")
 
 
 def knot_surgered_elliptic(k: int, knot_genus: int) -> LefschetzBlock:
-    """E(k)_K for a fibered knot K of genus g: fiber genus 2g + k - 1.
-
-    chi_h and c1^2 agree with E(k) (the surgered manifold is homeomorphic
-    to it); the singular-fiber count is derived from the Euler identity,
-    not quoted from the literature.
-    """
-    if k < 1:
-        raise ValueError(f"elliptic parameter k must be >= 1, got {k}")
-    if knot_genus < 0:
-        raise ValueError(f"knot genus must be non-negative, got {knot_genus}")
-    invariants = FourManifoldInvariants(k, 0)
-    fiber_genus = 2 * knot_genus + k - 1
-    return LefschetzBlock(
-        name=f"E({k})_K(g={knot_genus})",
-        invariants=invariants,
-        fiber_genus=fiber_genus,
-        singular_fibers=invariants.euler - euler_from_fibration(fiber_genus, 0),
-        simply_connected=True,
-    )
+    """E(k)_K for a fibered knot K of genus g, the "knot-surgered-elliptic" row at (k, g)."""
+    return family_block("knot-surgered-elliptic", k, knot_genus)
 
 
 def generic_block(
@@ -88,24 +99,6 @@ def generic_block(
         singular_fibers=singular_fibers,
         simply_connected=simply_connected,
     )
-
-
-# The integer limits of geography.SearchBounds, in field order; the range
-# functions of FAMILIES read them.
-SEARCH_LIMITS = ("max_m", "max_k", "max_knot_genus")
-
-# family name -> (constructor, its integer parameters in order, the range of
-# each parameter that a search enumerates, as a function of SearchBounds)
-FAMILIES = {
-    "elliptic": (elliptic_surface, ("m",), lambda b: (range(1, b.max_m + 1),)),
-    "ruled-spheres": (ruled_spheres, (), lambda b: ()),
-    "knot-surgered-elliptic": (
-        knot_surgered_elliptic,
-        ("k", "knot_genus"),
-        lambda b: (range(1, b.max_k + 1), range(b.max_knot_genus + 1)),
-    ),
-}
-FAMILY_ALIASES = {"knot-elliptic": "knot-surgered-elliptic"}
 
 
 def family_name(name: str) -> str:
@@ -127,9 +120,10 @@ def block_from_family(record: dict) -> LefschetzBlock:
     family = record.get("family", "generic")
     if family == "generic":
         return block_from_json({k: v for k, v in record.items() if k != "family"})
-    build, params, _ = FAMILIES[family_name(family)]
+    name = family_name(family)
+    params = FAMILIES[name][1]
     refuse_unknown_fields(record, ("family", *params), family)
-    return build(*(json_field(record, p) for p in params))
+    return family_block(name, *(json_field(record, p) for p in params))
 
 
 def default_catalog() -> list[LefschetzBlock]:

@@ -76,19 +76,22 @@ def _parse_int(token: str, what: str | None = None, error: type[Exception] = Usa
 def _build_block(family: str, params: dict) -> LefschetzBlock:
     """One block from a family name or alias as typed and its parsed flags."""
     if family == "generic":
-        build, names = catalog_mod.generic_block, _GENERIC_FLAGS
-        extra = (not params.pop("not_simply_connected", False),)
+        names = _GENERIC_FLAGS
+        simply_connected = not params.pop("not_simply_connected", False)
     else:
-        build, names, _ = catalog_mod.FAMILIES[catalog_mod.family_name(family)]
-        extra = ()
+        canonical = catalog_mod.family_name(family)
+        names = catalog_mod.FAMILIES[canonical][1]
     for key in params:
         if key not in names:
             raise UsageError(f"{family} has no option {_flag(key)}")
     if any(name not in params for name in names):
         flags = " ".join(map(_flag, names))
         raise UsageError(f"{family} requires {flags}")
+    values = [params[name] for name in names]
     try:
-        return build(*(params[name] for name in names), *extra)
+        if family == "generic":
+            return catalog_mod.generic_block(*values, simply_connected)
+        return catalog_mod.family_block(canonical, *values)
     except ValueError as exc:  # bad parameter values from the constructors
         raise UsageError(str(exc))
 
@@ -172,10 +175,10 @@ def _print_block(block: LefschetzBlock, fmt: str) -> None:
     if fmt == "json":
         _print_json(record)
     else:
-        order = [
-            "name", "chi_h", "c1_sq", "sigma", "euler", "c2",
+        order = (
+            "name", "chi_h", "c1_sq", *DERIVED_FIELDS,
             "fiber_genus", "singular_fibers", "simply_connected",
-        ]
+        )
         for key in order:
             print(f"{key:<17} {record[key]}")
 

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .catalog import FAMILIES, INPUT_DIGITS, SEARCH_LIMITS, family_name, generic_block
+from .catalog import FAMILIES, INPUT_DIGITS, SEARCH_LIMITS, family_block, family_name, generic_block
 from .invariants import (
     ChernTriple,
     FourManifoldInvariants,
@@ -125,14 +125,14 @@ class SearchBounds(
     namedtuple(
         "SearchBounds",
         ("families", *SEARCH_LIMITS, "generic"),
-        defaults=(tuple(FAMILIES), 5, 5, 4, None),
+        defaults=(tuple(FAMILIES), *SEARCH_LIMITS.values(), None),
     )
 ):
     """Search limits; ``families`` are resolved through the catalog's registry and aliases.
 
     Fields: ``families: tuple[str, ...]`` (default: every registry family),
-    the catalog's ``SEARCH_LIMITS`` (``int``; default 5, 5, 4) and
-    ``generic: GenericGrid | None`` (default: no generic grid).
+    the catalog's ``SEARCH_LIMITS`` (``int``; defaults from the ``catalog.FAMILIES``
+    rows) and ``generic: GenericGrid | None`` (default: no generic grid).
     """
 
     __slots__ = ()
@@ -203,11 +203,11 @@ def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
     the generic grid before genera without a fibration are dropped.  A
     family with an empty range has no blocks, and no range of it is read.
     """
-    selected = [
-        (build, ranges)
-        for name, (build, _, search_ranges) in FAMILIES.items()
-        if name in bounds.families and all(ranges := search_ranges(bounds))
-    ]
+    selected = []
+    for name, (_, params, _) in FAMILIES.items():
+        ranges = [range(least, getattr(bounds, limit) + 1) for least, limit, _ in params.values()]
+        if name in bounds.families and all(ranges):
+            selected.append((name, ranges))
     count = sum(math.prod(map(_range_size, ranges)) for _, ranges in selected)
     if bounds.generic is not None:
         count += math.prod(hi - lo + 1 for lo, hi in bounds.generic)
@@ -221,8 +221,8 @@ def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
             f"{SEARCH_BLOCK_LIMIT}"
         )
     blocks: list[LefschetzBlock] = []
-    for build, ranges in selected:
-        blocks.extend(build(*args) for args in itertools.product(*ranges))
+    for name, ranges in selected:
+        blocks.extend(family_block(name, *args) for args in itertools.product(*ranges))
     if bounds.generic is not None:
         grid = bounds.generic
         for chi in range(grid.chi_h[0], grid.chi_h[1] + 1):

@@ -35,6 +35,10 @@ MALFORMED = [
     ["block", "elliptic", "--m", "2", "--m=3"],
     ["block", "elliptic", "--m"],  # a block flag with no value
     ["search", "--target", "24,0,24", "--generic-chi", "0..1"],  # part of the generic grid
+    # Each family parameter one below its least value.
+    ["block", "elliptic", "--m", "0"],
+    ["block", "knot-elliptic", "--k", "0", "--knot-genus", "0"],
+    ["block", "knot-elliptic", "--k", "1", "--knot-genus", "-1"],
     # An integer of more than the digit budget, for every integer flag.
     ["block", "elliptic", "--m", OVER_BUDGET],
     ["block", "knot-elliptic", "--k", OVER_BUDGET, "--knot-genus", "0"],

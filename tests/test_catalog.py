@@ -1,17 +1,21 @@
+import itertools
 import json
 
 import pytest
 
 from cherngeo.catalog import (
+    FAMILIES,
     block_from_family,
     default_catalog,
     elliptic_surface,
+    family_block,
     generic_block,
     knot_surgered_elliptic,
     load_catalog,
     ruled_spheres,
 )
 from cherngeo.fibersum import halic_construction
+from cherngeo.geography import SearchBounds, candidate_blocks
 from cherngeo.invariants import (
     FourManifoldInvariants,
     LefschetzBlock,
@@ -76,6 +80,33 @@ def test_all_family_constructors_validate():
     blocks += [knot_surgered_elliptic(k, g) for k in range(1, 5) for g in range(4)]
     for block in blocks:
         assert validate_block(block) == [], block.name
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_row_against_its_builder(family):
+    name, params, signature = FAMILIES[family]
+    least = [lo for lo, _, _ in params.values()]
+    assert validate_block(family_block(family, *least)) == []
+    for i, param in enumerate(params):
+        below = [*least[:i], least[i] - 1, *least[i + 1 :]]
+        message = f"^{family} parameter {param} must be >= {least[i]}, got {least[i] - 1}$"
+        with pytest.raises(ValueError, match=message):
+            family_block(family, *below)
+    # The default search enumerates each parameter from its least value to its limit's default.
+    bounds = SearchBounds(families=(family,))
+    ranges = []
+    for lo, limit, default in params.values():
+        assert getattr(bounds, limit) == default
+        ranges.append(range(lo, default + 1))
+    grid = list(itertools.product(*ranges))
+    blocks = candidate_blocks(bounds)
+    assert len(blocks) == len(grid)
+    for block, args in zip(blocks, grid):
+        assert block == family_block(family, *args)
+        assert validate_block(block) == [], block.name
+        assert block.name == name.format(*args)
+        inv = block.invariants
+        assert (inv.chi_h, inv.c1_sq, block.fiber_genus) == signature(*args)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -39,6 +39,7 @@ from cherngeo.catalog import (
     INPUT_DIGITS,
     block_from_family,
     elliptic_surface,
+    family_block,
     knot_surgered_elliptic,
 )
 from cherngeo.cli import main, parse_block_specs
@@ -55,9 +56,10 @@ def run(capsys, *argv):
 
 
 def test_block_from_family_reads_the_registry():
-    for name, (build, params, _) in FAMILIES.items():
+    for name, (_, params, _) in FAMILIES.items():
         args = [1] * len(params)
-        assert block_from_family({"family": name, **dict(zip(params, args))}) == build(*args)
+        record = {"family": name, **dict(zip(params, args))}
+        assert block_from_family(record) == family_block(name, *args)
     alias = {"family": "knot-elliptic", "k": 2, "knot_genus": 0}
     assert block_from_family(alias) == knot_surgered_elliptic(2, 0)
     explicit = block_to_json(elliptic_surface(3))
@@ -620,6 +622,7 @@ DERIVED = {"sigma": 0, "euler": 4, "c2": 4}
         ({**GENERIC_RECORD, **DERIVED, "euler": 5}, "field 'euler' is 5, but chi_h and c1_sq give 4"),
         ({**GENERIC_RECORD, "c2": -4}, "field 'c2' is -4, but chi_h and c1_sq give 4"),
         ({**GENERIC_RECORD, "c2": "4"}, "field 'c2' must be int, got '4'"),
+        ({"family": "elliptic", "m": 0}, "elliptic parameter m must be >= 1, got 0"),
     ],
 )
 def test_catalog_record_key_it_does_not_read_exits_1(capsys, tmp_path, record, message):
@@ -652,8 +655,7 @@ def no_blocks(monkeypatch):
     def refuse(*args):
         raise AssertionError("a candidate block was built")
 
-    for name, (_, params, search_ranges) in list(FAMILIES.items()):
-        monkeypatch.setitem(FAMILIES, name, (refuse, params, search_ranges))
+    monkeypatch.setattr(geography, "family_block", refuse)
     monkeypatch.setattr(geography, "generic_block", refuse)
 
 
