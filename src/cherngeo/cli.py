@@ -8,16 +8,18 @@ their parameter flags, e.g.::
     cherngeo fibersum elliptic --m 2 knot-elliptic --k 2 --knot-genus 0
 
 Exit codes: 0 success (including an empty search), 1 domain/validation
-error, 2 usage error.  Every malformed command line, whether argparse or a
-block specification finds it, is reported as one ``usage error:`` line on
-stderr; ``-h`` prints help and exits 0.  Output is deterministic: JSON keys
-are sorted and lists are canonically ordered.
+error, 2 usage error.  argparse reads the whole command line, each block
+specification by a parser built from its family's flags, and every option
+may be given once.  A malformed command line is reported as one ``usage
+error:`` line on stderr; ``-h`` prints help and exits 0.  Output is
+deterministic: JSON keys are sorted and lists are canonically ordered.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 # Each subcommand imports the layers it uses, and json only where it reads
 # or writes JSON: a cold process then compiles no module it does not run.
@@ -37,8 +39,24 @@ class UsageError(Exception):
     """A malformed command line: ``main`` prints one ``usage error:`` line and exits 2."""
 
 
+class _Once(argparse.Action):
+    """Store an option's value, or ``const`` for a switch; a second use is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"{parser.prog} takes {self.option_strings[0]} once, got it twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser, and its subparsers, that raise instead of exiting."""
+    """Raises instead of exiting, in its subparsers too; its options store through _Once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)
+        self.register("action", "store_true", partial(_Once, nargs=0, const=True, default=False))
 
     def error(self, message):
         raise UsageError(message)
@@ -58,101 +76,81 @@ def _quote(token: str) -> str:
     return repr(token) if len(token) <= 20 else f"{token[:20]!r}..."
 
 
-def _parse_int(token: str, what: str | None = None, error: type[Exception] = UsageError) -> int:
+# The type= functions below raise ArgumentTypeError, which argparse reports
+# through _Parser.error with the flag named: "argument --chi: ...".
+
+
+def _parse_int(token: str, what: str | None = None) -> int:
     """An integer of at most ``catalog.INPUT_DIGITS`` digits; ``what`` names it in errors."""
     where = f" for {what}" if what else ""
     digits = sum(map(str.isdecimal, token))
     if digits > catalog_mod.INPUT_DIGITS:
-        raise error(
+        raise argparse.ArgumentTypeError(
             f"expected an integer of at most {catalog_mod.INPUT_DIGITS} digits{where}, "
             f"got {_quote(token)} ({digits} digits)"
         )
     try:
         return int(token)
     except ValueError:
-        raise error(f"expected an integer{where}, got {_quote(token)}")
-
-
-def _build_block(family: str, params: dict) -> LefschetzBlock:
-    """One block from a family name or alias as typed and its parsed flags."""
-    if family == "generic":
-        names = _GENERIC_FLAGS
-        simply_connected = not params.pop("not_simply_connected", False)
-    else:
-        canonical = catalog_mod.family_name(family)
-        names = catalog_mod.FAMILIES[canonical][1]
-    for key in params:
-        if key not in names:
-            raise UsageError(f"{family} has no option {_flag(key)}")
-    if any(name not in params for name in names):
-        flags = " ".join(map(_flag, names))
-        raise UsageError(f"{family} requires {flags}")
-    values = [params[name] for name in names]
-    try:
-        if family == "generic":
-            return catalog_mod.generic_block(*values, simply_connected)
-        return catalog_mod.family_block(canonical, *values)
-    except ValueError as exc:  # bad parameter values from the constructors
-        raise UsageError(str(exc))
-
-
-def parse_block_specs(tokens: list[str]) -> list[LefschetzBlock]:
-    """Parse a flat token list into blocks: FAMILY [--param value | --param=value]..."""
-    specs: list[tuple[str, dict]] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "generic" or tok in catalog_mod.FAMILIES or tok in catalog_mod.FAMILY_ALIASES:
-            specs.append((tok, {}))
-            i += 1
-        elif tok.startswith("--"):
-            if not specs:
-                raise UsageError(f"option {tok} given before any block family")
-            family, params = specs[-1]
-            name, has_value, value = tok.partition("=")
-            key = name[2:].replace("-", "_")
-            if key in params:
-                raise UsageError(f"{family} takes {_flag(key)} once, got it twice")
-            if key == "not_simply_connected":
-                if has_value:
-                    raise UsageError(f"option {name} takes no value, got {tok!r}")
-                params[key] = True
-                i += 1
-            elif has_value:
-                params[key] = _parse_int(value, name)
-                i += 1
-            else:
-                if i + 1 >= len(tokens):
-                    raise UsageError(f"option {tok} needs a value")
-                params[key] = _parse_int(tokens[i + 1], tok)
-                i += 2
-        else:
-            raise UsageError(f"unexpected token {_quote(tok)} in block specification")
-    return [_build_block(family, params) for family, params in specs]
-
-
-# The type= functions below raise ArgumentTypeError, which argparse reports
-# through _Parser.error with the flag named: "argument --chi: ...".
-
-
-def _parse_integer(text: str) -> int:
-    return _parse_int(text, error=argparse.ArgumentTypeError)
+        raise argparse.ArgumentTypeError(f"expected an integer{where}, got {_quote(token)}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." not in text:
         raise argparse.ArgumentTypeError(f"range must look like a..b, got {_quote(text)}")
     lo, hi = text.split("..", 1)
-    error = argparse.ArgumentTypeError
-    return _parse_int(lo, "range start", error), _parse_int(hi, "range end", error)
+    return _parse_int(lo, "range start"), _parse_int(hi, "range end")
 
 
 def _parse_target(text: str) -> ChernTriple:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected c3,c1cubed,c1c2, got {_quote(text)}")
-    error = argparse.ArgumentTypeError
-    return ChernTriple(*(_parse_int(p, "a Chern number", error) for p in parts))
+    return ChernTriple(*(_parse_int(p, "a Chern number") for p in parts))
+
+
+def _parse_block(family: str, tokens: list[str]) -> LefschetzBlock:
+    """One block from a family name or alias as typed and the flags that follow it."""
+    generic = family == "generic"
+    names = _GENERIC_FLAGS if generic else catalog_mod.FAMILIES[catalog_mod.family_name(family)][1]
+    parser = _Parser(prog=family, add_help=False, allow_abbrev=False)
+    for name in names:
+        parser.add_argument(_flag(name), dest=name, type=_parse_int)
+    if generic:
+        parser.add_argument("--not-simply-connected", action="store_true")
+    # An option's name may spell '-' as '_', as parameter names do: --knot_genus.
+    options = []
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
+        options.append(name.replace("_", "-") + eq + value if tok.startswith("--") else tok)
+    args, extras = parser.parse_known_args(options)
+    if extras:
+        tok = extras[0]
+        if tok.startswith("--"):
+            raise UsageError(f"{family} has no option {tok.partition('=')[0]}")
+        raise UsageError(f"unexpected token {_quote(tok)} in block specification")
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise UsageError(f"{family} requires {' '.join(map(_flag, names))}")
+    try:
+        if generic:
+            return catalog_mod.generic_block(*values, not args.not_simply_connected)
+        return catalog_mod.family_block(catalog_mod.family_name(family), *values)
+    except ValueError as exc:  # bad parameter values from the constructors
+        raise UsageError(str(exc))
+
+
+def parse_block_specs(tokens: list[str]) -> list[LefschetzBlock]:
+    """Parse a flat token list into blocks: FAMILY [--param value | --param=value]..."""
+    families = {"generic", *catalog_mod.FAMILIES, *catalog_mod.FAMILY_ALIASES}
+    starts = [i for i, tok in enumerate(tokens) if tok in families]
+    if tokens and tokens[0] not in families:
+        tok = tokens[0]
+        if tok.startswith("--"):
+            raise UsageError(f"option {tok} given before any block family")
+        raise UsageError(f"unexpected token {_quote(tok)} in block specification")
+    ends = [*starts[1:], len(tokens)]
+    return [_parse_block(tokens[i], tokens[i + 1 : j]) for i, j in zip(starts, ends)]
 
 
 # -- rendering ---------------------------------------------------------------
@@ -434,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
     sub.choices["product"].add_argument(
-        "--surface-genus", type=_parse_integer, required=True, help="genus of the surface factor"
+        "--surface-genus", type=_parse_int, required=True, help="genus of the surface factor"
     )
     sub.choices["fibersum"].add_argument(
         "--oracle", action="store_true",
@@ -450,15 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--families", help="comma-separated family names (default: all)")
     for limit in catalog_mod.SEARCH_LIMITS:
-        p.add_argument(_flag(limit), type=_parse_integer)
+        p.add_argument(_flag(limit), type=_parse_int)
     p.add_argument("--generic-chi", type=_parse_range, help="generic grid chi_h range a..b")
     p.add_argument("--generic-c1sq", type=_parse_range, help="generic grid c1^2 range a..b")
     p.add_argument("--generic-genus", type=_parse_range, help="generic grid fiber-genus range a..b")
     p.add_argument("--config", help="JSON file with search bounds")
 
     p = command("classify", _cmd_classify, help="classify a point of the (chi_h, c1^2) plane")
-    p.add_argument("--chi", type=_parse_integer, required=True)
-    p.add_argument("--c1sq", type=_parse_integer, required=True)
+    p.add_argument("--chi", type=_parse_int, required=True)
+    p.add_argument("--c1sq", type=_parse_int, required=True)
 
     p = command("plot", _cmd_plot, ("csv", "svg"), help="emit a CSV grid or SVG chart of the plane")
     p.add_argument("--chi", required=True, type=_parse_range, help="chi_h range a..b")

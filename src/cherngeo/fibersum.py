@@ -45,7 +45,7 @@ class CrossSectionInvariants(namedtuple("CrossSectionInvariants", "c1_sq c2")):
 _CORRECTIONS = ((0, -2), (-6, 0), (-2, -2))
 
 
-def _cross_section_classes() -> tuple[algebra.GradedClassExpression, ...]:
+def _cross_section_classes() -> tuple:
     """c1^2 and c2 of S1 x S2: (c1(S1) + c1(S2))^2 and the top class c1(S1)c1(S2)."""
     from . import algebra
 

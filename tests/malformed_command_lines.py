@@ -3,11 +3,12 @@
 A malformed command line (``MALFORMED``) exits 2 with one ``usage error:``
 line.  A well-formed command line with a value the command refuses
 (``INVALID``) exits 1 with one ``error:`` line.  Either way stdout is empty.
-``tests/test_inputs.py`` runs every case through ``cli.main``.  Run as a
-script, this file runs every case through ``python -m cherngeo.cli`` in a
-fresh process, with the standard library alone, and exits 1 if any case
-does not exit with its code, empty stdout and exactly one stderr line
-starting with its prefix::
+A request for help (``HELP``), at the top level or of any subcommand, exits
+0 with the help on stdout and nothing on stderr.  ``tests/test_inputs.py``
+runs every case through ``cli.main``.  Run as a script, this file runs
+every case through ``python -m cherngeo.cli`` in a fresh process, with the
+standard library alone, and exits 1 if any case does not exit with its
+code and the output its kind asks for::
 
     PYTHONPATH=src python tests/malformed_command_lines.py
 """
@@ -58,6 +59,14 @@ MALFORMED = [
     ["classify", "--chi", "0", "--c1sq", f"-{OVER_BUDGET}"],
     ["plot", "--chi", f"{OVER_BUDGET}..{OVER_BUDGET}", "--c1sq", "0..1"],
     ["plot", "--chi", "0..1", "--c1sq", f"-{OVER_BUDGET}..0"],
+    # An option of each subcommand given twice.
+    ["classify", "--chi", "1", "--chi", "5", "--c1sq", "0"],
+    ["search", "--target", "0,0,0", "--target", "24,0,24"],
+    ["plot", "--chi", "0..1", "--chi", "2..3", "--c1sq", "0..1"],
+    ["fibersum", "elliptic", "--m", "2", "ruled-spheres", "--oracle", "--oracle"],
+    ["block", "elliptic", "--m", "2", "--format", "json", "--format", "human"],
+    ["product", "elliptic", "--m", "1", "--surface-genus", "0", "--surface-genus", "1"],
+    ["catalog", "--format", "json", "--format", "json"],
 ]
 
 INVALID = [
@@ -74,20 +83,31 @@ INVALID = [
      "--generic-c1sq", "0..1", "--generic-genus", "-3..-1"],
 ]
 
-# (cases, exit code, stderr prefix, what the summary calls them)
+HELP = [
+    ["--help"],
+    *([command, "--help"]
+      for command in ("block", "product", "fibersum", "search", "classify", "plot", "catalog")),
+]
+
+# (cases, exit code, stderr prefix or None for help, what the summary calls them)
 KINDS = [
     (MALFORMED, 2, "usage error: ", "malformed command lines exit 2 with one usage error line"),
     (INVALID, 1, "error: ", "invalid values exit 1 with one error line"),
+    (HELP, 0, None, "help requests exit 0 with help on stdout and nothing on stderr"),
 ]
 
 
 def problem(argv, code, prefix):
-    """What is wrong with how ``cherngeo argv`` fails in a fresh process, or None."""
+    """What is wrong with how ``cherngeo argv`` ends in a fresh process, or None."""
     proc = subprocess.run(
         [sys.executable, "-m", "cherngeo.cli", *argv], capture_output=True, text=True
     )
     if proc.returncode != code:
         return f"exit {proc.returncode}"
+    if prefix is None:
+        if proc.stdout and not proc.stderr:
+            return None
+        return f"stdout {len(proc.stdout)} characters, stderr {proc.stderr!r}"
     if proc.stdout:
         return f"stdout {proc.stdout!r}"
     if not (proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1):

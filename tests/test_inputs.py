@@ -20,14 +20,19 @@ only ``true`` or ``false``, ``name`` only a string that UTF-8 can encode.
 A catalog record holds only the keys it is read by: a family record its
 family's parameters, an explicit block its six fields, and sigma, euler or
 c2 only at their recomputed values.  ``--not-simply-connected`` takes no
-value.  A block flag given twice in one block specification is a usage
-error, and a JSON object that repeats a key exits 1 naming the file and the
-key.  Every malformed command line exits 2 with one ``usage error:`` line,
-and every listed invalid value exits 1 with one ``error:`` line (the cases
-are in ``malformed_command_lines.py``); a malformed ``a..b`` or
-``--target`` value names the flag it was given to.
+value.  Any option given twice, of a subcommand or in one block
+specification, is a usage error (the cases are read from the parser and
+the family registry), and a JSON object that repeats a key exits 1 naming
+the file and the key.  Every spelling of a block specification (flag
+order, ``--f v`` or ``--f=v``, ``--format`` anywhere) builds the same
+blocks, and every ``--help`` prints on stdout alone.  Every malformed
+command line exits 2 with one ``usage error:`` line, and every listed
+invalid value exits 1 with one ``error:`` line (the cases are in
+``malformed_command_lines.py``); a malformed ``a..b`` or ``--target``
+value names the flag it was given to.
 """
 
+import argparse
 import json
 
 import pytest
@@ -36,17 +41,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cherngeo import geography
 from cherngeo.catalog import (
     FAMILIES,
+    FAMILY_ALIASES,
     INPUT_DIGITS,
     block_from_family,
     elliptic_surface,
     family_block,
+    family_name,
+    generic_block,
     knot_surgered_elliptic,
 )
-from cherngeo.cli import main, parse_block_specs
+from cherngeo.cli import _GENERIC_FLAGS, build_parser, main, parse_block_specs
 from cherngeo.fibersum import halic_construction
 from cherngeo.geography import SEARCH_BLOCK_LIMIT, GenericGrid, SearchBounds, candidate_blocks
 from cherngeo.invariants import ChernTriple, block_to_json
-from malformed_command_lines import INVALID, MALFORMED, OVER_BUDGET
+from malformed_command_lines import HELP, INVALID, MALFORMED, OVER_BUDGET
 
 
 def run(capsys, *argv):
@@ -98,7 +106,10 @@ def test_not_simply_connected_with_a_value_is_usage_error(capsys, flag):
     argv = ["block", "generic", "--chi", "1", "--c1sq", "0", "--genus", "1", "--n", "12", flag]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"usage error: option --not-simply-connected takes no value, got {flag!r}\n"
+    explicit = flag.partition("=")[2]
+    assert err == (
+        f"usage error: argument --not-simply-connected: ignored explicit argument {explicit!r}\n"
+    )
 
 
 def _case_id(argv):
@@ -111,6 +122,15 @@ def test_malformed_command_line_is_one_usage_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", HELP, ids=_case_id)
+def test_help_is_printed_on_stdout_alone(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (0, "")
+    assert out.startswith("usage: cherngeo")
 
 
 def test_the_malformed_cases_go_one_digit_over_the_budget():
@@ -169,6 +189,116 @@ def test_repeated_block_flag_is_usage_error(capsys, spec, flag):
     code, out, err = run(capsys, "block", *spec)
     assert (code, out) == (2, "")
     assert err == f"usage error: {flag} once, got it twice\n"
+
+
+# A minimal valid command line of each subcommand, and a value of each option
+# type by the name of its type= function (None for a string).
+MINIMAL = {
+    "block": ["block", "elliptic", "--m", "2"],
+    "product": ["product", "elliptic", "--m", "2", "--surface-genus", "0"],
+    "fibersum": ["fibersum", "elliptic", "--m", "2", "ruled-spheres"],
+    "search": ["search", "--target", "24,0,24"],
+    "classify": ["classify", "--chi", "0", "--c1sq", "0"],
+    "plot": ["plot", "--chi", "0..1", "--c1sq", "0..1"],
+    "catalog": ["catalog"],
+}
+VALUES = {None: "x.json", "_parse_int": "1", "_parse_range": "0..1", "_parse_target": "24,0,24"}
+
+
+def _subcommand_options():
+    """(subcommand, option, a value of it or None for a switch) for every option but -h."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.nargs == 0:
+                value = None
+            elif action.choices:
+                value = action.choices[0]
+            else:
+                value = VALUES[getattr(action.type, "__name__", None)]
+            if action.option_strings != ["-h", "--help"]:
+                yield command, action.option_strings[0], value
+
+
+def _block_flags():
+    """(family as typed, a valid block specification, one of its flags) for every flag."""
+    for family in [*FAMILIES, *FAMILY_ALIASES]:
+        params = FAMILIES[family_name(family)][1]
+        flags = ["--" + p.replace("_", "-") for p in params]
+        spec = [family, *(t for flag, (least, _, _) in zip(flags, params.values())
+                          for t in (flag, str(least)))]
+        for flag in flags:
+            yield family, spec, flag
+    spec = ["generic", "--chi", "1", "--c1sq", "0", "--genus", "1", "--n", "12"]
+    for flag in [*(f"--{p}" for p in _GENERIC_FLAGS), "--not-simply-connected"]:
+        yield "generic", spec, flag
+
+
+def _twice(argv, flag, value):
+    """``argv`` with ``flag`` given twice: once more if it has it, else two times."""
+    given = [flag] if value is None else [flag, value]
+    return argv + given * (1 if flag in argv else 2)
+
+
+@pytest.mark.parametrize("command, flag, value", list(_subcommand_options()))
+def test_every_subcommand_option_may_be_given_once(capsys, command, flag, value):
+    assert run(capsys, *_twice(MINIMAL[command], flag, value)) == (
+        2, "", f"usage error: cherngeo {command} takes {flag} once, got it twice\n"
+    )
+
+
+@pytest.mark.parametrize("family, spec, flag", list(_block_flags()))
+def test_every_block_flag_may_be_given_once(capsys, family, spec, flag):
+    value = None if flag == "--not-simply-connected" else "1"
+    assert run(capsys, "block", *_twice(spec, flag, value)) == (
+        2, "", f"usage error: {family} takes {flag} once, got it twice\n"
+    )
+
+
+def test_the_once_cases_read_every_option():
+    options = {(command, flag) for command, flag, _ in _subcommand_options()}
+    assert {("search", "--target"), ("fibersum", "--oracle"), ("catalog", "--format")} <= options
+    assert {("knot-elliptic", "--knot-genus"), ("generic", "--not-simply-connected")} <= {
+        (family, flag) for family, _, flag in _block_flags()
+    }
+
+
+@st.composite
+def block_specs(draw):
+    """A block specification: (its canonical tokens, its flag groups in a random
+    order and spelling after its family, the block it builds)."""
+    family = draw(st.sampled_from([*FAMILIES, *FAMILY_ALIASES, "generic"]))
+    if family == "generic":
+        # generic_block refuses a negative fiber genus or singular-fiber count.
+        least = {"chi": -3, "c1sq": -3, "genus": 0, "n": 0}
+        flags = {name: draw(st.integers(least[name], 12)) for name in _GENERIC_FLAGS}
+        switch = draw(st.booleans())
+        block = generic_block(*flags.values(), not switch)
+    else:
+        params = FAMILIES[family_name(family)][1]
+        flags = {p: draw(st.integers(least, least + 4)) for p, (least, _, _) in params.items()}
+        switch = False
+        block = family_block(family_name(family), *flags.values())
+    groups = [["--" + p.replace("_", "-"), str(v)] for p, v in flags.items()]
+    groups += [["--not-simply-connected"]] * switch
+    spelled = [
+        ["=".join(group)] if len(group) == 2 and draw(st.booleans()) else group
+        for group in draw(st.permutations(groups))
+    ]
+    return [family, *(t for group in groups for t in group)], [[family], *spelled], block
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs=st.lists(block_specs(), min_size=1, max_size=2), data=st.data())
+def test_every_spelling_of_a_block_specification_builds_the_same_blocks(capsys, specs, data):
+    groups = [group for _, spelled, _ in specs for group in spelled]
+    assert parse_block_specs([t for group in groups for t in group]) == [b for _, _, b in specs]
+    command = "block" if len(specs) == 1 else "fibersum"
+    groups.insert(data.draw(st.integers(0, len(groups))), ["--format", "json"])
+    spelled = [command, *(t for group in groups for t in group)]
+    canonical = [command, *(t for tokens, _, _ in specs for t in tokens), "--format", "json"]
+    assert run(capsys, *spelled) == run(capsys, *canonical)
 
 
 def test_search_unknown_family_is_an_error(capsys):
@@ -737,7 +867,7 @@ BUDGET_COMMANDS = {
         ["block", "elliptic", "--m", "{n}"],
         0,
         lambda n: f"E({n})\nchi_h             {n}",
-        "expected an integer of {} for --m",
+        "argument --m: expected an integer of {}",
     ),
     "product": (
         ["product", "elliptic", "--m", "{n}", "--surface-genus", "{n}"],
@@ -752,7 +882,7 @@ BUDGET_COMMANDS = {
         lambda n: "c1c2  = {}\n".format(
             halic_construction(elliptic_surface(n), knot_surgered_elliptic(n, n)).c1c2
         ),
-        "expected an integer of {} for --m",
+        "argument --m: expected an integer of {}",
     ),
     "search-target": (
         ["search", "--target", "{n},0,-{n}"],

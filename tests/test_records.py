@@ -10,19 +10,25 @@ per-pair path builds by ``tuple.__new__`` are the records their
 constructors make, and importing the invariants or the plot loads no
 ``functools``.  Each subcommand, run in a fresh interpreter, loads only the
 package modules it uses, and the human formats load no ``json``; the
-closed form loads no ``algebra``, which only the oracle's first call loads.
+closed form loads no ``algebra``, which only the oracle's first call loads,
+so no annotation names it: every function's type hints resolve.
 """
 
+import importlib
+import inspect
 import itertools
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cherngeo
 from cherngeo.algebra import ClassGenerator
 from cherngeo.catalog import FAMILIES, elliptic_surface
 from cherngeo.fibersum import (
@@ -348,3 +354,24 @@ KERNEL_COUNTS = [
 )
 def test_kernels_are_generated_once_on_first_use(statements, kernels):
     assert _kernels_compiled(statements) == kernels
+
+
+def test_every_function_type_hint_resolves():
+    # A module that imports algebra inside its functions has no global named algebra.
+    unresolved = []
+    for info in pkgutil.iter_modules(cherngeo.__path__):
+        module = importlib.import_module(f"cherngeo.{info.name}")
+        defined = [
+            v for v in vars(module).values() if getattr(v, "__module__", None) == module.__name__
+        ]
+        functions = [v for v in defined if inspect.isfunction(v)] + [
+            f for cls in defined if inspect.isclass(cls)
+            for f in vars(cls).values() if inspect.isfunction(f)
+        ]
+        assert functions, module.__name__
+        for function in functions:
+            try:
+                typing.get_type_hints(function)
+            except NameError as exc:
+                unresolved.append(f"{module.__name__}.{function.__qualname__}: {exc}")
+    assert unresolved == []
