@@ -236,20 +236,24 @@ def _cmd_fibersum(args: argparse.Namespace) -> int:
 
 def _explain_fibersum(block1: LefschetzBlock, block2: LefschetzBlock) -> None:
     """The fiber sum's triple, derived on stderr from the three parts the oracle sums."""
-    from .fibersum import cross_section_of_surfaces, fiber_sum_parts
+    from .fibersum import CORRECTIONS, cross_section_of_surfaces, fiber_sum_parts
 
     g1, g2 = block1.fiber_genus, block2.fiber_genus
     parts = product1, product2, corrections = fiber_sum_parts(block1, block2)
     cross = cross_section_of_surfaces(g1, g2)
+    # Each correction as the table's nonzero terms, e.g. (-2, -2) as "-2*c1^2 - 2*c2".
+    terms = (
+        " + ".join(f"{k}*{n}" for k, n in zip(ks, ("c1^2", "c2")) if k).replace("+ -", "- ")
+        for ks in CORRECTIONS
+    )
     lines = (
         f"X1 x S2 = {block1.name} x (genus {g2} surface): {_triple_text(product1)}",
         f"X2 x S1 = {block2.name} x (genus {g1} surface): {_triple_text(product2)}",
         f"S1 x S2 = (genus {g1} surface) x (genus {g2} surface): "
         f"c1^2={cross.c1_sq} c2={cross.c2}",
         "corrections along S1 x S2 (Gompf's symplectic sum, Annals 142, 1995; trivial "
-        f"normal bundle): c3 += -2*c2 = {corrections.c3}, "
-        f"c1^3 += -6*c1^2 = {corrections.c1_cubed}, "
-        f"c1c2 += -2*c1^2 - 2*c2 = {corrections.c1c2}",
+        "normal bundle): "
+        + ", ".join(map("{} += {} = {}".format, ("c3", "c1^3", "c1c2"), terms, corrections)),
         "result = X1 x S2 + X2 x S1 + corrections: "
         + _triple_text(ChernTriple(*map(sum, zip(*parts)))),
     )
@@ -272,7 +276,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         GenericGrid,
         SearchBounds,
         construction_obstruction,
-        plane_obstruction,
         search_realizations,
     )
 
@@ -301,7 +304,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         bounds = SearchBounds(generic=generic, **limits)
 
     target = args.target
-    for message in construction_obstruction(target) + plane_obstruction(target):
+    for message in construction_obstruction(target):
         print(f"obstruction: {message}", file=sys.stderr)
     results = search_realizations(target, bounds)
     if args.format == "json":

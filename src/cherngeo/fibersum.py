@@ -40,9 +40,9 @@ class CrossSectionInvariants(namedtuple("CrossSectionInvariants", "c1_sq c2")):
     __slots__ = ()
 
 
-# The corrections along S1 x S2, which has trivial normal bundle on both sides:
-# for c3, c1^3 and c1c2 in turn, the coefficients of the locus's (c1^2, c2).
-_CORRECTIONS = ((0, -2), (-6, 0), (-2, -2))
+# The corrections along S1 x S2 (trivial normal bundle on both sides) to c3, c1^3 and c1c2
+# in turn, as coefficients of the locus's (c1^2, c2); the oracle and --explain read them.
+CORRECTIONS = ((0, -2), (-6, 0), (-2, -2))
 
 
 def _cross_section_classes() -> tuple:
@@ -74,7 +74,7 @@ def _fiber_sum_parts() -> list:
     return [
         (algebra.chern_number_classes("X1", "S2"), ("X1",), ("S2",)),
         (algebra.chern_number_classes("X2", "S1"), ("X2",), ("S1",)),
-        ([k_sq * c1_sq + k_2 * c2 for k_sq, k_2 in _CORRECTIONS], (), ("S1", "S2")),
+        ([k_sq * c1_sq + k_2 * c2 for k_sq, k_2 in CORRECTIONS], (), ("S1", "S2")),
     ]
 
 
@@ -131,7 +131,7 @@ def halic_construction(
         B = c1^3 / 6  = f2*c1sq1 + f1*c1sq2 - 8*f1*f2
 
     and the triple is (24A - 2B, 6B, 24A).  So c3 = 24A - 2B is the plane
-    3*c3 = 3*c1c2 - c1^3 that :func:`cherngeo.geography.plane_obstruction`
+    3*c3 = 3*c1c2 - c1^3 that :func:`cherngeo.geography.construction_obstruction`
     checks.  With ``check=False`` the arithmetic is applied to arbitrary
     invariant values, valid fibration or not; useful for grid sweeps.
     """

@@ -3,11 +3,12 @@
 The divisibility conditions (c3 and c1^3 even, c1c2 divisible by 24) are
 necessary for any symplectic 6-manifold; the fiber-sum construction adds
 the stronger obstruction that c1^3 be divisible by 6, and its triples all
-lie on the plane 3*c3 = 3*c1c2 - c1^3.  The search inverts
-the closed-form construction over bounded family parameters.  The plane
-classifier reproduces the standard region picture of 4-manifold geography
-in the (chi_h, c1^2) plane; region boundaries are closed on both sides,
-so boundary points carry every adjacent label.
+lie on the plane 3*c3 = 3*c1c2 - c1^3.  :func:`construction_obstruction`
+tests all five.  The search inverts the closed-form construction over
+bounded family parameters.  The plane classifier reproduces the standard
+region picture of 4-manifold geography in the (chi_h, c1^2) plane;
+region boundaries are closed on both sides, so boundary points carry
+every adjacent label.
 """
 
 from __future__ import annotations
@@ -74,10 +75,13 @@ def halic_divisibility_check(t: ChernTriple) -> DivisibilityReport:
 
 
 def construction_obstruction(t: ChernTriple) -> list[str]:
-    """Necessary conditions for realizability by this construction.
+    """Why ``t`` is not a triple of the fiber-sum construction, one message per failed condition.
 
-    Returns a list of failed conditions; empty means no obstruction found
-    (which is not a realizability proof).
+    The conditions are the three divisibility checks, 6 | c1^3 and the plane
+    3*c3 = 3*c1c2 - c1^3, its sides compared times three so that no division
+    enters.  An empty list means ``t`` is the triple of the formal witness
+    generic(A, B, g) + S^2 x S^2, with A = c1c2/24, B = c1^3/6 and any genus g
+    leaving n = 12A - B - 4 + 4g >= 0; the search asks which blocks realize it.
     """
     out = []
     report = halic_divisibility_check(t)
@@ -89,18 +93,9 @@ def construction_obstruction(t: ChernTriple) -> list[str]:
         out.append(f"c1c2 = {t.c1c2} is not divisible by 24")
     if t.c1_cubed % 6 != 0:
         out.append(f"c1^3 = {t.c1_cubed} is not divisible by 6")
+    if 3 * t.c3 != 3 * t.c1c2 - t.c1_cubed:
+        out.append(f"3*c3 = {3 * t.c3} differs from 3*c1c2 - c1^3 = {3 * t.c1c2 - t.c1_cubed}")
     return out
-
-
-def plane_obstruction(t: ChernTriple) -> list[str]:
-    """The plane 3*c3 = 3*c1c2 - c1^3 that every triple of the construction lies on.
-
-    Returns one message naming both sides when the triple is off the plane;
-    the sides are compared times three, so that no division enters.
-    """
-    if 3 * t.c3 == 3 * t.c1c2 - t.c1_cubed:
-        return []
-    return [f"3*c3 = {3 * t.c3} differs from 3*c1c2 - c1^3 = {3 * t.c1c2 - t.c1_cubed}"]
 
 
 class GenericGrid(namedtuple("GenericGrid", "chi_h c1_sq genus")):
@@ -243,11 +238,11 @@ def search_realizations(target: ChernTriple, bounds: SearchBounds) -> list[Reali
     candidate list.  Every candidate is validated once, in list order,
     before the scan; the first invalid one is the one the scan would meet
     first.  Every hit is recomputed through the independent symbolic path
-    before emission.  An obstructed or off-plane target gives no pairs;
+    before emission.  A target with a :func:`construction_obstruction` gives no pairs;
     otherwise bounds that select no candidate block raise ValueError, so
     that an empty result always means a scan found nothing.
     """
-    if construction_obstruction(target) or plane_obstruction(target):
+    if construction_obstruction(target):
         return []
     blocks = candidate_blocks(bounds)
     if not blocks:

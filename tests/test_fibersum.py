@@ -3,7 +3,7 @@ import inspect
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cherngeo import algebra, fibersum, invariants
+from cherngeo import algebra, cli, fibersum, invariants
 from cherngeo.catalog import elliptic_surface, knot_surgered_elliptic, ruled_spheres
 from cherngeo.fibersum import (
     ChernTriple,
@@ -46,7 +46,7 @@ def test_cross_section_closed_form(g1, g2):
 
 
 # The slow reference's corrections, with Gompf's coefficients written here rather
-# than read from fibersum._CORRECTIONS: c3 += -2*c2, c1^3 += -6*c1^2 and
+# than read from fibersum.CORRECTIONS: c3 += -2*c2, c1^3 += -6*c1^2 and
 # c1c2 += -2*c1^2 - 2*c2 along a locus with trivial normal bundle.
 def _reference_fiber_sum(m1, m2, x):
     """Chern numbers of a fiber sum from the summands and the gluing locus."""
@@ -198,14 +198,20 @@ def test_fused_kernel_matches_its_pieces_and_the_closed_form(chi1, c1sq1, g1, ch
     assert all(type(part) is ChernTriple for part in parts)
 
 
-def test_corrections_are_one_table(monkeypatch):
-    # fiber_sum_parts and _fiber_sum_kernel read the same table
-    monkeypatch.setattr(fibersum, "_CORRECTIONS", ((1, 0), (0, 1), (3, 5)))
+def test_corrections_are_one_table(monkeypatch, capsys):
+    # fiber_sum_parts, _fiber_sum_kernel and fibersum --explain read the same table
+    monkeypatch.setattr(fibersum, "CORRECTIONS", ((1, 0), (0, 1), (3, 5)))
     b = _raw_block(0, 0, 0)  # S1 x S2 has (c1^2, c2) = (8, 4); the products vanish
     assert fiber_sum_parts(b, b) == ((0, 0, 0), (0, 0, 0), (8, 4, 44))
     kernel = fibersum._fiber_sum_kernel.__wrapped__()  # built afresh from the patched table
     x, s = FourManifoldInvariants(0, 0), SurfaceInvariants(0)
     assert kernel(x, x, s, s) == (8, 4, 44)
+    # two genus-0 fibers: S1 x S2 is again the (8, 4) of S^2 x S^2
+    assert cli.main(["fibersum", "ruled-spheres", "ruled-spheres", "--explain"]) == 0
+    corrections = capsys.readouterr().err.splitlines()[3]
+    assert corrections.endswith(
+        "c3 += 1*c1^2 = 8, c1^3 += 1*c2 = 4, c1c2 += 3*c1^2 + 5*c2 = 44"
+    )
 
 
 # -- the two paths agree as polynomials -----------------------------------------

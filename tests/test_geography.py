@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from cherngeo import geography
 from cherngeo.catalog import (
+    FAMILIES,
     elliptic_surface,
     generic_block,
     knot_surgered_elliptic,
@@ -13,12 +14,12 @@ from cherngeo.catalog import (
 from cherngeo.fibersum import halic_construction, halic_construction_via_oracle
 from cherngeo.geography import (
     GenericGrid,
+    Realization,
     SearchBounds,
     candidate_blocks,
     classify_geography_point,
     construction_obstruction,
     halic_divisibility_check,
-    plane_obstruction,
     search_realizations,
 )
 from cherngeo.invariants import (
@@ -47,9 +48,14 @@ def test_construction_obstruction():
     msgs = construction_obstruction(ChernTriple(2, 2, 24))
     assert any("divisible by 6" in m for m in msgs)
     assert construction_obstruction(ChernTriple(24, 0, 24)) == []
-    assert construction_obstruction(ChernTriple(0, 48, 0)) == []
+    # passes every divisibility check, but lies off the plane 3*c3 = 3*c1c2 - c1^3
+    assert construction_obstruction(ChernTriple(0, 48, 0)) == [
+        "3*c3 = 0 differs from 3*c1c2 - c1^3 = -48"
+    ]
     msgs = construction_obstruction(ChernTriple(0, 0, 1))
     assert any("24" in m for m in msgs)
+    msgs = construction_obstruction(ChernTriple(0, 3, 0))
+    assert "c1^3 = 3 is not even" in msgs
 
 
 # -- search ------------------------------------------------------------------
@@ -65,6 +71,58 @@ def _lemma_reference(b1, b2):
         6 * f2 * c1 + 6 * f1 * c2 - 48 * f1 * f2,
         24 * f2 * chi1 + 24 * f1 * chi2 - 24 * f1 * f2,
     )
+
+
+def _reference_search(target, bounds):
+    """The slow reference scan: every pair i <= j of the candidates, in list order."""
+    blocks = candidate_blocks(bounds)
+    return [
+        Realization(b1, b2, ChernTriple(*_lemma_reference(b1, b2)))
+        for i, b1 in enumerate(blocks)
+        for b2 in blocks[i:]
+        if _lemma_reference(b1, b2) == target
+    ]
+
+
+@st.composite
+def small_bounds(draw):
+    """Random families and small limits, and a generic grid reaching negative invariants.
+
+    At most 4 + 1 + 16 named and 4 * 5 * 4 generic blocks: about 100 candidates.
+    """
+    families = draw(st.lists(st.sampled_from(tuple(FAMILIES)), unique=True))
+    generic = None
+    if draw(st.booleans()):
+        chi, c1_sq = draw(st.integers(-3, 3)), draw(st.integers(-6, 6))
+        genus = draw(st.integers(0, 3))
+        generic = GenericGrid(
+            (chi, chi + draw(st.integers(0, 3))),
+            (c1_sq, c1_sq + draw(st.integers(0, 4))),
+            (genus, draw(st.integers(genus, 3))),
+        )
+    return SearchBounds(
+        families,
+        max_m=draw(st.integers(0, 4)),
+        max_k=draw(st.integers(0, 4)),
+        max_knot_genus=draw(st.integers(0, 3)),
+        generic=generic,
+    )
+
+
+@given(bounds=small_bounds(), data=st.data())
+def test_search_matches_the_reference_scan(bounds, data):
+    blocks = candidate_blocks(bounds)
+    assume(blocks)
+    if data.draw(st.booleans(), label="target from a candidate pair"):
+        i = data.draw(st.integers(0, len(blocks) - 1), label="i")
+        j = data.draw(st.integers(i, len(blocks) - 1), label="j")
+        target = ChernTriple(*_lemma_reference(blocks[i], blocks[j]))
+    else:
+        a = data.draw(st.integers(-20, 20), label="A")
+        b = data.draw(st.integers(-40, 40), label="B")
+        shift = data.draw(st.sampled_from(((0, 0, 0), (2, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 12))))
+        target = ChernTriple(24 * a - 2 * b + shift[0], 6 * b + shift[1], 24 * a + shift[2])
+    assert search_realizations(target, bounds) == _reference_search(target, bounds)
 
 
 def test_search_finds_worked_example():
@@ -221,22 +279,53 @@ def test_oracle_triples_lie_on_the_plane(b1, b2):
     assert validate_block(b1) == [] and validate_block(b2) == []
     t = halic_construction_via_oracle(b1, b2)
     assert 3 * t.c3 == 3 * t.c1c2 - t.c1_cubed
-    assert plane_obstruction(t) == []
+    assert construction_obstruction(t) == []
     off = ChernTriple(t.c3 + 2, t.c1_cubed, t.c1c2)
-    (message,) = plane_obstruction(off)
+    (message,) = construction_obstruction(off)
     assert f"3*c3 = {3 * off.c3} " in message
     assert f"3*c1c2 - c1^3 = {3 * off.c1c2 - off.c1_cubed}" in message
 
 
 def test_off_plane_target_skips_the_scan(monkeypatch):
     target = ChernTriple(26, 0, 24)  # passes every divisibility check
-    assert construction_obstruction(target) == []
+    assert halic_divisibility_check(target).all_pass and target.c1_cubed % 6 == 0
 
     def no_scan(bounds):
         raise AssertionError("an off-plane target must not enumerate candidates")
 
     monkeypatch.setattr(geography, "candidate_blocks", no_scan)
     assert search_realizations(target, SearchBounds()) == []
+
+
+# Integers of either sign, past 2**64 included.
+_WIDE_INTEGERS = st.integers(-50, 50) | st.integers(-(2**80), 2**80)
+
+
+@given(a=_WIDE_INTEGERS, b=_WIDE_INTEGERS)
+@example(a=997, b=1)  # (23926, 6, 23928): generic(997, 1, 0, n=11959) + S^2 x S^2
+@example(a=2**64 + 1, b=-(2**65))
+def test_every_image_point_has_a_formal_witness(a, b):
+    t = ChernTriple(24 * a - 2 * b, 6 * b, 24 * a)
+    assert construction_obstruction(t) == []
+    genus = max(0, -((12 * a - b - 4) // 4))  # the least genus with n >= 0
+    n = 12 * a - b - 4 + 4 * genus
+    assert n >= 0 and (genus == 0 or n < 4)
+    witness = generic_block(a, b, genus, n, False)
+    assert validate_block(witness) == []
+    assert halic_construction(witness, ruled_spheres()) == t
+    assert halic_construction_via_oracle(witness, ruled_spheres()) == t
+
+
+@given(
+    a=_WIDE_INTEGERS,
+    b=_WIDE_INTEGERS,
+    shift=st.tuples(*[st.sampled_from((0, 0, 1, 2, 3, 12, -6))] * 3),
+)
+def test_unobstructed_triples_lie_in_the_image(a, b, shift):
+    t = ChernTriple(24 * a - 2 * b + shift[0], 6 * b + shift[1], 24 * a + shift[2])
+    if not construction_obstruction(t):
+        assert t.c1c2 % 24 == 0 and t.c1_cubed % 6 == 0
+        assert t.c3 == t.c1c2 - t.c1_cubed // 3
 
 
 # -- classifier --------------------------------------------------------------
