@@ -13,12 +13,16 @@ and its (chi_h, c1^2, fiber genus) as a function of the parameters.
 catalog records and the realization search read the rows: a new family is
 one row, plus an entry of :data:`FAMILY_ALIASES` if it has a short name.
 Generic blocks are the one special case, because their CLI flags differ
-from their JSON keys.
+from their JSON keys.  The search's limits, :class:`SearchBounds` and its
+:class:`GenericGrid`, are built from the rows here too; ``geography``
+loads this module only when a search enumerates its candidates, so the
+plane classifier and the plot never load it.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 
 from .invariants import (
     FourManifoldInvariants,
@@ -44,12 +48,83 @@ FAMILIES = {
 }
 FAMILY_ALIASES = {"knot-elliptic": "knot-surgered-elliptic"}
 
-# The integer limits of geography.SearchBounds in field order, each with its default.
+# The integer limits of SearchBounds in field order, each with its default.
 SEARCH_LIMITS = {
     limit: default
     for _, params, _ in FAMILIES.values()
     for _, limit, default in params.values()
 }
+
+
+class GenericGrid(namedtuple("GenericGrid", "chi_h c1_sq genus")):
+    """Inclusive ranges for brute-force generic blocks in the search.
+
+    Fields (each a ``tuple[int, int]`` (lo, hi)): chi_h, c1_sq, genus.
+    An empty range, and a genus range that starts below 0, raise ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, chi_h: tuple[int, int], c1_sq: tuple[int, int], genus: tuple[int, int]):
+        for key, (lo, hi) in zip(cls._fields, (chi_h, c1_sq, genus)):
+            if lo > hi:
+                raise ValueError(f"generic grid range {key!r} is empty: {lo} > {hi}")
+        if genus[0] < 0:
+            raise ValueError(f"generic grid range 'genus' must be non-negative, got {genus[0]}")
+        return super().__new__(cls, chi_h, c1_sq, genus)
+
+
+class SearchBounds(
+    namedtuple(
+        "SearchBounds",
+        ("families", *SEARCH_LIMITS, "generic"),
+        defaults=(tuple(FAMILIES), *SEARCH_LIMITS.values(), None),
+    )
+):
+    """Search limits; ``families`` are resolved through the registry and its aliases.
+
+    Fields: ``families: tuple[str, ...]`` (default: every registry family),
+    the :data:`SEARCH_LIMITS` (``int``; defaults from the :data:`FAMILIES`
+    rows) and ``generic: GenericGrid | None`` (default: no generic grid).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        bounds = super().__new__(cls, *args, **kwargs)
+        families = bounds.families
+        if not isinstance(families, (list, tuple)):
+            raise ValueError(f"families must be a list of family names, got {families!r}")
+        families = tuple(family_name(f) for f in families)
+        for key in SEARCH_LIMITS:
+            value = getattr(bounds, key)
+            if value < 0:
+                raise ValueError(f"{key!r} must be non-negative, got {value}")
+        return super().__new__(cls, families, *bounds[1:])
+
+    @classmethod
+    def from_json(cls, data: dict) -> "SearchBounds":
+        if not isinstance(data, dict):
+            raise ValueError("search bounds must be a JSON object")
+        refuse_unknown_fields(data, cls._fields, "search bounds")
+        generic = data.get("generic")
+        if generic is not None:
+            if not isinstance(generic, dict):
+                raise ValueError(f"field 'generic' must be an object, got {generic!r}")
+            refuse_unknown_fields(generic, GenericGrid._fields, "'generic'")
+            generic = GenericGrid(*(_range_field(generic, k) for k in GenericGrid._fields))
+        given = {k: json_field(data, k) for k in SEARCH_LIMITS if k in data}
+        if "families" in data:
+            given["families"] = data["families"]
+        return cls(generic=generic, **given)
+
+
+def _range_field(grid: dict, key: str) -> tuple[int, int]:
+    """A [lo, hi] pair of JSON integers, read as strictly as :func:`json_field` reads one."""
+    value = grid.get(key)
+    if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value):
+        return value[0], value[1]
+    raise ValueError(f"field 'generic.{key}' must be a [lo, hi] pair of integers, got {value!r}")
 
 
 def family_block(family: str, *params: int) -> LefschetzBlock:

@@ -272,12 +272,8 @@ _BOUND_FLAGS = (
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .geography import (
-        GenericGrid,
-        SearchBounds,
-        construction_obstruction,
-        search_realizations,
-    )
+    from .catalog import GenericGrid, SearchBounds
+    from .geography import construction_obstruction, search_realizations
 
     given = [flag for flag in _BOUND_FLAGS if getattr(args, flag) is not None]
     if args.config:

@@ -5,10 +5,15 @@ necessary for any symplectic 6-manifold; the fiber-sum construction adds
 the stronger obstruction that c1^3 be divisible by 6, and its triples all
 lie on the plane 3*c3 = 3*c1c2 - c1^3.  :func:`construction_obstruction`
 tests all five.  The search inverts the closed-form construction over
-bounded family parameters.  The plane classifier reproduces the standard
-region picture of 4-manifold geography in the (chi_h, c1^2) plane;
-region boundaries are closed on both sides, so boundary points carry
-every adjacent label.
+bounded family parameters, the ``catalog.SearchBounds``.  The plane
+classifier reproduces the standard region picture of 4-manifold geography
+in the (chi_h, c1^2) plane; region boundaries are closed on both sides, so
+boundary points carry every adjacent label.
+
+The plane classifier and :mod:`cherngeo.plot` use neither the fiber sum nor
+the block catalog, so this module imports both where the search uses them.
+``geography.SearchBounds`` and ``geography.GenericGrid`` still name the
+catalog's classes, loading the catalog on first use.
 """
 
 from __future__ import annotations
@@ -17,16 +22,23 @@ import itertools
 import math
 from collections import namedtuple
 
-from .catalog import FAMILIES, INPUT_DIGITS, SEARCH_LIMITS, family_block, family_name, generic_block
 from .invariants import (
     ChernTriple,
     FourManifoldInvariants,
     LefschetzBlock,
     euler_from_fibration,
-    json_field,
-    refuse_unknown_fields,
     require_valid,
 )
+
+
+def __getattr__(name: str):
+    """``SearchBounds`` and ``GenericGrid``, the catalog's classes, imported on first use."""
+    if name in ("SearchBounds", "GenericGrid"):
+        from . import catalog
+
+        return getattr(catalog, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # The closed regions of the plane in label order, as (label, lower line,
 # upper line); a line (a, b) is c1^2 = a*chi_h + b.  Points strictly below
@@ -98,77 +110,6 @@ def construction_obstruction(t: ChernTriple) -> list[str]:
     return out
 
 
-class GenericGrid(namedtuple("GenericGrid", "chi_h c1_sq genus")):
-    """Inclusive ranges for brute-force generic blocks in the search.
-
-    Fields (each a ``tuple[int, int]`` (lo, hi)): chi_h, c1_sq, genus.
-    An empty range, and a genus range that starts below 0, raise ValueError.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, chi_h: tuple[int, int], c1_sq: tuple[int, int], genus: tuple[int, int]):
-        for key, (lo, hi) in zip(cls._fields, (chi_h, c1_sq, genus)):
-            if lo > hi:
-                raise ValueError(f"generic grid range {key!r} is empty: {lo} > {hi}")
-        if genus[0] < 0:
-            raise ValueError(f"generic grid range 'genus' must be non-negative, got {genus[0]}")
-        return super().__new__(cls, chi_h, c1_sq, genus)
-
-
-class SearchBounds(
-    namedtuple(
-        "SearchBounds",
-        ("families", *SEARCH_LIMITS, "generic"),
-        defaults=(tuple(FAMILIES), *SEARCH_LIMITS.values(), None),
-    )
-):
-    """Search limits; ``families`` are resolved through the catalog's registry and aliases.
-
-    Fields: ``families: tuple[str, ...]`` (default: every registry family),
-    the catalog's ``SEARCH_LIMITS`` (``int``; defaults from the ``catalog.FAMILIES``
-    rows) and ``generic: GenericGrid | None`` (default: no generic grid).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        bounds = super().__new__(cls, *args, **kwargs)
-        families = bounds.families
-        if not isinstance(families, (list, tuple)):
-            raise ValueError(f"families must be a list of family names, got {families!r}")
-        families = tuple(family_name(f) for f in families)
-        for key in SEARCH_LIMITS:
-            value = getattr(bounds, key)
-            if value < 0:
-                raise ValueError(f"{key!r} must be non-negative, got {value}")
-        return super().__new__(cls, families, *bounds[1:])
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SearchBounds":
-        if not isinstance(data, dict):
-            raise ValueError("search bounds must be a JSON object")
-        refuse_unknown_fields(data, cls._fields, "search bounds")
-        generic = data.get("generic")
-        if generic is not None:
-            if not isinstance(generic, dict):
-                raise ValueError(f"field 'generic' must be an object, got {generic!r}")
-            refuse_unknown_fields(generic, GenericGrid._fields, "'generic'")
-            generic = GenericGrid(*(_range_field(generic, k) for k in GenericGrid._fields))
-        given = {k: json_field(data, k) for k in SEARCH_LIMITS if k in data}
-        if "families" in data:
-            given["families"] = data["families"]
-        return cls(generic=generic, **given)
-
-
-def _range_field(grid: dict, key: str) -> tuple[int, int]:
-    """A [lo, hi] pair of JSON integers, read as strictly as :func:`json_field` reads one."""
-    value = grid.get(key)
-    if isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value):
-        return value[0], value[1]
-    raise ValueError(f"field 'generic.{key}' must be a [lo, hi] pair of integers, got {value!r}")
-
-
 class Realization(namedtuple("Realization", "block1 block2 triple")):
     """A block pair whose fiber sum hits the target triple.
 
@@ -189,15 +130,19 @@ def _range_size(r: range) -> int:
     return max(0, -((r.start - r.stop) // r.step))
 
 
-def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
+def candidate_blocks(bounds) -> list[LefschetzBlock]:
     """All blocks within bounds: the named families in registry order, then the generic grid.
 
-    Bounds that allow more than :data:`SEARCH_BLOCK_LIMIT` blocks raise
-    ValueError before any block is built.  The count is an upper bound: the
-    product of the search ranges of each selected family, plus the size of
-    the generic grid before genera without a fibration are dropped.  A
-    family with an empty range has no blocks, and no range of it is read.
+    ``bounds`` is a ``catalog.SearchBounds``.  Bounds that allow more than
+    :data:`SEARCH_BLOCK_LIMIT` blocks raise ValueError before any block is
+    built.  The count is an upper bound: the product of the search ranges of
+    each selected family, plus the size of the generic grid before genera
+    without a fibration are dropped.  A family with an empty range has no
+    blocks, and no range of it is read.
     """
+    # Imported here, so that the plane classifier and plot load no catalog.
+    from .catalog import FAMILIES, INPUT_DIGITS, family_block, generic_block
+
     selected = []
     for name, (_, params, _) in FAMILIES.items():
         ranges = [range(least, getattr(bounds, limit) + 1) for least, limit, _ in params.values()]
@@ -231,14 +176,15 @@ def candidate_blocks(bounds: SearchBounds) -> list[LefschetzBlock]:
     return blocks
 
 
-def search_realizations(target: ChernTriple, bounds: SearchBounds) -> list[Realization]:
+def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
     """All unordered block pairs within bounds realizing the target exactly.
 
-    Symmetric pairs are deduplicated by canonical ordering of the
-    candidate list.  Every candidate is validated once, in list order,
-    before the scan; the first invalid one is the one the scan would meet
-    first.  Every hit is recomputed through the independent symbolic path
-    before emission.  A target with a :func:`construction_obstruction` gives no pairs;
+    ``bounds`` is a ``catalog.SearchBounds``.  Symmetric pairs are
+    deduplicated by canonical ordering of the candidate list.  Every
+    candidate is validated once, in list order, before the scan; the first
+    invalid one is the one the scan would meet first.  Every hit is
+    recomputed through the independent symbolic path before emission.  A
+    target with a :func:`construction_obstruction` gives no pairs;
     otherwise bounds that select no candidate block raise ValueError, so
     that an empty result always means a scan found nothing.
     """

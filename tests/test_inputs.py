@@ -38,7 +38,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cherngeo import geography
+from cherngeo import catalog, geography
 from cherngeo.catalog import (
     FAMILIES,
     FAMILY_ALIASES,
@@ -785,8 +785,8 @@ def no_blocks(monkeypatch):
     def refuse(*args):
         raise AssertionError("a candidate block was built")
 
-    monkeypatch.setattr(geography, "family_block", refuse)
-    monkeypatch.setattr(geography, "generic_block", refuse)
+    monkeypatch.setattr(catalog, "family_block", refuse)
+    monkeypatch.setattr(catalog, "generic_block", refuse)
 
 
 @pytest.mark.parametrize(

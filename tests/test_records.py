@@ -8,7 +8,8 @@ normalises its families, generators sort by (source, kind), and importing
 the CLI loads neither ``dataclasses`` nor ``inspect``.  The records the
 per-pair path builds by ``tuple.__new__`` are the records their
 constructors make, and importing the invariants or the plot loads no
-``functools``.  Each subcommand, run in a fresh interpreter, loads only the
+``functools``; the plot and the plane classifier load no fiber sum and no
+catalog, whose ``SearchBounds`` ``geography`` still names.  Each subcommand, run in a fresh interpreter, loads only the
 package modules it uses, and the human formats load no ``json``; the
 closed form loads no ``algebra``, which only the oracle's first call loads,
 so no annotation names it: every function's type hints resolve.
@@ -297,7 +298,22 @@ def test_only_the_oracle_loads_the_algebra(construction, loaded):
 
 
 def test_importing_plot_loads_no_fiber_sum():
-    assert _loaded_in_fresh_interpreter("import cherngeo.plot", ("cherngeo.fibersum",)) == []
+    # The plane's classifier and plot load neither the fiber sum nor the block catalog.
+    for module in ("cherngeo.plot", "cherngeo.geography"):
+        absent = ("cherngeo.fibersum", "cherngeo.catalog")
+        assert _loaded_in_fresh_interpreter(f"import {module}", absent) == [], module
+
+
+def test_geography_names_the_catalogs_search_bounds():
+    from cherngeo import catalog, geography
+    from cherngeo.geography import SearchBounds as imported
+
+    assert geography.SearchBounds is catalog.SearchBounds
+    assert geography.GenericGrid is catalog.GenericGrid
+    assert imported is catalog.SearchBounds
+    with pytest.raises(AttributeError) as info:
+        geography.no_such_name
+    assert str(info.value) == "module 'cherngeo.geography' has no attribute 'no_such_name'"
 
 
 @pytest.mark.parametrize("module", ["cherngeo.invariants", "cherngeo.plot"])
