@@ -8,8 +8,9 @@ normalises its families, generators sort by (source, kind), and importing
 the CLI loads neither ``dataclasses`` nor ``inspect``.  The records the
 per-pair path builds by ``tuple.__new__`` are the records their
 constructors make, and importing the invariants or the plot loads no
-``functools``; the plot and the plane classifier load no fiber sum and no
-catalog, whose ``SearchBounds`` ``geography`` still names.  Each subcommand, run in a fresh interpreter, loads only the
+``functools``.  The plot and the plane classifier load neither the fiber
+sum nor the catalog, though ``geography.SearchBounds`` still names the
+catalog's class.  Each subcommand, run in a fresh interpreter, loads only the
 package modules it uses, and the human formats load no ``json``; the
 closed form loads no ``algebra``, which only the oracle's first call loads,
 so no annotation names it: every function's type hints resolve.
@@ -299,8 +300,8 @@ def test_only_the_oracle_loads_the_algebra(construction, loaded):
 
 def test_importing_plot_loads_no_fiber_sum():
     # The plane's classifier and plot load neither the fiber sum nor the block catalog.
+    absent = ("cherngeo.fibersum", "cherngeo.catalog")
     for module in ("cherngeo.plot", "cherngeo.geography"):
-        absent = ("cherngeo.fibersum", "cherngeo.catalog")
         assert _loaded_in_fresh_interpreter(f"import {module}", absent) == [], module
 
 
