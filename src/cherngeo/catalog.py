@@ -144,6 +144,25 @@ def family_block(family: str, *params: int) -> LefschetzBlock:
     return LefschetzBlock(name.format(*params), invariants, fiber_genus, n, simply_connected=True)
 
 
+def family_steps(family: str) -> tuple[tuple[int, int, int], tuple[tuple[int, int, int], ...]]:
+    """A row's (chi_h, c1^2, fiber genus) at its least parameters, and one step up in each.
+
+    Both are read from the row's signature: ``base`` at the least values, and
+    ``steps[k]`` as the signature one above the least value of parameter k,
+    less ``base``.  The search takes every row to be affine in its parameters,
+    so that the block at offsets d from the least values is
+    base + sum(d[k] * steps[k]).
+    """
+    _, params, signature = FAMILIES[family]
+    least = [least for least, _, _ in params.values()]
+    base = signature(*least)
+    steps = tuple(
+        tuple(up - at for up, at in zip(signature(*least[:k], least[k] + 1, *least[k + 1:]), base))
+        for k in range(len(least))
+    )
+    return base, steps
+
+
 def elliptic_surface(m: int) -> LefschetzBlock:
     """E(m), the "elliptic" row of :data:`FAMILIES` at m."""
     return family_block("elliptic", m)

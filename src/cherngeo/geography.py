@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 from .invariants import (
@@ -120,14 +121,28 @@ class Realization(namedtuple("Realization", "block1 block2 triple")):
     __slots__ = ()
 
 
-# The most candidate blocks one search may enumerate, about 12.5 million pairs;
-# bounds that allow more are refused before any block is built.
+# The most candidate blocks one search may enumerate; bounds that allow more are
+# refused before any block is built.  Every candidate is still built and
+# validated, but only pairs of two generic-grid blocks are scanned, at most
+# about 12.5 million of them; a named family's partners are solved for.
 SEARCH_BLOCK_LIMIT = 5_000
 
 
 def _range_size(r: range) -> int:
     """``len(r)`` for a positive step, without its ``sys.maxsize`` cap."""
     return max(0, -((r.start - r.stop) // r.step))
+
+
+def _selected_families(bounds) -> list[tuple[str, list[range]]]:
+    """The selected families with blocks within bounds, in registry order, with their ranges."""
+    from .catalog import FAMILIES
+
+    selected = []
+    for name, (_, params, _) in FAMILIES.items():
+        ranges = [range(least, getattr(bounds, limit) + 1) for least, limit, _ in params.values()]
+        if name in bounds.families and all(ranges):
+            selected.append((name, ranges))
+    return selected
 
 
 def candidate_blocks(bounds) -> list[LefschetzBlock]:
@@ -141,13 +156,9 @@ def candidate_blocks(bounds) -> list[LefschetzBlock]:
     blocks, and no range of it is read.
     """
     # Imported here, so that the plane classifier and plot load no catalog.
-    from .catalog import FAMILIES, INPUT_DIGITS, family_block, generic_block
+    from .catalog import INPUT_DIGITS, family_block, generic_block
 
-    selected = []
-    for name, (_, params, _) in FAMILIES.items():
-        ranges = [range(least, getattr(bounds, limit) + 1) for least, limit, _ in params.values()]
-        if name in bounds.families and all(ranges):
-            selected.append((name, ranges))
+    selected = _selected_families(bounds)
     count = sum(math.prod(map(_range_size, ranges)) for _, ranges in selected)
     if bounds.generic is not None:
         count += math.prod(hi - lo + 1 for lo, hi in bounds.generic)
@@ -180,13 +191,18 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
     """All unordered block pairs within bounds realizing the target exactly.
 
     ``bounds`` is a ``catalog.SearchBounds``.  Symmetric pairs are
-    deduplicated by canonical ordering of the candidate list.  Every
-    candidate is validated once, in list order, before the scan; the first
-    invalid one is the one the scan would meet first.  Every hit is
-    recomputed through the independent symbolic path before emission.  A
-    target with a :func:`construction_obstruction` gives no pairs;
-    otherwise bounds that select no candidate block raise ValueError, so
-    that an empty result always means a scan found nothing.
+    deduplicated by canonical ordering of the candidate list, and the pairs
+    come in that order.  Every candidate is validated once, in list order,
+    before any pair is examined; the first invalid one is the one a scan
+    would meet first.  A pair with a named-family block is solved for, not
+    scanned: ``fibersum.fiber_sum_partners`` gives each candidate's
+    partners in each selected family.  Only pairs of two generic-grid
+    blocks go through the closed form one by one.  Every hit is then
+    computed by the closed form and recomputed through the independent
+    symbolic path before emission.  A target with a
+    :func:`construction_obstruction` gives no pairs; otherwise bounds that
+    select no candidate block raise ValueError, so that an empty result
+    always means a search found nothing.
     """
     if construction_obstruction(target):
         return []
@@ -194,21 +210,37 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
     if not blocks:
         raise ValueError(f"search bounds select no candidate block: {bounds!r}")
     # Imported here, so that the plane classifier and plot load no fiber sum or algebra.
-    from .fibersum import halic_construction, halic_construction_via_oracle
+    from .catalog import family_steps
+    from .fibersum import fiber_sum_partners, halic_construction, halic_construction_via_oracle
 
     require_valid(*blocks)
+    hits = set()  # index pairs (i, j), i <= j
+    start = 0  # the index of the family's first block
+    for name, ranges in _selected_families(bounds):
+        base, steps = family_steps(name)
+        spans = tuple(len(r) - 1 for r in ranges)
+        # candidate_blocks lists a family's blocks in itertools.product order.
+        strides = [math.prod(map(len, ranges[k + 1:])) for k in range(len(ranges))]
+        for i, offsets in fiber_sum_partners(blocks, target, base, steps, spans):
+            j = start + sum(map(operator.mul, offsets, strides))
+            hits.add((i, j) if i <= j else (j, i))
+        start += math.prod(map(len, ranges))
+    # The generic grid follows the named families: scan its pairs.
+    for i in range(start, len(blocks)):
+        b1 = blocks[i]
+        for j, b2 in enumerate(blocks[i:], i):
+            if halic_construction(b1, b2, check=False) == target:
+                hits.add((i, j))
     results: list[Realization] = []
-    for i, b1 in enumerate(blocks):
-        for b2 in blocks[i:]:
-            triple = halic_construction(b1, b2, check=False)
-            if triple != target:
-                continue
-            verified = halic_construction_via_oracle(b1, b2, check=False)
-            if verified != triple:  # pragma: no cover - would be a formula bug
-                raise AssertionError(
-                    f"closed form and symbolic path disagree on ({b1.name}, {b2.name})"
-                )
-            results.append(Realization(b1, b2, triple))
+    for i, j in sorted(hits):
+        b1, b2 = blocks[i], blocks[j]
+        triple = halic_construction(b1, b2, check=False)
+        verified = halic_construction_via_oracle(b1, b2, check=False)
+        if not triple == verified == target:  # pragma: no cover - would be a formula bug
+            raise AssertionError(
+                f"closed form, symbolic path and target disagree on ({b1.name}, {b2.name})"
+            )
+        results.append(Realization(b1, b2, triple))
     return results
 
 

@@ -1,14 +1,22 @@
 import inspect
+import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cherngeo import algebra, cli, fibersum, invariants
-from cherngeo.catalog import elliptic_surface, knot_surgered_elliptic, ruled_spheres
+from cherngeo.catalog import (
+    FAMILIES,
+    elliptic_surface,
+    family_steps,
+    knot_surgered_elliptic,
+    ruled_spheres,
+)
 from cherngeo.fibersum import (
     ChernTriple,
     CrossSectionInvariants,
     cross_section_of_surfaces,
+    fiber_sum_partners,
     fiber_sum_parts,
     halic_construction,
     halic_construction_via_oracle,
@@ -484,3 +492,51 @@ def test_a_construction_names_its_first_invalid_block(monkeypatch, construct):
     with pytest.raises(BlockValidationError, match="^invalid block 'bad2': ") as info:
         construct(good, bad2)
     assert info.value.block_name == "bad2" and seen == ["S2xS2", "bad2"]
+
+
+# -- solving for a block's partners in a named family -------------------------
+
+# Integers of either sign, past 2**64 included.
+_WIDE = st.integers(-30, 30) | st.integers(-(2**80), 2**80)
+
+
+def _partners_by_walk(b1, target, family, spans):
+    """The offsets of every partner of b1 in the family's box whose fiber sum is target."""
+    _, params, signature = FAMILIES[family]
+    least = [lo for lo, _, _ in params.values()]
+    return [
+        offsets
+        for offsets in itertools.product(*(range(span + 1) for span in spans))
+        if halic_construction(
+            b1, _raw_block(*signature(*(lo + d for lo, d in zip(least, offsets)))), check=False
+        )
+        == target
+    ]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(data=st.data())
+def test_fiber_sum_partners_match_a_walk_of_the_box(family, data):
+    _, params, signature = FAMILIES[family]
+    least = [lo for lo, _, _ in params.values()]
+    # The systems are singular for a torus-fibered block (f1 = 0) and, in the
+    # knot-surgered family, for one with c1^2 = 8*f1, as S^2 x S^2 has.
+    shape = data.draw(st.sampled_from(("any", "f1 = 0", "c1sq1 = 8*f1")), label="shape")
+    genus = 1 if shape == "f1 = 0" else data.draw(st.integers(0, 5) | st.integers(0, 2**80))
+    chi1 = data.draw(_WIDE, label="chi1")
+    c1sq1 = 8 * (1 - genus) if shape == "c1sq1 = 8*f1" else data.draw(_WIDE, label="c1sq1")
+    b1 = _raw_block(chi1, c1sq1, genus)
+    spans = tuple(data.draw(st.integers(-1, 6), label=f"span of {p}") for p in params)
+    base, steps = family_steps(family)
+    boxed = all(span >= 0 for span in spans)
+    if boxed and data.draw(st.booleans(), label="target from a partner in the box"):
+        offsets = [data.draw(st.integers(0, span), label="offset") for span in spans]
+        partner = signature(*(lo + d for lo, d in zip(least, offsets)))
+        target = halic_construction(b1, _raw_block(*partner), check=False)
+    else:
+        a, b = data.draw(_WIDE, label="A"), data.draw(_WIDE, label="B")
+        shift = data.draw(st.sampled_from(((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 12))))
+        target = ChernTriple(24 * a - 2 * b + shift[0], 6 * b + shift[1], 24 * a + shift[2])
+    found = fiber_sum_partners([b1], target, base, steps, spans)
+    assert all(i == 0 for i, _ in found)
+    assert sorted(d for _, d in found) == _partners_by_walk(b1, target, family, spans)

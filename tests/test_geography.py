@@ -125,6 +125,27 @@ def test_search_matches_the_reference_scan(bounds, data):
     assert search_realizations(target, bounds) == _reference_search(target, bounds)
 
 
+def test_a_named_only_search_solves_its_pairs(monkeypatch):
+    # Named-family partners are solved for, so the closed form runs once per hit,
+    # not once for each of the 5,000 * 5,001 / 2 candidate pairs.
+    from cherngeo import fibersum
+
+    calls = []
+    real = fibersum.halic_construction
+
+    def counting(b1, b2, **kwargs):
+        calls.append((b1.name, b2.name))
+        return real(b1, b2, **kwargs)
+
+    monkeypatch.setattr(fibersum, "halic_construction", counting)
+    bounds = SearchBounds(families=("elliptic", "ruled-spheres"), max_m=4999)
+    results = search_realizations(ChernTriple(24000, 0, 24000), bounds)
+    assert results == [
+        Realization(elliptic_surface(1000), ruled_spheres(), ChernTriple(24000, 0, 24000))
+    ]
+    assert calls == [("E(1000)", "S2xS2")]
+
+
 def test_search_finds_worked_example():
     bounds = SearchBounds(families=("elliptic", "ruled-spheres"), max_m=5)
     results = search_realizations(ChernTriple(24, 0, 24), bounds)
