@@ -12,6 +12,8 @@ and its (chi_h, c1^2, fiber genus) as a function of the parameters.
 :func:`family_block` builds every named block from its row, and the CLI,
 catalog records and the realization search read the rows: a new family is
 one row, plus an entry of :data:`FAMILY_ALIASES` if it has a short name.
+The search solves for partners by :func:`family_steps`, so every row must
+be affine in its parameters.
 Generic blocks are the one special case, because their CLI flags differ
 from their JSON keys.  The search's limits, :class:`SearchBounds` and its
 :class:`GenericGrid`, are built from the rows here too; ``geography``
@@ -154,13 +156,13 @@ def family_steps(family: str) -> tuple[tuple[int, int, int], tuple[tuple[int, in
     base + sum(d[k] * steps[k]).
     """
     _, params, signature = FAMILIES[family]
-    least = [least for least, _, _ in params.values()]
+    least = [lo for lo, _, _ in params.values()]
     base = signature(*least)
-    steps = tuple(
-        tuple(up - at for up, at in zip(signature(*least[:k], least[k] + 1, *least[k + 1:]), base))
-        for k in range(len(least))
-    )
-    return base, steps
+    steps = []
+    for k in range(len(least)):
+        above = signature(*least[:k], least[k] + 1, *least[k + 1:])
+        steps.append(tuple(up - at for up, at in zip(above, base)))
+    return base, tuple(steps)
 
 
 def elliptic_surface(m: int) -> LefschetzBlock:

@@ -17,6 +17,8 @@ inverts the closed form over a named family of blocks, for the search.
 Only the functions that build the oracle's expressions or kernels import
 :mod:`cherngeo.algebra`.  Importing this module and running the closed form
 load no algebra; the oracle's first call loads it with the kernel it builds.
+In the same way :func:`fiber_sum_partners` loads :mod:`cherngeo.lattice`,
+its integer solver, at its first call.
 """
 
 from __future__ import annotations
@@ -165,10 +167,14 @@ def fiber_sum_partners(
         A = f1*chi2 + (chi1 - f1)*f2
         B = f1*c1sq2 + (c1sq1 - 8*f1)*f2
 
-    so d solves a 2 x k integer system for each block.  The pairs come in
+    so d solves a 2 x k integer system for each block, which
+    :func:`cherngeo.lattice.box_solutions` solves.  The pairs come in
     block order, each block's offsets in no set order; the blocks are not
     validated.  A target off the construction's image gives no pairs.
     """
+    # Loaded here, so that a process that never searches does not compile it.
+    from .lattice import box_solutions
+
     c3, c1_cubed, c1c2 = target
     if c1c2 % 24 or c1_cubed % 6:
         return []
@@ -183,48 +189,9 @@ def fiber_sum_partners(
         p, q = chi1 - f1, c1sq1 - 8 * f1  # the coefficients of f2 in A and in B
         # A step raises f by -dg, so it adds f1*dchi - p*dg to A and f1*dsq - q*dg to B.
         columns = [(f1 * dchi - p * dg, f1 * dsq - q * dg) for dchi, dsq, dg in steps]
-        for d in _offsets(columns, a - f1 * chi0 - p * f0, b - f1 * c1sq0 - q * f0, spans):
+        for d in box_solutions(columns, a - f1 * chi0 - p * f0, b - f1 * c1sq0 - q * f0, spans):
             found.append((i, d))
     return found
-
-
-def _offsets(columns: list, rest_a: int, rest_b: int, spans: tuple) -> list[tuple[int, ...]]:
-    """Every d, 0 <= d[k] <= spans[k], with sum(d[k] * columns[k]) == (rest_a, rest_b).
-
-    One column is solved directly, two by Cramer's rule when they are
-    independent; otherwise the shortest range is walked and the other
-    columns are solved at each of its values.  Nothing is divided before
-    its remainder is checked.
-    """
-    if not columns:
-        return [()] if rest_a == rest_b == 0 else []
-    if len(columns) == 1:
-        ((ca, cb),) = columns
-        if not (ca or cb):  # the parameter does not move A or B: all or none
-            return [(v,) for v in range(spans[0] + 1)] if rest_a == rest_b == 0 else []
-        c, rest = (ca, rest_a) if ca else (cb, rest_b)
-        if rest % c:
-            return []
-        v = rest // c
-        ok = v * ca == rest_a and v * cb == rest_b and 0 <= v <= spans[0]
-        return [(v,)] if ok else []
-    if len(columns) == 2:
-        (ca1, cb1), (ca2, cb2) = columns
-        det = ca1 * cb2 - ca2 * cb1
-        if det:
-            n1, n2 = rest_a * cb2 - ca2 * rest_b, ca1 * rest_b - rest_a * cb1
-            if n1 % det or n2 % det:
-                return []
-            v1, v2 = n1 // det, n2 // det
-            return [(v1, v2)] if 0 <= v1 <= spans[0] and 0 <= v2 <= spans[1] else []
-    w = min(range(len(spans)), key=spans.__getitem__)
-    ca, cb = columns[w]
-    others, other_spans = columns[:w] + columns[w + 1:], spans[:w] + spans[w + 1:]
-    return [
-        (*d[:w], v, *d[w:])
-        for v in range(spans[w] + 1)
-        for d in _offsets(others, rest_a - v * ca, rest_b - v * cb, other_spans)
-    ]
 
 
 def halic_construction_via_oracle(
