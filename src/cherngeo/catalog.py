@@ -12,8 +12,8 @@ and its (chi_h, c1^2, fiber genus) as a function of the parameters.
 :func:`family_block` builds every named block from its row, and the CLI,
 catalog records and the realization search read the rows: a new family is
 one row, plus an entry of :data:`FAMILY_ALIASES` if it has a short name.
-The search solves for partners by :func:`family_steps`, so every row must
-be affine in its parameters.
+The search solves for partners by ``lattice.family_steps``, so every row
+must be affine in its parameters.
 Generic blocks are the one special case, because their CLI flags differ
 from their JSON keys.  The search's limits, :class:`SearchBounds` and its
 :class:`GenericGrid`, are built from the rows here too; ``geography``
@@ -144,25 +144,6 @@ def family_block(family: str, *params: int) -> LefschetzBlock:
     invariants = FourManifoldInvariants(chi_h, c1_sq)
     n = invariants.euler - euler_from_fibration(fiber_genus, 0)
     return LefschetzBlock(name.format(*params), invariants, fiber_genus, n, simply_connected=True)
-
-
-def family_steps(family: str) -> tuple[tuple[int, int, int], tuple[tuple[int, int, int], ...]]:
-    """A row's (chi_h, c1^2, fiber genus) at its least parameters, and one step up in each.
-
-    Both are read from the row's signature: ``base`` at the least values, and
-    ``steps[k]`` as the signature one above the least value of parameter k,
-    less ``base``.  The search takes every row to be affine in its parameters,
-    so that the block at offsets d from the least values is
-    base + sum(d[k] * steps[k]).
-    """
-    _, params, signature = FAMILIES[family]
-    least = [lo for lo, _, _ in params.values()]
-    base = signature(*least)
-    steps = []
-    for k in range(len(least)):
-        above = signature(*least[:k], least[k] + 1, *least[k + 1:])
-        steps.append(tuple(up - at for up, at in zip(above, base)))
-    return base, tuple(steps)
 
 
 def elliptic_surface(m: int) -> LefschetzBlock:

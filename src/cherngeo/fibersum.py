@@ -18,7 +18,7 @@ Only the functions that build the oracle's expressions or kernels import
 :mod:`cherngeo.algebra`.  Importing this module and running the closed form
 load no algebra; the oracle's first call loads it with the kernel it builds.
 In the same way :func:`fiber_sum_partners` loads :mod:`cherngeo.lattice`,
-its integer solver, at its first call.
+the search's integer solver, at its first call.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def fiber_sum_partners(
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Every (i, d) such that blocks[i] fiber-summed with the partner at offsets d gives target.
 
-    The partners form an affine family, as ``catalog.family_steps`` gives
+    The partners form an affine family, as ``lattice.family_steps`` gives
     it: the partner at offsets d, 0 <= d[k] <= spans[k], has (chi_h, c1^2,
     fiber genus) base + sum(d[k] * steps[k]).  With X1 fixed, A and B of
     :func:`halic_construction` are linear in the partner's (chi_h, c1^2, f):

@@ -210,8 +210,8 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
     if not blocks:
         raise ValueError(f"search bounds select no candidate block: {bounds!r}")
     # Imported here, so that the plane classifier and plot load no fiber sum or algebra.
-    from .catalog import family_steps
     from .fibersum import fiber_sum_partners, halic_construction, halic_construction_via_oracle
+    from .lattice import family_steps
 
     require_valid(*blocks)
     hits = set()  # index pairs (i, j), i <= j

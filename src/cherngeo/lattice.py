@@ -1,16 +1,41 @@
-"""Integer points of a box that solve a linear system of two equations.
+"""The named families as affine lattices, and the box points that solve a 2 x k system.
 
 The realization search asks, for one block and one named family, which
-family parameters give its fiber sum the target's A and B; that is a
-2 x k integer system over a box of parameter offsets, which
-:func:`box_solutions` solves with exact ``int`` arithmetic.  Only
-``fibersum.fiber_sum_partners`` loads this module, at its first call.
+family parameters give their fiber sum the target's A and B.  Every
+``catalog.FAMILIES`` row is affine in its parameters: :func:`family_steps`
+reads its base point and steps from the row's signature, and the
+parameters then solve a 2 x k integer system over a box of offsets, which
+:func:`box_solutions` solves with exact ``int`` arithmetic.  Only the
+search loads this module, from ``geography.search_realizations`` and
+``fibersum.fiber_sum_partners`` when they run, so that a process that
+never searches does not compile it.
 """
 
+from __future__ import annotations
 
-def box_solutions(
-    columns: list, rest_a: int, rest_b: int, spans: tuple
-) -> list[tuple[int, ...]]:
+from .catalog import FAMILIES
+
+
+def family_steps(family: str) -> tuple[tuple[int, int, int], tuple[tuple[int, int, int], ...]]:
+    """A row's (chi_h, c1^2, fiber genus) at its least parameters, and one step up in each.
+
+    Both are read from the row's signature: ``base`` at the least values, and
+    ``steps[k]`` as the signature one above the least value of parameter k,
+    less ``base``.  The search takes every row to be affine in its parameters,
+    so that the block at offsets d from the least values is
+    base + sum(d[k] * steps[k]).
+    """
+    _, params, signature = FAMILIES[family]
+    least = [lo for lo, _, _ in params.values()]
+    base = signature(*least)
+    steps = []
+    for k in range(len(least)):
+        above = signature(*least[:k], least[k] + 1, *least[k + 1:])
+        steps.append(tuple(up - at for up, at in zip(above, base)))
+    return base, tuple(steps)
+
+
+def box_solutions(columns: list, rest_a: int, rest_b: int, spans: tuple) -> list[tuple[int, ...]]:
     """Every d, 0 <= d[k] <= spans[k], with sum(d[k] * columns[k]) == (rest_a, rest_b).
 
     One column is solved directly, two by Cramer's rule when they are

@@ -9,7 +9,6 @@ from cherngeo.catalog import (
     default_catalog,
     elliptic_surface,
     family_block,
-    family_steps,
     generic_block,
     knot_surgered_elliptic,
     load_catalog,
@@ -108,22 +107,6 @@ def test_each_family_row_against_its_builder(family):
         assert block.name == name.format(*args)
         inv = block.invariants
         assert (inv.chi_h, inv.c1_sq, block.fiber_genus) == signature(*args)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_each_family_row_is_affine(family):
-    # The search solves for partners by the base and steps alone, so a row whose
-    # signature they do not reproduce would give wrong search answers.
-    _, params, signature = FAMILIES[family]
-    least = [lo for lo, _, _ in params.values()]
-    base, steps = family_steps(family)
-    assert base == signature(*least) and len(steps) == len(least)
-    for offsets in itertools.product(range(7), repeat=len(least)):
-        point = tuple(
-            at + sum(d * step[axis] for d, step in zip(offsets, steps))
-            for axis, at in enumerate(base)
-        )
-        assert point == signature(*(lo + d for lo, d in zip(least, offsets))), offsets
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

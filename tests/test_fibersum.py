@@ -8,7 +8,6 @@ from cherngeo import algebra, cli, fibersum, invariants
 from cherngeo.catalog import (
     FAMILIES,
     elliptic_surface,
-    family_steps,
     knot_surgered_elliptic,
     ruled_spheres,
 )
@@ -27,6 +26,7 @@ from cherngeo.invariants import (
     LefschetzBlock,
     SurfaceInvariants,
 )
+from cherngeo.lattice import family_steps
 
 
 def _raw_block(chi_h, c1_sq, genus):

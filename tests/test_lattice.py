@@ -1,8 +1,10 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cherngeo.lattice import box_solutions
+from cherngeo.catalog import FAMILIES
+from cherngeo.lattice import box_solutions, family_steps
 
 _COEFFICIENTS = st.integers(-4, 4) | st.integers(-(2**70), 2**70)
 
@@ -32,3 +34,19 @@ def test_box_solutions_match_a_walk_of_the_box(data):
         and sum(v * cb for v, (_, cb) in zip(d, columns)) == rest_b
     ]
     assert sorted(box_solutions(columns, rest_a, rest_b, spans)) == walk
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_row_is_affine(family):
+    # The search solves for partners by the base and steps alone, so a row whose
+    # signature they do not reproduce would give wrong search answers.
+    _, params, signature = FAMILIES[family]
+    least = [lo for lo, _, _ in params.values()]
+    base, steps = family_steps(family)
+    assert base == signature(*least) and len(steps) == len(least)
+    for offsets in itertools.product(range(7), repeat=len(least)):
+        point = tuple(
+            at + sum(d * step[axis] for d, step in zip(offsets, steps))
+            for axis, at in enumerate(base)
+        )
+        assert point == signature(*(lo + d for lo, d in zip(least, offsets))), offsets
