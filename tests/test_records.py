@@ -285,6 +285,16 @@ def test_a_search_without_a_hit_loads_the_fiber_sum_but_no_algebra():
     assert loaded == "cherngeo.fibersum"
 
 
+def test_only_a_search_loads_the_lattice():
+    # The partner solver is compiled only by a process that searches the named families.
+    for argv in (BLOCK, CLASSIFY, CLOSED_FORM, [*CLOSED_FORM, "--oracle"]):
+        assert _loaded_in_fresh_interpreter(_run_cli(argv), ("cherngeo.lattice",)) == [], argv
+    search = ["search", "--target", "48,0,48", "--families", "elliptic,ruled-spheres"]
+    assert _loaded_in_fresh_interpreter(_run_cli(search), ("cherngeo.lattice",)) == [
+        "cherngeo.lattice"
+    ]
+
+
 @pytest.mark.parametrize(
     "construction, loaded",
     [("halic_construction", []), ("halic_construction_via_oracle", ["cherngeo.algebra"])],
