@@ -265,39 +265,35 @@ def _triple_text(triple: ChernTriple) -> str:
     return f"c3={triple.c3} c1^3={triple.c1_cubed} c1c2={triple.c1c2}"
 
 
+# The generic grid's --config fields and the search flags that set them.
+_GRID_FLAGS = {"chi_h": "generic_chi", "c1_sq": "generic_c1sq", "genus": "generic_genus"}
 # search flags that set a bound; a --config file sets all bounds instead.
-_BOUND_FLAGS = (
-    "families", *catalog_mod.SEARCH_LIMITS, "generic_chi", "generic_c1sq", "generic_genus"
-)
+_BOUND_FLAGS = ("families", *catalog_mod.SEARCH_LIMITS, *_GRID_FLAGS.values())
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .catalog import GenericGrid, SearchBounds
+    from .catalog import SearchBounds
     from .geography import construction_obstruction, search_realizations
 
-    given = [flag for flag in _BOUND_FLAGS if getattr(args, flag) is not None]
+    given = {flag: getattr(args, flag) for flag in _BOUND_FLAGS if getattr(args, flag) is not None}
     if args.config:
         if given:
             flags = ", ".join(map(_flag, given))
             raise UsageError(f"--config cannot be combined with {flags}")
-        bounds = SearchBounds.from_json(catalog_mod.read_json_file(args.config))
+        data = catalog_mod.read_json_file(args.config)
     else:
-        generic = None
-        grid = (args.generic_chi, args.generic_c1sq, args.generic_genus)
-        if grid != (None, None, None):
-            if None in grid:
+        # The --config object the flags state; bounds not given keep their defaults.
+        data = {flag: value for flag, value in given.items() if flag in catalog_mod.SEARCH_LIMITS}
+        if "families" in given:
+            data["families"] = given["families"].split(",") if given["families"] else []
+        grid = {field: given.get(flag) for field, flag in _GRID_FLAGS.items()}
+        if any(grid.values()):
+            if None in grid.values():
                 raise UsageError(
                     "generic grid needs all of --generic-chi, --generic-c1sq, --generic-genus"
                 )
-            generic = GenericGrid(*grid)
-        # Flags not given fall back to the SearchBounds defaults.
-        limits = {
-            flag: getattr(args, flag) for flag in catalog_mod.SEARCH_LIMITS
-            if getattr(args, flag) is not None
-        }
-        if args.families is not None:
-            limits["families"] = tuple(args.families.split(",")) if args.families else ()
-        bounds = SearchBounds(generic=generic, **limits)
+            data["generic"] = {field: list(pair) for field, pair in grid.items()}
+    bounds = SearchBounds.from_json(data)
 
     target = args.target
     for message in construction_obstruction(target):

@@ -11,14 +11,11 @@ X2 x S1, and the correction terms applied to c1^2 and c2 of S1 x S2.
 The parts are written once, in one list; :func:`fiber_sum_parts`
 compiles each of them on its own and returns the three triples the
 oracle sums, which ``fibersum --explain`` prints.  The two paths' exact
-agreement is the module's central test.  :func:`fiber_sum_partners`
-inverts the closed form over a named family of blocks, for the search.
+agreement is the module's central test.
 
 Only the functions that build the oracle's expressions or kernels import
 :mod:`cherngeo.algebra`.  Importing this module and running the closed form
 load no algebra; the oracle's first call loads it with the kernel it builds.
-In the same way :func:`fiber_sum_partners` loads :mod:`cherngeo.lattice`,
-the search's integer solver, at its first call.
 """
 
 from __future__ import annotations
@@ -148,50 +145,6 @@ def halic_construction(
     b = f2 * c1sq1 + f1 * c1sq2 - 8 * f12  # c1^3 / 6
     # tuple.__new__ builds the record in one C call (see the invariants module).
     return tuple.__new__(ChernTriple, (24 * a - 2 * b, 6 * b, 24 * a))
-
-
-def fiber_sum_partners(
-    blocks: list[LefschetzBlock],
-    target: ChernTriple,
-    base: tuple[int, int, int],
-    steps: tuple[tuple[int, int, int], ...],
-    spans: tuple[int, ...],
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Every (i, d) such that blocks[i] fiber-summed with the partner at offsets d gives target.
-
-    The partners form an affine family, as ``lattice.family_steps`` gives
-    it: the partner at offsets d, 0 <= d[k] <= spans[k], has (chi_h, c1^2,
-    fiber genus) base + sum(d[k] * steps[k]).  With X1 fixed, A and B of
-    :func:`halic_construction` are linear in the partner's (chi_h, c1^2, f):
-
-        A = f1*chi2 + (chi1 - f1)*f2
-        B = f1*c1sq2 + (c1sq1 - 8*f1)*f2
-
-    so d solves a 2 x k integer system for each block, which
-    :func:`cherngeo.lattice.box_solutions` solves.  The pairs come in
-    block order, each block's offsets in no set order; the blocks are not
-    validated.  A target off the construction's image gives no pairs.
-    """
-    # Loaded here, so that a process that never searches does not compile it.
-    from .lattice import box_solutions
-
-    c3, c1_cubed, c1c2 = target
-    if c1c2 % 24 or c1_cubed % 6:
-        return []
-    a, b = c1c2 // 24, c1_cubed // 6
-    if c3 != 24 * a - 2 * b:
-        return []
-    chi0, c1sq0, g0 = base
-    f0 = 1 - g0
-    found = []
-    for i, (_, (chi1, c1sq1), g1, _, _) in enumerate(blocks):
-        f1 = 1 - g1
-        p, q = chi1 - f1, c1sq1 - 8 * f1  # the coefficients of f2 in A and in B
-        # A step raises f by -dg, so it adds f1*dchi - p*dg to A and f1*dsq - q*dg to B.
-        columns = [(f1 * dchi - p * dg, f1 * dsq - q * dg) for dchi, dsq, dg in steps]
-        for d in box_solutions(columns, a - f1 * chi0 - p * f0, b - f1 * c1sq0 - q * f0, spans):
-            found.append((i, d))
-    return found
 
 
 def halic_construction_via_oracle(

@@ -194,15 +194,15 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
     deduplicated by canonical ordering of the candidate list, and the pairs
     come in that order.  Every candidate is validated once, in list order,
     before any pair is examined; the first invalid one is the one a scan
-    would meet first.  A pair with a named-family block is solved for, not
-    scanned: ``fibersum.fiber_sum_partners`` gives each candidate's
-    partners in each selected family.  Only pairs of two generic-grid
-    blocks go through the closed form one by one.  Every hit is then
-    computed by the closed form and recomputed through the independent
-    symbolic path before emission.  A target with a
-    :func:`construction_obstruction` gives no pairs; otherwise bounds that
-    select no candidate block raise ValueError, so that an empty result
-    always means a search found nothing.
+    would meet first.  A target with a :func:`construction_obstruction`
+    gives no pairs; otherwise the image test makes A = c1c2/24 and
+    B = c1^3/6 exact, and ``lattice.family_partners`` solves for each
+    candidate's partners in each selected family from them.  Only pairs of
+    two generic-grid blocks go through the closed form one by one.  Every
+    hit is then computed by the closed form and recomputed through the
+    independent symbolic path before emission.  Bounds that select no
+    candidate block raise ValueError, so that an empty result always means
+    a search found nothing.
     """
     if construction_obstruction(target):
         return []
@@ -210,18 +210,18 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
     if not blocks:
         raise ValueError(f"search bounds select no candidate block: {bounds!r}")
     # Imported here, so that the plane classifier and plot load no fiber sum or algebra.
-    from .fibersum import fiber_sum_partners, halic_construction, halic_construction_via_oracle
-    from .lattice import family_steps
+    from .fibersum import halic_construction, halic_construction_via_oracle
+    from .lattice import family_partners
 
     require_valid(*blocks)
+    a, b = target.c1c2 // 24, target.c1_cubed // 6  # exact: the target is on the image
     hits = set()  # index pairs (i, j), i <= j
     start = 0  # the index of the family's first block
     for name, ranges in _selected_families(bounds):
-        base, steps = family_steps(name)
         spans = tuple(len(r) - 1 for r in ranges)
         # candidate_blocks lists a family's blocks in itertools.product order.
         strides = [math.prod(map(len, ranges[k + 1:])) for k in range(len(ranges))]
-        for i, offsets in fiber_sum_partners(blocks, target, base, steps, spans):
+        for i, offsets in family_partners(blocks, a, b, name, spans):
             j = start + sum(map(operator.mul, offsets, strides))
             hits.add((i, j) if i <= j else (j, i))
         start += math.prod(map(len, ranges))

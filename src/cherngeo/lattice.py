@@ -1,19 +1,20 @@
-"""The named families as affine lattices, and the box points that solve a 2 x k system.
+"""The named families as affine lattices, and the partners that solve a 2 x k system.
 
 The realization search asks, for one block and one named family, which
 family parameters give their fiber sum the target's A and B.  Every
 ``catalog.FAMILIES`` row is affine in its parameters: :func:`family_steps`
-reads its base point and steps from the row's signature, and the
-parameters then solve a 2 x k integer system over a box of offsets, which
-:func:`box_solutions` solves with exact ``int`` arithmetic.  Only the
-search loads this module, from ``geography.search_realizations`` and
-``fibersum.fiber_sum_partners`` when they run, so that a process that
-never searches does not compile it.
+reads its base point and steps from the row's signature, and
+:func:`family_partners` solves, for each block, the 2 x k integer system
+its partners' offsets satisfy over a box, which :func:`box_solutions`
+solves with exact ``int`` arithmetic.  Only the search loads this module,
+from ``geography.search_realizations`` when it runs, so that a process
+that never searches does not compile it.
 """
 
 from __future__ import annotations
 
 from .catalog import FAMILIES
+from .invariants import LefschetzBlock
 
 
 def family_steps(family: str) -> tuple[tuple[int, int, int], tuple[tuple[int, int, int], ...]]:
@@ -33,6 +34,38 @@ def family_steps(family: str) -> tuple[tuple[int, int, int], tuple[tuple[int, in
         above = signature(*least[:k], least[k] + 1, *least[k + 1:])
         steps.append(tuple(up - at for up, at in zip(above, base)))
     return base, tuple(steps)
+
+
+def family_partners(
+    blocks: list[LefschetzBlock], a: int, b: int, family: str, spans: tuple[int, ...]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Every (i, d) such that blocks[i] fiber-summed with the family at offsets d has A = a, B = b.
+
+    a = c1c2/24 and b = c1^3/6 are a target's, which the caller has checked
+    is on the construction's image.  With X1 fixed, A and B of
+    ``fibersum.halic_construction`` are linear in the partner's (chi_h,
+    c1^2, f = 1 - g):
+
+        A = f1*chi2 + (chi1 - f1)*f2
+        B = f1*c1sq2 + (c1sq1 - 8*f1)*f2
+
+    and the partner at offsets d, 0 <= d[k] <= spans[k], is base +
+    sum(d[k] * steps[k]) by :func:`family_steps`.  So d solves a 2 x k
+    integer system for each block, which :func:`box_solutions` solves.  The
+    pairs come in block order, each block's offsets in no set order; the
+    blocks are not validated.
+    """
+    (chi0, c1sq0, g0), steps = family_steps(family)
+    f0 = 1 - g0
+    found = []
+    for i, (_, (chi1, c1sq1), g1, _, _) in enumerate(blocks):
+        f1 = 1 - g1
+        p, q = chi1 - f1, c1sq1 - 8 * f1  # the coefficients of f2 in A and in B
+        # A step raises f by -dg, so it adds f1*dchi - p*dg to A and f1*dsq - q*dg to B.
+        columns = [(f1 * dchi - p * dg, f1 * dsq - q * dg) for dchi, dsq, dg in steps]
+        for d in box_solutions(columns, a - f1 * chi0 - p * f0, b - f1 * c1sq0 - q * f0, spans):
+            found.append((i, d))
+    return found
 
 
 def box_solutions(columns: list, rest_a: int, rest_b: int, spans: tuple) -> list[tuple[int, ...]]:

@@ -11,10 +11,9 @@ import time
 
 import pytest
 
-from cherngeo.catalog import elliptic_surface, knot_surgered_elliptic, ruled_spheres
+from cherngeo.catalog import SearchBounds, elliptic_surface, knot_surgered_elliptic, ruled_spheres
 from cherngeo.fibersum import halic_construction, halic_construction_via_oracle
 from cherngeo.geography import (
-    SearchBounds,
     classify_geography_point,
     halic_divisibility_check,
     search_realizations,

@@ -5,6 +5,7 @@ import pytest
 
 from cherngeo.catalog import (
     FAMILIES,
+    SearchBounds,
     block_from_family,
     default_catalog,
     elliptic_surface,
@@ -15,7 +16,7 @@ from cherngeo.catalog import (
     ruled_spheres,
 )
 from cherngeo.fibersum import halic_construction
-from cherngeo.geography import SearchBounds, candidate_blocks
+from cherngeo.geography import candidate_blocks
 from cherngeo.invariants import (
     FourManifoldInvariants,
     LefschetzBlock,

@@ -380,8 +380,7 @@ def test_block_command_help_names_every_family_and_its_flags(capsys, command):
 
 
 def test_search_help_lists_one_flag_per_search_limit_in_order(capsys):
-    from cherngeo.catalog import SEARCH_LIMITS
-    from cherngeo.geography import SearchBounds
+    from cherngeo.catalog import SEARCH_LIMITS, SearchBounds
 
     with pytest.raises(SystemExit) as info:
         main(["search", "--help"])

@@ -6,6 +6,8 @@ from hypothesis import assume, example, given, strategies as st
 from cherngeo import geography
 from cherngeo.catalog import (
     FAMILIES,
+    GenericGrid,
+    SearchBounds,
     elliptic_surface,
     generic_block,
     knot_surgered_elliptic,
@@ -13,9 +15,7 @@ from cherngeo.catalog import (
 )
 from cherngeo.fibersum import halic_construction, halic_construction_via_oracle
 from cherngeo.geography import (
-    GenericGrid,
     Realization,
-    SearchBounds,
     candidate_blocks,
     classify_geography_point,
     construction_obstruction,

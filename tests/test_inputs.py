@@ -5,7 +5,8 @@ malformed catalog or search config, negative search limit, empty grid
 range or grid genus range below 0 exits 1 with one line that names the
 offending entry or field, never with a traceback, and a file that is not
 JSON exits 1 with one line naming the file; ``search --config`` together
-with a bound flag exits 2.  Every integer input has at most
+with a bound flag exits 2, and bound flags print what the same bounds in a
+config print.  Every integer input has at most
 ``catalog.INPUT_DIGITS`` digits: at the budget every subcommand prints its
 values in full, and one digit more is one line, exit 2 naming the flag on
 argv and exit 1 naming the file and the field in JSON.
@@ -43,6 +44,8 @@ from cherngeo.catalog import (
     FAMILIES,
     FAMILY_ALIASES,
     INPUT_DIGITS,
+    GenericGrid,
+    SearchBounds,
     block_from_family,
     elliptic_surface,
     family_block,
@@ -52,7 +55,7 @@ from cherngeo.catalog import (
 )
 from cherngeo.cli import _GENERIC_FLAGS, build_parser, main, parse_block_specs
 from cherngeo.fibersum import halic_construction
-from cherngeo.geography import SEARCH_BLOCK_LIMIT, GenericGrid, SearchBounds, candidate_blocks
+from cherngeo.geography import SEARCH_BLOCK_LIMIT, candidate_blocks
 from cherngeo.invariants import ChernTriple, block_to_json
 from malformed_command_lines import HELP, INVALID, MALFORMED, OVER_BUDGET
 
@@ -438,6 +441,51 @@ def test_search_flags_default_to_search_bounds(capsys, tmp_path):
     )
     assert by_default == by_config == explicit
     assert by_default[0] == 0 and by_default[1]
+
+
+# Bound flags, the --config object that states the same bounds, and the exit code.
+FLAGS_AND_CONFIGS = {
+    "valid": (
+        ["--families", "elliptic,knot-elliptic", "--max-m", "3", "--max-knot-genus", "1",
+         "--generic-chi", "0..1", "--generic-c1sq", "0..8", "--generic-genus", "0..1"],
+        {"families": ["elliptic", "knot-elliptic"], "max_m": 3, "max_knot_genus": 1,
+         "generic": {"chi_h": [0, 1], "c1_sq": [0, 8], "genus": [0, 1]}},
+        0,
+    ),
+    "negative limit": (["--max-k", "-1"], {"max_k": -1}, 1),
+    "empty range": (
+        ["--generic-chi", "2..1", "--generic-c1sq", "0..1", "--generic-genus", "0..1"],
+        {"generic": {"chi_h": [2, 1], "c1_sq": [0, 1], "genus": [0, 1]}},
+        1,
+    ),
+    "genus below 0": (
+        ["--generic-chi", "0..1", "--generic-c1sq", "0..1", "--generic-genus", "-1..2"],
+        {"generic": {"chi_h": [0, 1], "c1_sq": [0, 1], "genus": [-1, 2]}},
+        1,
+    ),
+    "unknown family": (["--families", "elliptic,nope"], {"families": ["elliptic", "nope"]}, 1),
+    "no family": (["--families", ""], {"families": []}, 1),
+    "over the block limit": (
+        ["--families", "elliptic", "--max-m", "5001"], {"families": ["elliptic"], "max_m": 5001}, 1
+    ),
+    "grid over the block limit": (
+        ["--generic-chi", "0..99", "--generic-c1sq", "0..49", "--generic-genus", "0..1"],
+        {"generic": {"chi_h": [0, 99], "c1_sq": [0, 49], "genus": [0, 1]}},
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FLAGS_AND_CONFIGS)
+def test_bound_flags_and_their_config_are_one_input(capsys, request, tmp_path, case):
+    argv, config, code = FLAGS_AND_CONFIGS[case]
+    if "over the block limit" in case:
+        request.getfixturevalue("no_blocks")  # these bounds are refused before any block
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(config))
+    by_flags = run(capsys, "search", "--target", "24,0,24", *argv)
+    assert by_flags == run(capsys, "search", "--target", "24,0,24", "--config", str(path))
+    assert by_flags[0] == code and (by_flags[1] if code == 0 else by_flags[2])
 
 
 @pytest.mark.parametrize("field", ["max_m", "max_k", "max_knot_genus"])

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cherngeo.catalog import FAMILIES
-from cherngeo.lattice import box_solutions, family_steps
+from cherngeo.fibersum import halic_construction
+from cherngeo.invariants import FourManifoldInvariants, LefschetzBlock
+from cherngeo.lattice import box_solutions, family_partners, family_steps
 
 _COEFFICIENTS = st.integers(-4, 4) | st.integers(-(2**70), 2**70)
 
@@ -50,3 +52,55 @@ def test_each_family_row_is_affine(family):
             for axis, at in enumerate(base)
         )
         assert point == signature(*(lo + d for lo, d in zip(least, offsets))), offsets
+
+
+# -- solving for a block's partners in a named family -------------------------
+
+# Integers of either sign, past 2**64 included.
+_WIDE = st.integers(-30, 30) | st.integers(-(2**80), 2**80)
+
+
+def _raw_block(chi_h, c1_sq, genus):
+    """A block for formula sweeps; fibration data is not meaningful."""
+    return LefschetzBlock(
+        f"raw({chi_h},{c1_sq},{genus})", FourManifoldInvariants(chi_h, c1_sq), genus, 0, False
+    )
+
+
+def _partners_by_walk(b1, a, b, family, spans):
+    """The offsets of every partner of b1 in the family's box whose fiber sum has A = a, B = b."""
+    _, params, signature = FAMILIES[family]
+    least = [lo for lo, _, _ in params.values()]
+    found = []
+    for offsets in itertools.product(*(range(span + 1) for span in spans)):
+        partner = _raw_block(*signature(*(lo + d for lo, d in zip(least, offsets))))
+        _, c1_cubed, c1c2 = halic_construction(b1, partner, check=False)
+        if (c1c2 // 24, c1_cubed // 6) == (a, b):
+            found.append(offsets)
+    return found
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(data=st.data())
+def test_family_partners_match_a_walk_of_the_box(family, data):
+    _, params, signature = FAMILIES[family]
+    least = [lo for lo, _, _ in params.values()]
+    # The systems are singular for a torus-fibered block (f1 = 0) and, in the
+    # knot-surgered family, for one with c1^2 = 8*f1, as S^2 x S^2 has.
+    shape = data.draw(st.sampled_from(("any", "f1 = 0", "c1sq1 = 8*f1")), label="shape")
+    genus = 1 if shape == "f1 = 0" else data.draw(st.integers(0, 5) | st.integers(0, 2**80))
+    chi1 = data.draw(_WIDE, label="chi1")
+    c1sq1 = 8 * (1 - genus) if shape == "c1sq1 = 8*f1" else data.draw(_WIDE, label="c1sq1")
+    b1 = _raw_block(chi1, c1sq1, genus)
+    spans = tuple(data.draw(st.integers(-1, 6), label=f"span of {p}") for p in params)
+    boxed = all(span >= 0 for span in spans)
+    if boxed and data.draw(st.booleans(), label="A and B of a partner in the box"):
+        offsets = [data.draw(st.integers(0, span), label="offset") for span in spans]
+        partner = _raw_block(*signature(*(lo + d for lo, d in zip(least, offsets))))
+        _, c1_cubed, c1c2 = halic_construction(b1, partner, check=False)
+        a, b = c1c2 // 24, c1_cubed // 6
+    else:
+        a, b = data.draw(_WIDE, label="A"), data.draw(_WIDE, label="B")
+    found = family_partners([b1], a, b, family, spans)
+    assert all(i == 0 for i, _ in found)
+    assert sorted(d for _, d in found) == _partners_by_walk(b1, a, b, family, spans)

@@ -32,7 +32,7 @@ from hypothesis import given, strategies as st
 
 import cherngeo
 from cherngeo.algebra import ClassGenerator
-from cherngeo.catalog import FAMILIES, elliptic_surface
+from cherngeo.catalog import FAMILIES, GenericGrid, SearchBounds, elliptic_surface
 from cherngeo.fibersum import (
     CrossSectionInvariants,
     halic_construction,
@@ -40,10 +40,8 @@ from cherngeo.fibersum import (
 )
 from cherngeo.geography import (
     DivisibilityReport,
-    GenericGrid,
     GeographyClassification,
     Realization,
-    SearchBounds,
     classify_geography_point,
     halic_divisibility_check,
 )
