@@ -137,12 +137,12 @@ def halic_construction(
     """
     if check:
         require_valid(b1, b2)
-    _, (chi1, c1sq1), g1, _, _ = b1
-    _, (chi2, c1sq2), g2, _, _ = b2
-    f1, f2 = 1 - g1, 1 - g2
+    # Three fields of each block, read by name (see the invariants module).
+    x1, x2 = b1.invariants, b2.invariants
+    f1, f2 = 1 - b1.fiber_genus, 1 - b2.fiber_genus
     f12 = f1 * f2
-    a = f2 * chi1 + f1 * chi2 - f12  # c1c2 / 24
-    b = f2 * c1sq1 + f1 * c1sq2 - 8 * f12  # c1^3 / 6
+    a = f2 * x1.chi_h + f1 * x2.chi_h - f12  # c1c2 / 24
+    b = f2 * x1.c1_sq + f1 * x2.c1_sq - 8 * f12  # c1^3 / 6
     # tuple.__new__ builds the record in one C call (see the invariants module).
     return tuple.__new__(ChernTriple, (24 * a - 2 * b, 6 * b, 24 * a))
 
@@ -158,6 +158,6 @@ def halic_construction_via_oracle(
     """
     if check:
         require_valid(b1, b2)
-    _, x1, g1, _, _ = b1
-    _, x2, g2, _, _ = b2
-    return tuple.__new__(ChernTriple, _fiber_sum_kernel()(x1, x2, _surface(g1), _surface(g2)))
+    x1, x2 = b1.invariants, b2.invariants  # read by name (see the invariants module)
+    s1, s2 = _surface(b1.fiber_genus), _surface(b2.fiber_genus)
+    return tuple.__new__(ChernTriple, _fiber_sum_kernel()(x1, x2, s1, s2))

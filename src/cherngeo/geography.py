@@ -127,6 +127,12 @@ class Realization(namedtuple("Realization", "block1 block2 triple")):
 # about 12.5 million of them; a named family's partners are solved for.
 SEARCH_BLOCK_LIMIT = 5_000
 
+# The most realizations one search may return.  Some targets have one for every
+# pair of a family (E(m) + E(m') gives (0, 0, 0) for all m, m'), so hits grow as
+# the square of the candidates; a search is refused at the first distinct hit
+# past the limit, before any realization is built or verified.
+SEARCH_RESULT_LIMIT = 200_000
+
 
 def _range_size(r: range) -> int:
     """``len(r)`` for a positive step, without its ``sys.maxsize`` cap."""
@@ -216,6 +222,15 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
     require_valid(*blocks)
     a, b = target.c1c2 // 24, target.c1_cubed // 6  # exact: the target is on the image
     hits = set()  # index pairs (i, j), i <= j
+
+    def hit(pair: tuple[int, int]) -> None:
+        hits.add(pair)
+        if len(hits) > SEARCH_RESULT_LIMIT:
+            raise ValueError(
+                f"search bounds give more than {SEARCH_RESULT_LIMIT} realizations of "
+                f"{tuple(target)}, the limit of one search"
+            )
+
     start = 0  # the index of the family's first block
     for name, ranges in _selected_families(bounds):
         spans = tuple(len(r) - 1 for r in ranges)
@@ -223,14 +238,14 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
         strides = [math.prod(map(len, ranges[k + 1:])) for k in range(len(ranges))]
         for i, offsets in family_partners(blocks, a, b, name, spans):
             j = start + sum(map(operator.mul, offsets, strides))
-            hits.add((i, j) if i <= j else (j, i))
+            hit((i, j) if i <= j else (j, i))
         start += math.prod(map(len, ranges))
     # The generic grid follows the named families: scan its pairs.
     for i in range(start, len(blocks)):
         b1 = blocks[i]
         for j, b2 in enumerate(blocks[i:], i):
             if halic_construction(b1, b2, check=False) == target:
-                hits.add((i, j))
+                hit((i, j))
     results: list[Realization] = []
     for i, j in sorted(hits):
         b1, b2 = blocks[i], blocks[j]

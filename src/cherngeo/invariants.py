@@ -17,6 +17,20 @@ importing a code-generating module; construction checks live in
 ``tuple.__new__(kind, values)``: one C call that gives the same record as
 ``kind(*values)``, where the named tuple's generated ``__new__`` is a
 Python call.
+
+A hot path that reads every field of a record, or all but one, unpacks
+it; one that reads a few reads them by name.  On CPython 3.11
+``UNPACK_SEQUENCE`` has a fast path only for exact tuples, so unpacking a
+named tuple walks every field through the generic iterator, while a read
+by name costs one field.  :func:`validate_block` and
+``geography.halic_divisibility_check`` unpack.
+``fibersum.halic_construction``, ``fibersum.halic_construction_via_oracle``
+and the per-block loop of ``lattice.family_partners`` read a block's
+``invariants.chi_h``, ``invariants.c1_sq`` and ``fiber_genus`` by name:
+unpacking the block and its record made the closed form 0.797 -> 0.882 us
+per call (``timeit``, the change recorded in ``BENCH_9.json``), and reading
+by name instead raised search-sparse ``work_per_s`` 1.296 M -> 1.464 M
+(+13.0%, medians of ten 25 s runs a side, ``BENCH_28.json``).
 """
 
 from __future__ import annotations

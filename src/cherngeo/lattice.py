@@ -13,6 +13,8 @@ that never searches does not compile it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .catalog import FAMILIES
 from .invariants import LefschetzBlock
 
@@ -38,7 +40,7 @@ def family_steps(family: str) -> tuple[tuple[int, int, int], tuple[tuple[int, in
 
 def family_partners(
     blocks: list[LefschetzBlock], a: int, b: int, family: str, spans: tuple[int, ...]
-) -> list[tuple[int, tuple[int, ...]]]:
+) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Every (i, d) such that blocks[i] fiber-summed with the family at offsets d has A = a, B = b.
 
     a = c1c2/24 and b = c1^3/6 are a target's, which the caller has checked
@@ -52,20 +54,23 @@ def family_partners(
     and the partner at offsets d, 0 <= d[k] <= spans[k], is base +
     sum(d[k] * steps[k]) by :func:`family_steps`.  So d solves a 2 x k
     integer system for each block, which :func:`box_solutions` solves.  The
-    pairs come in block order, each block's offsets in no set order; the
-    blocks are not validated.
+    pairs are yielded one block at a time, in block order, each block's
+    offsets in no set order, so that a caller can stop early; the blocks
+    are not validated.
     """
     (chi0, c1sq0, g0), steps = family_steps(family)
     f0 = 1 - g0
-    found = []
-    for i, (_, (chi1, c1sq1), g1, _, _) in enumerate(blocks):
-        f1 = 1 - g1
-        p, q = chi1 - f1, c1sq1 - 8 * f1  # the coefficients of f2 in A and in B
+    for i, block in enumerate(blocks):
+        x1 = block.invariants  # read by name: see the invariants module
+        f1 = 1 - block.fiber_genus
+        p, q = x1.chi_h - f1, x1.c1_sq - 8 * f1  # the coefficients of f2 in A and in B
         # A step raises f by -dg, so it adds f1*dchi - p*dg to A and f1*dsq - q*dg to B.
-        columns = [(f1 * dchi - p * dg, f1 * dsq - q * dg) for dchi, dsq, dg in steps]
+        # A loop, not a list comprehension, which on CPython 3.11 is a call per block.
+        columns = []
+        for dchi, dsq, dg in steps:
+            columns.append((f1 * dchi - p * dg, f1 * dsq - q * dg))
         for d in box_solutions(columns, a - f1 * chi0 - p * f0, b - f1 * c1sq0 - q * f0, spans):
-            found.append((i, d))
-    return found
+            yield i, d
 
 
 def box_solutions(columns: list, rest_a: int, rest_b: int, spans: tuple) -> list[tuple[int, ...]]:

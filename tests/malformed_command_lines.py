@@ -8,7 +8,8 @@ A request for help (``HELP``), at the top level or of any subcommand, exits
 runs every case through ``cli.main``.  Run as a script, this file runs
 every case through ``python -m cherngeo.cli`` in a fresh process, with the
 standard library alone, and exits 1 if any case does not exit with its
-code and the output its kind asks for::
+code and the output its kind asks for, or runs longer than ``TIMEOUT``
+seconds::
 
     PYTHONPATH=src python tests/malformed_command_lines.py
 """
@@ -78,6 +79,8 @@ INVALID = [
     ["plot", "--chi", "0.." + "1" + "0" * 306, "--c1sq", "0..1", "--format", "svg"],
     # One block over geography.SEARCH_BLOCK_LIMIT.
     ["search", "--target", "24,0,24", "--families", "elliptic", "--max-m", "5001"],
+    # About 12.5 million realizations, over geography.SEARCH_RESULT_LIMIT.
+    ["search", "--target", "0,0,0", "--families", "elliptic", "--max-m", "5000"],
     # A generic grid whose genus range lies below 0.
     ["search", "--target", "24,0,24", "--max-m", "1", "--max-k", "0", "--generic-chi", "0..1",
      "--generic-c1sq", "0..1", "--generic-genus", "-3..-1"],
@@ -97,11 +100,22 @@ KINDS = [
 ]
 
 
+# Seconds a case may run.  Every case exits within a few seconds, so one still
+# running after a minute has work that nothing bounds.
+TIMEOUT = 60
+
+
 def problem(argv, code, prefix):
     """What is wrong with how ``cherngeo argv`` ends in a fresh process, or None."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "cherngeo.cli", *argv], capture_output=True, text=True
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cherngeo.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return f"no exit within {TIMEOUT} s"
     if proc.returncode != code:
         return f"exit {proc.returncode}"
     if prefix is None:

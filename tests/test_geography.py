@@ -146,6 +146,68 @@ def test_a_named_only_search_solves_its_pairs(monkeypatch):
     assert calls == [("E(1000)", "S2xS2")]
 
 
+# -- the result budget --------------------------------------------------------
+
+# Two searches for (0, 0, 0) with ten realizations each, since every pair of
+# torus-fibered blocks realizes it: E(1..4), solved in the named family, and
+# four genus-1 generic blocks, scanned pair by pair.
+_TEN_REALIZATIONS = {
+    "named solve": SearchBounds(families=("elliptic",), max_m=4),
+    "generic scan": SearchBounds(families=(), generic=GenericGrid((0, 3), (0, 0), (1, 1))),
+}
+
+
+def _count_constructions(monkeypatch):
+    """Count the calls of both constructions that the search makes."""
+    from cherngeo import fibersum
+
+    calls = {"closed form": 0, "oracle": 0}
+    for key, name in (("closed form", "halic_construction"),
+                      ("oracle", "halic_construction_via_oracle")):
+        real = getattr(fibersum, name)
+
+        def counting(b1, b2, *, _real=real, _key=key, **kwargs):
+            calls[_key] += 1
+            return _real(b1, b2, **kwargs)
+
+        monkeypatch.setattr(fibersum, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("where", _TEN_REALIZATIONS)
+def test_a_search_past_the_result_limit_is_refused_before_any_realization(monkeypatch, where):
+    monkeypatch.setattr(geography, "SEARCH_RESULT_LIMIT", 9)
+    calls = _count_constructions(monkeypatch)
+    with pytest.raises(ValueError, match=r"more than 9 realizations of \(0, 0, 0\)"):
+        search_realizations(ChernTriple(0, 0, 0), _TEN_REALIZATIONS[where])
+    # The named solve calls no closed form; the scan stops at its tenth hit.
+    assert calls == {"closed form": 0 if where == "named solve" else 10, "oracle": 0}
+
+
+@pytest.mark.parametrize("where", _TEN_REALIZATIONS)
+def test_a_search_with_exactly_the_limit_passes(monkeypatch, where):
+    monkeypatch.setattr(geography, "SEARCH_RESULT_LIMIT", 10)
+    bounds = _TEN_REALIZATIONS[where]
+    results = search_realizations(ChernTriple(0, 0, 0), bounds)
+    assert len(results) == 10
+    assert results == _reference_search(ChernTriple(0, 0, 0), bounds)
+
+
+def test_the_named_solve_stops_at_the_limit(monkeypatch):
+    # E(1) alone has 100 partners of (0, 0, 0) among E(1..100), and the solve
+    # yields them before it solves the next block's system, so the search
+    # passes a limit of 9 having solved one system, not 100.
+    from cherngeo import lattice
+
+    solved = []
+    real = lattice.box_solutions
+    monkeypatch.setattr(lattice, "box_solutions", lambda *args: solved.append(args) or real(*args))
+    monkeypatch.setattr(geography, "SEARCH_RESULT_LIMIT", 9)
+    with pytest.raises(ValueError, match="more than 9 realizations"):
+        search_realizations(ChernTriple(0, 0, 0), SearchBounds(("elliptic",), max_m=100))
+    assert len(solved) == 1
+
+
 def test_search_finds_worked_example():
     bounds = SearchBounds(families=("elliptic", "ruled-spheres"), max_m=5)
     results = search_realizations(ChernTriple(24, 0, 24), bounds)

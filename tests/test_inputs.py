@@ -12,7 +12,8 @@ values in full, and one digit more is one line, exit 2 naming the flag on
 argv and exit 1 naming the file and the field in JSON.
 A CSV plot over ``plot.GRID_POINT_LIMIT`` points exits 1 before any work,
 and so does a search whose bounds allow more than
-``geography.SEARCH_BLOCK_LIMIT`` candidate blocks, or none.  An empty
+``geography.SEARCH_BLOCK_LIMIT`` candidate blocks, or none, or that finds
+more than ``geography.SEARCH_RESULT_LIMIT`` realizations.  An empty
 ``plot`` range exits 1 naming the flag and both ends, and so does a
 one-value range for an SVG chart; an SVG window with an end beyond
 ``plot.SVG_END_LIMIT`` exits 1 too, writing no ``--output`` file.  JSON fields are read

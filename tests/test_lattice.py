@@ -101,6 +101,6 @@ def test_family_partners_match_a_walk_of_the_box(family, data):
         a, b = c1c2 // 24, c1_cubed // 6
     else:
         a, b = data.draw(_WIDE, label="A"), data.draw(_WIDE, label="B")
-    found = family_partners([b1], a, b, family, spans)
+    found = list(family_partners([b1], a, b, family, spans))
     assert all(i == 0 for i, _ in found)
     assert sorted(d for _, d in found) == _partners_by_walk(b1, a, b, family, spans)
