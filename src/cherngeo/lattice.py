@@ -61,7 +61,7 @@ def family_partners(
     (chi0, c1sq0, g0), steps = family_steps(family)
     f0 = 1 - g0
     for i, block in enumerate(blocks):
-        x1 = block.invariants  # read by name: see the invariants module
+        x1 = block.invariants  # read by name (see the invariants module)
         f1 = 1 - block.fiber_genus
         p, q = x1.chi_h - f1, x1.c1_sq - 8 * f1  # the coefficients of f2 in A and in B
         # A step raises f by -dg, so it adds f1*dchi - p*dg to A and f1*dsq - q*dg to B.
