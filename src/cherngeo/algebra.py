@@ -53,9 +53,6 @@ class ClassGenerator(namedtuple("ClassGenerator", "source kind")):
     def degree(self) -> int:
         return 2 if self.kind == "c1" else 4
 
-    def __str__(self) -> str:
-        return f"{self.kind}({self.source})"
-
 
 # A monomial is a sorted tuple of generators; () is the unit.
 Monomial = tuple
@@ -115,6 +112,10 @@ class GradedClassExpression:
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedClassExpression) and self.terms == other.terms
 
+    def __repr__(self) -> str:
+        """The canonical terms, sorted by monomial: equal expressions print alike."""
+        return f"GradedClassExpression({dict(sorted(self.terms.items()))!r})"
+
     # -- grading ----------------------------------------------------------
 
     def graded_part(self, degree: int) -> "GradedClassExpression":
@@ -124,40 +125,6 @@ class GradedClassExpression:
 
     def degrees(self) -> set[int]:
         return {_monomial_degree(m) for m in self.terms}
-
-    # -- rendering --------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (_monomial_degree(m), m)):
-            coeff = self.terms[mono]
-            factors = []
-            i = 0
-            while i < len(mono):
-                j = i
-                while j < len(mono) and mono[j] == mono[i]:
-                    j += 1
-                power = j - i
-                factors.append(str(mono[i]) + (f"^{power}" if power > 1 else ""))
-                i = j
-            body = "*".join(factors) if factors else "1"
-            if coeff == 1 and factors:
-                parts.append(body)
-            elif coeff == -1 and factors:
-                parts.append(f"-{body}")
-            elif factors:
-                parts.append(f"{coeff}*{body}")
-            else:
-                parts.append(str(coeff))
-        rendered = parts[0]
-        for p in parts[1:]:
-            rendered += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return rendered
-
-    def __repr__(self) -> str:
-        return f"GradedClassExpression({self})"
 
 
 def c1(source: str) -> GradedClassExpression:

@@ -134,11 +134,6 @@ SEARCH_BLOCK_LIMIT = 5_000
 SEARCH_RESULT_LIMIT = 200_000
 
 
-def _range_size(r: range) -> int:
-    """``len(r)`` for a positive step, without its ``sys.maxsize`` cap."""
-    return max(0, -((r.start - r.stop) // r.step))
-
-
 def _selected_families(bounds) -> list[tuple[str, list[range]]]:
     """The selected families with blocks within bounds, in registry order, with their ranges."""
     from .catalog import FAMILIES
@@ -165,7 +160,8 @@ def candidate_blocks(bounds) -> list[LefschetzBlock]:
     from .catalog import INPUT_DIGITS, family_block, generic_block
 
     selected = _selected_families(bounds)
-    count = sum(math.prod(map(_range_size, ranges)) for _, ranges in selected)
+    # Ranges are non-empty with step 1; len() refuses a range past sys.maxsize.
+    count = sum(math.prod(r.stop - r.start for r in ranges) for _, ranges in selected)
     if bounds.generic is not None:
         count += math.prod(hi - lo + 1 for lo, hi in bounds.generic)
     if count > SEARCH_BLOCK_LIMIT:

@@ -381,6 +381,12 @@ def test_malformed_files_exit_with_one_line(capsys, tmp_path, command, content, 
             "holds an integer too long to read",
             id="5000-digits",
         ),
+        # One bare integer: no field to name, and the whole line is pinned.
+        pytest.param(
+            b"1" * 2001,
+            "holds an integer too long to read: 2001 digits, more than the limit of 2000\n",
+            id="bare-2001-digits",
+        ),
     ],
 )
 def test_file_that_is_not_json_names_the_file(capsys, tmp_path, command, content, reason):
