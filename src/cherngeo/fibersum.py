@@ -87,11 +87,19 @@ def _fiber_sum_kernel():
 
 
 # One immutable surface record per genus, shared by the oracle's kernel, its
-# parts and the cross-section.  Fiber genera are few (the default search bounds
-# span 13), so the cache holds every genus of a search or an audit; past it the
-# least recently used entry is dropped.  A negative genus raises and is not cached.
+# parts and the cross-section.  It stores the Euler number, the one surface
+# invariant the kernels read, as a field computed once by SurfaceInvariants, so
+# a kernel's read on every pair is a field read, not a property call.  Fiber
+# genera are few (the default search bounds span 13), so the cache holds every
+# genus of a search or an audit; past it the least recently used entry is
+# dropped.  A negative genus raises SurfaceInvariants's ValueError and is not cached.
+_Surface = namedtuple("_Surface", "euler")
 _SURFACES_CACHED = 256
-_surface = functools.lru_cache(maxsize=_SURFACES_CACHED)(SurfaceInvariants)
+
+
+@functools.lru_cache(maxsize=_SURFACES_CACHED)
+def _surface(genus: int) -> _Surface:
+    return _Surface(SurfaceInvariants(genus).euler)
 
 
 def cross_section_of_surfaces(g1: int, g2: int) -> CrossSectionInvariants:

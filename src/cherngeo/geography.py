@@ -217,10 +217,13 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
 
     require_valid(*blocks)
     a, b = target.c1c2 // 24, target.c1_cubed // 6  # exact: the target is on the image
-    hits = set()  # index pairs (i, j), i <= j
+    n = len(blocks)
+    # Each hit (i, j), i <= j, is kept as the int i * n + j: ints sort as the
+    # pairs do, and need no tuple each.
+    hits = set()
 
-    def hit(pair: tuple[int, int]) -> None:
-        hits.add(pair)
+    def hit(key: int) -> None:
+        hits.add(key)
         if len(hits) > SEARCH_RESULT_LIMIT:
             raise ValueError(
                 f"search bounds give more than {SEARCH_RESULT_LIMIT} realizations of "
@@ -234,16 +237,17 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
         strides = [math.prod(map(len, ranges[k + 1:])) for k in range(len(ranges))]
         for i, offsets in family_partners(blocks, a, b, name, spans):
             j = start + sum(map(operator.mul, offsets, strides))
-            hit((i, j) if i <= j else (j, i))
+            hit(i * n + j if i <= j else j * n + i)
         start += math.prod(map(len, ranges))
     # The generic grid follows the named families: scan its pairs.
-    for i in range(start, len(blocks)):
+    for i in range(start, n):
         b1 = blocks[i]
         for j, b2 in enumerate(blocks[i:], i):
             if halic_construction(b1, b2, check=False) == target:
-                hit((i, j))
+                hit(i * n + j)
     results: list[Realization] = []
-    for i, j in sorted(hits):
+    for key in sorted(hits):
+        i, j = divmod(key, n)
         b1, b2 = blocks[i], blocks[j]
         triple = halic_construction(b1, b2, check=False)
         verified = halic_construction_via_oracle(b1, b2, check=False)

@@ -18,19 +18,24 @@ importing a code-generating module; construction checks live in
 ``kind(*values)``, where the named tuple's generated ``__new__`` is a
 Python call.
 
-A hot path that reads every field of a record, or all but one, unpacks
-it; one that reads a few reads them by name.  On CPython 3.11
+A hot path reads a block's fields by name.  On CPython 3.11
 ``UNPACK_SEQUENCE`` has a fast path only for exact tuples, so unpacking a
 named tuple walks every field through the generic iterator, while a read
-by name costs one field.  :func:`validate_block` and
-``geography.halic_divisibility_check`` unpack.
-``fibersum.halic_construction``, ``fibersum.halic_construction_via_oracle``
-and the per-block loop of ``lattice.family_partners`` read a block's
-``invariants.chi_h``, ``invariants.c1_sq`` and ``fiber_genus`` by name:
-unpacking the block and its record made the closed form 0.797 -> 0.882 us
-per call (``timeit``, the change recorded in ``BENCH_9.json``), and reading
-by name instead raised search-sparse ``work_per_s`` 1.296 M -> 1.464 M
-(+13.0%, medians of ten 25 s runs a side, ``BENCH_28.json``).
+by name costs one field; unpacking a block and its invariants record walks
+seven.  ``fibersum.halic_construction``,
+``fibersum.halic_construction_via_oracle`` and the per-block loop of
+``lattice.family_partners`` read a block's ``invariants.chi_h``,
+``invariants.c1_sq`` and ``fiber_genus`` by name: unpacking the block and
+its record made the closed form 0.797 -> 0.882 us per call (``timeit``, the
+change recorded in ``BENCH_9.json``), and reading by name instead raised
+search-sparse ``work_per_s`` 1.296 M -> 1.464 M (+13.0%, medians of ten
+25 s runs a side, ``BENCH_28.json``).  :func:`validate_block` reads six of
+the seven by name too, which ``timeit`` puts level with its unpack; with
+the oracle's surface records, which store each genus's Euler number
+(``fibersum._surface``), oracle-check ``work_per_s`` rose 109.8 k ->
+117.2 k (+6.7%, ``BENCH_30.json``).  ``geography.halic_divisibility_check``
+unpacks its ``ChernTriple``, a flat record whose three fields it all reads:
+reading them by name saves about 15 ns of a 5 us audited pair, under 1%.
 """
 
 from __future__ import annotations
@@ -142,15 +147,17 @@ def validate_block(block: LefschetzBlock) -> list[str]:
     ValueError.  Both Euler numbers are computed inline, so that a
     validation is one Python call.
     """
-    _, (chi_h, c1_sq), genus, singular_fibers, simply_connected = block
+    # Six fields, read by name (see the module docstring).
+    genus, singular_fibers = block.fiber_genus, block.singular_fibers
     if genus < 0 or singular_fibers < 0:
         raise ValueError("genus and singular-fiber count must be non-negative")
-    euler = 12 * chi_h - c1_sq  # Noether's formula, as FourManifoldInvariants.euler
+    x = block.invariants
+    euler = 12 * x.chi_h - x.c1_sq  # Noether's formula, as FourManifoldInvariants.euler
     expected_e = 2 * (2 - 2 * genus) + singular_fibers  # as euler_from_fibration
     out = []
     if euler != expected_e:
         out.append(f"euler != 2(2-2g)+n ({euler} != {expected_e})")
-    if simply_connected and 0 < singular_fibers <= 2 * genus:
+    if block.simply_connected and 0 < singular_fibers <= 2 * genus:
         out.append(f"simply connected requires n > 2g ({singular_fibers} <= {2 * genus})")
     return out
 
