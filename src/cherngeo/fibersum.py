@@ -23,12 +23,8 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .invariants import (
-    ChernTriple,
-    LefschetzBlock,
-    SurfaceInvariants,
-    require_valid,
-)
+from . import invariants
+from .invariants import ChernTriple, LefschetzBlock, SurfaceInvariants
 
 
 class CrossSectionInvariants(namedtuple("CrossSectionInvariants", "c1_sq c2")):
@@ -144,7 +140,13 @@ def halic_construction(
     invariant values, valid fibration or not; useful for grid sweeps.
     """
     if check:
-        require_valid(b1, b2)
+        # Each block checked inline, not through require_valid (see the invariants module).
+        invalid = invariants.validate_block(b1)
+        if invalid:
+            raise invariants.BlockValidationError(b1.name, invalid)
+        invalid = invariants.validate_block(b2)
+        if invalid:
+            raise invariants.BlockValidationError(b2.name, invalid)
     # Three fields of each block, read by name (see the invariants module).
     x1, x2 = b1.invariants, b2.invariants
     f1, f2 = 1 - b1.fiber_genus, 1 - b2.fiber_genus
@@ -165,7 +167,13 @@ def halic_construction_via_oracle(
     same three parts, one kernel each, are :func:`fiber_sum_parts`.
     """
     if check:
-        require_valid(b1, b2)
+        # Each block checked inline, as in halic_construction.
+        invalid = invariants.validate_block(b1)
+        if invalid:
+            raise invariants.BlockValidationError(b1.name, invalid)
+        invalid = invariants.validate_block(b2)
+        if invalid:
+            raise invariants.BlockValidationError(b2.name, invalid)
     x1, x2 = b1.invariants, b2.invariants  # read by name (see the invariants module)
     s1, s2 = _surface(b1.fiber_genus), _surface(b2.fiber_genus)
     return tuple.__new__(ChernTriple, _fiber_sum_kernel()(x1, x2, s1, s2))

@@ -190,6 +190,39 @@ def test_a_warm_oracle_call_enters_the_kernel_and_two_c2_reads():
     assert SurfaceInvariants.euler.fget.__code__ not in entered
 
 
+def _entered(construct, b1, b2):
+    """The triple, and the code of every Python function a checked construction enters."""
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        triple = construct(b1, b2)
+    finally:
+        sys.setprofile(previous)
+    return triple, entered
+
+
+def test_a_checked_construction_enters_validate_block_twice_and_no_wrapper():
+    # A checked construction calls validate_block on each block itself: no
+    # require_valid frame, no loop, no other Python call on the way.
+    b1, b2 = elliptic_surface(2), knot_surgered_elliptic(3, 1)
+    halic_construction_via_oracle(b1, b2)  # compiles the kernel, caches genera
+    validate = invariants.validate_block.__code__
+    triple, entered = _entered(halic_construction_via_oracle, b1, b2)
+    assert triple == ChernTriple(-144, 0, -144)
+    c2 = FourManifoldInvariants.c2.fget.__code__
+    kernel = fibersum._fiber_sum_kernel().__code__
+    assert entered == [halic_construction_via_oracle.__code__, validate, validate, kernel, c2, c2]
+    triple, entered = _entered(halic_construction, b1, b2)
+    assert triple == ChernTriple(-144, 0, -144)
+    assert entered == [halic_construction.__code__, validate, validate]
+
+
 def _summed(parts):
     return ChernTriple(*map(sum, zip(*parts)))
 
@@ -468,7 +501,7 @@ def test_triple_json_roundtrip():
 
 
 def _count_validations(monkeypatch):
-    """Record the name of every block ``validate_block`` sees, called as require_valid calls it."""
+    """Record the name of every block ``invariants.validate_block`` sees."""
     seen = []
     real = invariants.validate_block
     monkeypatch.setattr(
@@ -512,3 +545,53 @@ def test_a_construction_names_its_first_invalid_block(monkeypatch, construct):
     with pytest.raises(BlockValidationError, match="^invalid block 'bad2': ") as info:
         construct(good, bad2)
     assert info.value.block_name == "bad2" and seen == ["S2xS2", "bad2"]
+
+
+_COUNT = st.integers(0, 12) | st.integers(0, 2 ** 70)
+_BREAKS = ("none", "euler", "simply connected", "negative genus", "negative count")
+
+
+@st.composite
+def _audited_blocks(draw, name):
+    """A valid block, or one broken by ``_replace`` in the way drawn from ``_BREAKS``."""
+    broken = draw(st.just("none") | st.sampled_from(_BREAKS[1:]))  # half of them valid
+    chi_h, g = draw(_INVARIANT), draw(_COUNT)
+    if broken == "simply connected":
+        # Valid as not simply connected, with 0 < n <= 2g.
+        g = max(g, 1)
+        n, simply_connected = draw(st.integers(1, 2 * g)), False
+    else:
+        simply_connected = draw(st.booleans())
+        n = draw(_COUNT) + (2 * g + 1 if simply_connected else 0)
+    c1_sq = 12 * chi_h - (2 * (2 - 2 * g) + n)  # e = 2(2-2g) + n
+    block = LefschetzBlock(name, FourManifoldInvariants(chi_h, c1_sq), g, n, simply_connected)
+    assert invariants.validate_block(block) == []
+    if broken == "euler":
+        nudge = draw(_INVARIANT.filter(bool))
+        return block._replace(invariants=FourManifoldInvariants(chi_h, c1_sq + nudge))
+    if broken == "simply connected":
+        return block._replace(simply_connected=True)
+    if broken == "negative genus":
+        return block._replace(fiber_genus=-1 - draw(_COUNT))
+    if broken == "negative count":
+        return block._replace(singular_fibers=-1 - draw(_COUNT))
+    return block
+
+
+@pytest.mark.parametrize("construct", CONSTRUCTIONS, ids=lambda f: f.__name__)
+@settings(max_examples=300)
+@given(b1=_audited_blocks("b1"), b2=_audited_blocks("b2"))
+def test_a_checked_construction_raises_as_require_valid_does(construct, b1, b2):
+    # require_valid is the slow reference for the inline checks.
+    try:
+        invariants.require_valid(b1, b2)
+    except ValueError as reference:  # BlockValidationError, or a negative genus or count
+        with pytest.raises(ValueError) as info:
+            construct(b1, b2)
+        raised = info.value
+        assert type(raised) is type(reference) and str(raised) == str(reference)
+        if isinstance(reference, BlockValidationError):
+            assert raised.block_name == reference.block_name
+            assert raised.violations == reference.violations
+    else:
+        assert construct(b1, b2) == construct(b1, b2, check=False)
