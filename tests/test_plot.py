@@ -6,8 +6,11 @@ renderer it replaced is kept here as ``_reference_grid_csv`` and the two must
 agree byte for byte.  ``column_runs`` reads each column's cut order from a
 table built at import; the per-call sort it replaced is kept here as
 ``_reference_column_runs`` and the two must return the same list.
-``geography_svg`` is pinned by digests of its output, and every number it
-writes has at most two decimals.
+``geography_svg`` formats each coordinate once per chart and builds its
+fixed text at import.  It is pinned by digests of its output and by a slow
+reference: the renderer that formatted each coordinate where it was written
+is kept here as ``_reference_geography_svg``, and the two must agree byte for
+byte.  Every number the chart writes has at most two decimals.
 """
 
 import hashlib
@@ -29,7 +32,7 @@ from cherngeo.geography import (
     classify_geography_point,
     column_runs,
 )
-from cherngeo.plot import GRID_POINT_LIMIT, SVG_END_LIMIT, geography_svg, grid_csv
+from cherngeo.plot import GRID_POINT_LIMIT, SVG_END_LIMIT, _line_title, geography_svg, grid_csv
 
 
 def _reference_grid_csv(chi_range, c1sq_range):
@@ -410,3 +413,118 @@ def test_geography_svg_writes_at_most_two_decimals(chi_lo, width, c1sq_lo, heigh
     assert numbers
     for number in numbers:
         assert re.fullmatch(r"-?[0-9]+(\.[0-9]{1,2})?", number), number
+
+
+# -- the reference chart: every coordinate formatted where it is written ------
+
+_REFERENCE_FILLS = {
+    "many-basic-classes": "#cfe8ff", "one-basic-class": "#d8f2d0", "general-type": "#fdeccc",
+}
+_REFERENCE_LINES = [
+    (line, _line_title(line))
+    for line in sorted(geography.CUT_LINES - {ELLIPTIC_AXIS}, reverse=True)
+]
+
+
+def _reference_geography_svg(chi_range, c1sq_range):
+    """The chart as it was drawn before each coordinate was formatted once per chart."""
+    chi_lo, chi_hi = chi_range
+    y_lo, y_hi = c1sq_range
+    width, height, margin = 640, 480, 56
+    plot_w = width - 2 * margin
+    plot_h = height - 2 * margin
+
+    def px(chi):
+        return round(margin + (chi - chi_lo) / (chi_hi - chi_lo) * plot_w, 2)
+
+    def py(c1sq):
+        return round(margin + (y_hi - c1sq) / (y_hi - y_lo) * plot_h, 2)
+
+    x_lo, x_hi = px(chi_lo), px(chi_hi)
+    ends = {(a, b): (py(a * chi_lo + b), py(a * chi_hi + b)) for a, b in geography.CUT_LINES}
+    y_zero = py(0)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        "<defs><clipPath id=\"plotarea\">"
+        f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}"/>'
+        "</clipPath></defs>",
+        '<g clip-path="url(#plotarea)">',
+    ]
+    for label, lower, upper in REGIONS:
+        (lower_left, lower_right), (upper_left, upper_right) = ends[lower], ends[upper]
+        parts.append(
+            f'<polygon points="{x_lo},{lower_left} {x_hi},{lower_right} '
+            f'{x_hi},{upper_right} {x_lo},{upper_left}" fill="{_REFERENCE_FILLS[label]}">'
+            f"<title>{label.replace('-', ' ')}</title></polygon>"
+        )
+    for line, label in _REFERENCE_LINES:
+        y_left, y_right = ends[line]
+        parts.append(
+            f'<line x1="{x_lo}" y1="{y_left}" x2="{x_hi}" y2="{y_right}" '
+            'stroke="#444" stroke-width="1.2"><title>' + label + "</title></line>"
+        )
+    if y_lo <= 0 <= y_hi and chi_hi >= 1:
+        parts.append(
+            f'<line x1="{px(max(1, chi_lo))}" y1="{y_zero}" x2="{x_hi}" y2="{y_zero}" '
+            'stroke="#a00" stroke-width="1.6" stroke-dasharray="6,4">'
+            "<title>elliptic surfaces E(n) at (n, 0)</title></line>"
+        )
+    parts.append("</g>")
+    parts.append(
+        f'<line x1="{margin}" y1="{py(y_lo)}" x2="{margin}" y2="{py(y_hi)}" '
+        'stroke="black" stroke-width="1.5"/>'
+    )
+    axis_y = y_zero if y_lo <= 0 <= y_hi else py(y_lo)
+    parts.append(
+        f'<line x1="{margin}" y1="{axis_y}" x2="{x_hi}" y2="{axis_y}" '
+        'stroke="black" stroke-width="1.5"/>'
+    )
+    parts.append(f'<text x="{round(x_hi - 34, 2)}" y="{round(axis_y - 6, 2)}">chi_h</text>')
+    parts.append(f'<text x="{margin + 6}" y="{margin - 8}">c1^2</text>')
+    d = 0.82 * (chi_hi - chi_lo)
+    x_at = round(round(margin + d / (chi_hi - chi_lo) * plot_w, 2) + 4, 2)
+    for (a, b), label in _REFERENCE_LINES:
+        below_top = (y_hi - a * chi_lo - b) - a * d
+        if below_top >= 0 and (a * chi_lo + b - y_lo) + a * d >= 0:
+            y_at = round(round(margin + below_top / (y_hi - y_lo) * plot_h, 2) - 4, 2)
+            parts.append(f'<text x="{x_at}" y="{y_at}">{label}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _svg_ends():
+    """Window ends: small ones of either sign, positive ones, any within the limit, near it."""
+    return st.one_of(
+        st.integers(-40, 40),
+        st.integers(1, 500),
+        st.integers(-SVG_END_LIMIT, SVG_END_LIMIT),
+        st.integers(SVG_END_LIMIT - 10**6, SVG_END_LIMIT),
+        st.integers(-SVG_END_LIMIT, -SVG_END_LIMIT + 10**6),
+    )
+
+
+def _svg_range():
+    """A non-degenerate range within the limit; one in two spans a single unit."""
+    end = _svg_ends()
+    return st.one_of(
+        st.tuples(end, end).filter(lambda ends: ends[0] != ends[1]).map(sorted).map(tuple),
+        end.filter(lambda v: v < SVG_END_LIMIT).map(lambda v: (v, v + 1)),
+    )
+
+
+@settings(max_examples=500)
+@given(_svg_range(), _svg_range())
+@example((-6, -2), (-60, -5))  # negative chi_h, a c1^2 range below 0
+@example((-9, -4), (-3, 12))  # negative chi_h, a c1^2 range through 0
+@example((1, 9), (0, 80))  # chi_lo = 1: the elliptic line starts at the left edge
+@example((4, 30), (5, 120))  # chi_lo > 1, a c1^2 range above 0
+@example((0, 1), (-1, 0))  # one-unit spans, 0 at the top
+@example((7, 8), (63, 64))  # one-unit spans, without 0
+@example((-SVG_END_LIMIT, SVG_END_LIMIT), (SVG_END_LIMIT - 1, SVG_END_LIMIT))
+@example((SVG_END_LIMIT - 1, SVG_END_LIMIT), (-SVG_END_LIMIT, -SVG_END_LIMIT + 1))
+@example((-SVG_END_LIMIT, -SVG_END_LIMIT + 1), (-1, SVG_END_LIMIT))
+def test_geography_svg_matches_the_reference(chi_range, c1sq_range):
+    assert geography_svg(chi_range, c1sq_range) == _reference_geography_svg(chi_range, c1sq_range)
