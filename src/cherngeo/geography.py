@@ -44,7 +44,13 @@ def __getattr__(name: str):
 # The closed regions of the plane in label order, as (label, lower line,
 # upper line); a line (a, b) is c1^2 = a*chi_h + b.  Points strictly below
 # the first lower line are "negative-c1sq-unknown", points strictly above
-# the last upper line "above-BMY-unknown".
+# the last upper line "above-BMY-unknown".  The lines' sources:
+# - c1^2 = 9*chi_h is the Bogomolov-Miyaoka-Yau bound, c1^2 <= 3*c2;
+# - c1^2 = 2*chi_h - 6 is Noether's inequality for minimal surfaces of
+#   general type;
+# - c1^2 = 0 is the elliptic axis, ELLIPTIC_AXIS below;
+# - for c1^2 = chi_h - 3 and the labels "many-basic-classes" and
+#   "one-basic-class", no source is in this repository.
 REGIONS = (
     ("many-basic-classes", (0, 0), (1, -3)),
     ("one-basic-class", (1, -3), (2, -6)),
@@ -251,7 +257,7 @@ def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
         b1, b2 = blocks[i], blocks[j]
         triple = halic_construction(b1, b2, check=False)
         verified = halic_construction_via_oracle(b1, b2, check=False)
-        if not triple == verified == target:  # pragma: no cover - would be a formula bug
+        if not triple == verified == target:  # would be a formula bug
             raise AssertionError(
                 f"closed form, symbolic path and target disagree on ({b1.name}, {b2.name})"
             )

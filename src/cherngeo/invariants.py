@@ -12,41 +12,24 @@ rejected at construction time.
 The records here and in the other modules are immutable named tuples
 with ``__slots__ = ()``, which a cold CLI process defines without
 importing a code-generating module; construction checks live in
-``__new__``.  A record whose class has no checking ``__new__``
-(``ChernTriple``, ``DivisibilityReport``) may be built on a hot path by
-``tuple.__new__(kind, values)``: one C call that gives the same record as
-``kind(*values)``, where the named tuple's generated ``__new__`` is a
-Python call.
+``__new__``.  Three rules keep the hot paths short:
 
-A hot path reads a block's fields by name.  On CPython 3.11
-``UNPACK_SEQUENCE`` has a fast path only for exact tuples, so unpacking a
-named tuple walks every field through the generic iterator, while a read
-by name costs one field; unpacking a block and its invariants record walks
-seven.  ``fibersum.halic_construction``,
-``fibersum.halic_construction_via_oracle`` and the per-block loop of
-``lattice.family_partners`` read a block's ``invariants.chi_h``,
-``invariants.c1_sq`` and ``fiber_genus`` by name: unpacking the block and
-its record made the closed form 0.797 -> 0.882 us per call (``timeit``, the
-change recorded in ``BENCH_9.json``), and reading by name instead raised
-search-sparse ``work_per_s`` 1.296 M -> 1.464 M (+13.0%, medians of ten
-25 s runs a side, ``BENCH_28.json``).  :func:`validate_block` reads six of
-the seven by name too, which ``timeit`` puts level with its unpack; with
-the oracle's surface records, which store each genus's Euler number
-(``fibersum._surface``), oracle-check ``work_per_s`` rose 109.8 k ->
-117.2 k (+6.7%, ``BENCH_30.json``).  ``geography.halic_divisibility_check``
-unpacks its ``ChernTriple``, a flat record whose three fields it all reads:
-reading them by name saves about 15 ns of a 5 us audited pair, under 1%.
-
-A checked construction validates its two blocks inline.
-``fibersum.halic_construction`` and ``halic_construction_via_oracle`` with
-``check=True`` call ``invariants.validate_block`` once per block, as this
-module's attribute, and raise :class:`BlockValidationError` for the first
-invalid one themselves: going through :func:`require_valid` cost two Python
-frames and one ``*args`` tuple per audited pair.  A loop over the two blocks
-gave most of that back, so the two checks are written out.
-:func:`require_valid` stays the one raiser for a list of blocks, the
-search's candidates.  This raised oracle-check ``work_per_s`` 117.6 k ->
-121.6 k (+3.4%, better in 10 of 10 pairs, ``BENCH_31.json``).
+- A record whose class has no checking ``__new__`` (``ChernTriple``,
+  ``DivisibilityReport``) may be built by ``tuple.__new__(kind, values)``:
+  one C call that gives the same record as ``kind(*values)``, where the
+  named tuple's generated ``__new__`` is a Python call (``BENCH_15.json``).
+- A hot path reads a block's fields by name.  On CPython 3.11
+  ``UNPACK_SEQUENCE`` has a fast path only for exact tuples, so unpacking
+  a block and its invariants record walks all seven fields through the
+  generic iterator, while a read by name costs one field
+  (``BENCH_28.json``).
+- A checked construction validates its blocks inline: it calls
+  ``invariants.validate_block`` once per block, as this module's
+  attribute, and raises :class:`BlockValidationError` for the first
+  invalid one itself, since going through :func:`require_valid` costs two
+  Python frames and one ``*args`` tuple per pair (``BENCH_31.json``).
+  :func:`require_valid` stays the one raiser for a list of blocks, the
+  search's candidates.
 """
 
 from __future__ import annotations

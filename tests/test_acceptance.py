@@ -11,37 +11,29 @@ import time
 
 import pytest
 
-from cherngeo.catalog import SearchBounds, elliptic_surface, knot_surgered_elliptic, ruled_spheres
+from cherngeo.catalog import (
+    SearchBounds,
+    elliptic_surface,
+    generic_block,
+    knot_surgered_elliptic,
+    ruled_spheres,
+)
 from cherngeo.fibersum import halic_construction, halic_construction_via_oracle
 from cherngeo.geography import (
     classify_geography_point,
     halic_divisibility_check,
     search_realizations,
 )
-from cherngeo.invariants import (
-    ChernTriple,
-    FourManifoldInvariants,
-    LefschetzBlock,
-)
+from cherngeo.invariants import ChernTriple, FourManifoldInvariants
 
 _MODULE_START = time.monotonic()
-
-
-def _raw_block(chi_h, c1_sq, genus):
-    return LefschetzBlock(
-        f"raw({chi_h},{c1_sq},{genus})",
-        FourManifoldInvariants(chi_h, c1_sq),
-        genus,
-        0,
-        False,
-    )
 
 
 @pytest.fixture(scope="module")
 def oracle_grid_triples():
     """Deterministic pair sample over the full grid; shared by criteria 4 and 5."""
     blocks = [
-        _raw_block(chi, c1sq, g)
+        generic_block(chi, c1sq, g, 0, False)
         for g in range(6)
         for chi in range(-3, 9)
         for c1sq in range(-8, 17)
@@ -172,7 +164,9 @@ def test_criterion_8_exact_arithmetic_and_runtime():
     samples = [
         halic_construction(elliptic_surface(3), ruled_spheres()),
         halic_construction_via_oracle(elliptic_surface(1), knot_surgered_elliptic(1, 2)),
-        halic_construction(_raw_block(-3, -8, 5), _raw_block(8, 16, 0), check=False),
+        halic_construction(
+            generic_block(-3, -8, 5, 0, False), generic_block(8, 16, 0, 0, False), check=False
+        ),
     ]
     for t in samples:
         assert type(t.c3) is int and type(t.c1_cubed) is int and type(t.c1c2) is int

@@ -120,16 +120,14 @@ def test_fibersum_oracle_flag(capsys):
     assert json.loads(out) == {"c3": -24, "c1_cubed": 0, "c1c2": -24}
 
 
-def test_fibersum_oracle_validates_each_block_once(capsys, monkeypatch):
+def test_fibersum_oracle_validates_each_block_once(capsys, spy):
     from cherngeo import invariants
 
-    seen = []
-    real = invariants.validate_block
-    monkeypatch.setattr(invariants, "validate_block", lambda b: seen.append(b.name) or real(b))
+    seen = spy(invariants, "validate_block")
     code, _, err = run(capsys, "fibersum", "elliptic", "--m", "3", "ruled-spheres", "--oracle")
     assert code == 0
     assert "oracle: agreed" in err
-    assert seen == ["E(3)", "S2xS2"]
+    assert [b.name for b, in seen] == ["E(3)", "S2xS2"]
 
 
 def test_fibersum_oracle_still_rejects_an_invalid_block(capsys):
@@ -288,6 +286,14 @@ def test_classify_elliptic_point(capsys):
     assert code == 0
     assert "elliptic axis     yes" in out
     assert "sigma < 0" in out
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    # The cherngeo entry point calls main() with no argument.
+    argv = ["classify", "--chi", "2", "--c1sq", "0"]
+    monkeypatch.setattr("sys.argv", ["cherngeo", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == run(capsys, *argv)[1]
 
 
 def test_classify_sigma_zero(capsys):

@@ -26,7 +26,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cherngeo import catalog
 from cherngeo.fibersum import fiber_sum_parts, halic_construction, halic_construction_via_oracle
-from cherngeo.invariants import FourManifoldInvariants, LefschetzBlock
 
 
 def _surface_euler(g):
@@ -58,10 +57,6 @@ def _both_paths(b1, b2, check):
     ]
 
 
-def _raw_block(chi_h, c1_sq, genus):
-    return LefschetzBlock("raw", FourManifoldInvariants(chi_h, c1_sq), genus, 0, False)
-
-
 _INVARIANT = st.integers(-60, 60) | st.integers(-(2 ** 80), 2 ** 80)
 _GENUS = st.integers(0, 8) | st.integers(0, 2 ** 70)
 
@@ -71,7 +66,8 @@ _GENUS = st.integers(0, 8) | st.integers(0, 2 ** 70)
 @example(chi1=2 ** 64 + 1, c1sq1=-(2 ** 65), g1=2 ** 64, chi2=-(2 ** 64), c1sq2=3, g2=0)
 @example(chi1=1, c1sq1=0, g1=1, chi2=1, c1sq2=8, g2=0)  # E(1) and S2xS2
 def test_both_paths_give_the_euler_number_and_todd_genus(chi1, c1sq1, g1, chi2, c1sq2, g2):
-    b1, b2 = _raw_block(chi1, c1sq1, g1), _raw_block(chi2, c1sq2, g2)
+    b1 = catalog.generic_block(chi1, c1sq1, g1, 0, False)
+    b2 = catalog.generic_block(chi2, c1sq2, g2, 0, False)
     assert _both_paths(b1, b2, check=False) == [_third_reading(b1, b2)] * 2
 
 
@@ -100,6 +96,8 @@ def test_every_catalog_family_pair_gives_the_third_reading(family1, family2, dat
 def test_the_correction_part_is_the_locus_removed(g1, g2):
     # fiber_sum_parts' third part is what gluing along S1 x S2 takes away:
     # e(S1 x S2) from each side, and the locus's Todd genus once.
-    correction = fiber_sum_parts(_raw_block(0, 0, g1), _raw_block(0, 0, g2))[2]
+    correction = fiber_sum_parts(
+        catalog.generic_block(0, 0, g1, 0, False), catalog.generic_block(0, 0, g2, 0, False)
+    )[2]
     assert correction.c3 == -2 * _surface_euler(g1) * _surface_euler(g2)
     assert correction.c1c2 == -24 * _surface_todd(g1) * _surface_todd(g2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cherngeo import algebra, cli, fibersum, invariants
-from cherngeo.catalog import elliptic_surface, knot_surgered_elliptic, ruled_spheres
+from cherngeo.catalog import elliptic_surface, generic_block, knot_surgered_elliptic, ruled_spheres
 from cherngeo.fibersum import (
     ChernTriple,
     CrossSectionInvariants,
@@ -21,16 +21,6 @@ from cherngeo.invariants import (
     SurfaceInvariants,
 )
 
-
-def _raw_block(chi_h, c1_sq, genus):
-    """A block for formula sweeps; fibration data is not meaningful."""
-    return LefschetzBlock(
-        f"raw({chi_h},{c1_sq},{genus})",
-        FourManifoldInvariants(chi_h, c1_sq),
-        genus,
-        0,
-        False,
-    )
 
 
 def test_cross_section_examples():
@@ -109,8 +99,8 @@ def test_invalid_block_raises():
 
 
 def test_check_false_skips_validation():
-    bad = _raw_block(1, 0, 1)
-    other = _raw_block(1, 8, 0)
+    bad = generic_block(1, 0, 1, 0, False)
+    other = generic_block(1, 8, 0, 0, False)
     assert halic_construction(bad, other, check=False) == ChernTriple(24, 0, 24)
 
 
@@ -127,41 +117,37 @@ def test_oracle_agrees_on_worked_examples():
 
 def test_oracle_is_ground_truth_on_sphere_blocks():
     # chi_h = 1, c1^2 = 8, genus 0: the oracle value is the reference here
-    b = _raw_block(1, 8, 0)
+    b = generic_block(1, 8, 0, 0, False)
     t = halic_construction_via_oracle(b, b, check=False)
     assert t == halic_construction(b, b, check=False)
     assert isinstance(t.c3, int)
 
 
-def test_oracle_call_graph(monkeypatch):
+def test_oracle_call_graph(spy):
     # The functions perfbench/tracing.py wraps, and fiber_sum_parts: the oracle
     # runs one fused kernel and calls none of them, nor the closed form.
-    calls = {}
+    seen = {
+        name: spy(owner, name)
+        for owner, name in [(algebra, "chern_numbers_of_product"),
+                            (fibersum, "cross_section_of_surfaces"),
+                            (fibersum, "fiber_sum_parts"),
+                            (fibersum, "halic_construction")]
+    }
 
-    def count(module, name):
-        original = getattr(module, name)
+    def calls():
+        return {name: len(args) for name, args in seen.items() if args}
 
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(algebra, "chern_numbers_of_product")
-    count(fibersum, "cross_section_of_surfaces")
-    count(fibersum, "fiber_sum_parts")
-    count(fibersum, "halic_construction")
     b1, b2 = elliptic_surface(2), knot_surgered_elliptic(3, 1)
     triple = halic_construction_via_oracle(b1, b2)
     assert triple == ChernTriple(-144, 0, -144)  # 24m(2 - 2g - k)
-    assert calls == {}
+    assert calls() == {}
     # The parts --explain prints compile their own kernels and call no public piece.
     assert _summed(fibersum.fiber_sum_parts(b1, b2)) == triple
-    assert calls == {"fiber_sum_parts": 1}
-    # The counters see the reference's pieces when they are called.
+    assert calls() == {"fiber_sum_parts": 1}
+    # The spies see the reference's pieces when they are called.
     assert _reference(b1, b2)[-1] == triple
-    assert calls == {"fiber_sum_parts": 1, "chern_numbers_of_product": 2,
-                     "cross_section_of_surfaces": 1}
+    assert calls() == {"fiber_sum_parts": 1, "chern_numbers_of_product": 2,
+                       "cross_section_of_surfaces": 1}
 
 
 def test_a_warm_oracle_call_enters_the_kernel_and_two_c2_reads():
@@ -247,7 +233,7 @@ _GENUS = st.integers(0, 8) | st.integers(0, 2 ** 70)
 @given(chi1=_INVARIANT, c1sq1=_INVARIANT, g1=_GENUS, chi2=_INVARIANT, c1sq2=_INVARIANT, g2=_GENUS)
 @example(chi1=-(2 ** 64), c1sq1=2 ** 65 + 1, g1=2 ** 64, chi2=-3, c1sq2=-7, g2=0)
 def test_fused_kernel_matches_its_pieces_and_the_closed_form(chi1, c1sq1, g1, chi2, c1sq2, g2):
-    b1, b2 = _raw_block(chi1, c1sq1, g1), _raw_block(chi2, c1sq2, g2)
+    b1, b2 = generic_block(chi1, c1sq1, g1, 0, False), generic_block(chi2, c1sq2, g2, 0, False)
     fused = halic_construction_via_oracle(b1, b2, check=False)
     parts = fiber_sum_parts(b1, b2)
     product1, product2, cross, reference = _reference(b1, b2)
@@ -261,7 +247,7 @@ def test_fused_kernel_matches_its_pieces_and_the_closed_form(chi1, c1sq1, g1, ch
 def test_corrections_are_one_table(monkeypatch, capsys):
     # fiber_sum_parts, _fiber_sum_kernel and fibersum --explain read the same table
     monkeypatch.setattr(fibersum, "CORRECTIONS", ((1, 0), (0, 1), (3, 5)))
-    b = _raw_block(0, 0, 0)  # S1 x S2 has (c1^2, c2) = (8, 4); the products vanish
+    b = generic_block(0, 0, 0, 0, False)  # S1 x S2 has (c1^2, c2) = (8, 4); the products vanish
     assert fiber_sum_parts(b, b) == ((0, 0, 0), (0, 0, 0), (8, 4, 44))
     kernel = fibersum._fiber_sum_kernel.__wrapped__()  # built afresh from the patched table
     x, s = FourManifoldInvariants(0, 0), SurfaceInvariants(0)
@@ -410,7 +396,7 @@ def test_cached_records_equal_uncached(g1, g2, chi):
     assert fibersum._surface(g1).euler == SurfaceInvariants(g1).euler
     x = cross_section_of_surfaces(g1, g2)
     assert (x.c1_sq, x.c2) == (2 * (2 - 2 * g1) * (2 - 2 * g2), (2 - 2 * g1) * (2 - 2 * g2))
-    b1, b2 = _raw_block(chi, 3, g1), _raw_block(2, chi, g2)
+    b1, b2 = generic_block(chi, 3, g1, 0, False), generic_block(2, chi, g2, 0, False)
     assert halic_construction_via_oracle(b1, b2, check=False) == halic_construction(
         b1, b2, check=False
     )
@@ -455,8 +441,8 @@ def test_negative_genus_raises_and_is_not_cached():
     chi2=st.integers(-3, 8), c1sq2=st.integers(-8, 16), g2=st.integers(0, 5),
 )
 def test_oracle_equivalence_property(chi1, c1sq1, g1, chi2, c1sq2, g2):
-    b1 = _raw_block(chi1, c1sq1, g1)
-    b2 = _raw_block(chi2, c1sq2, g2)
+    b1 = generic_block(chi1, c1sq1, g1, 0, False)
+    b2 = generic_block(chi2, c1sq2, g2, 0, False)
     assert halic_construction(b1, b2, check=False) == halic_construction_via_oracle(
         b1, b2, check=False
     )
@@ -467,8 +453,8 @@ def test_oracle_equivalence_property(chi1, c1sq1, g1, chi2, c1sq2, g2):
     chi2=st.integers(-5, 10), c1sq2=st.integers(-10, 20), g2=st.integers(0, 6),
 )
 def test_symmetry(chi1, c1sq1, g1, chi2, c1sq2, g2):
-    b1 = _raw_block(chi1, c1sq1, g1)
-    b2 = _raw_block(chi2, c1sq2, g2)
+    b1 = generic_block(chi1, c1sq1, g1, 0, False)
+    b2 = generic_block(chi2, c1sq2, g2, 0, False)
     assert halic_construction(b1, b2, check=False) == halic_construction(
         b2, b1, check=False
     )
@@ -477,8 +463,8 @@ def test_symmetry(chi1, c1sq1, g1, chi2, c1sq2, g2):
 @given(chi1=st.integers(-5, 10), c1sq1=st.integers(-10, 20),
        chi2=st.integers(-5, 10), c1sq2=st.integers(-10, 20))
 def test_torus_absorption(chi1, c1sq1, chi2, c1sq2):
-    b1 = _raw_block(chi1, c1sq1, 1)
-    b2 = _raw_block(chi2, c1sq2, 1)
+    b1 = generic_block(chi1, c1sq1, 1, 0, False)
+    b2 = generic_block(chi2, c1sq2, 1, 0, False)
     assert halic_construction(b1, b2, check=False) == ChernTriple(0, 0, 0)
 
 
@@ -487,8 +473,9 @@ def test_torus_absorption(chi1, c1sq1, chi2, c1sq2):
     chi2=st.integers(-5, 10), c1sq2=st.integers(-10, 20), g2=st.integers(0, 6),
 )
 def test_c1_cubed_divisible_by_six(chi1, c1sq1, g1, chi2, c1sq2, g2):
-    t = halic_construction(_raw_block(chi1, c1sq1, g1), _raw_block(chi2, c1sq2, g2),
-                           check=False)
+    b1 = generic_block(chi1, c1sq1, g1, 0, False)
+    b2 = generic_block(chi2, c1sq2, g2, 0, False)
+    t = halic_construction(b1, b2, check=False)
     assert t.c1_cubed % 6 == 0
 
 
@@ -500,51 +487,41 @@ def test_triple_json_roundtrip():
 # -- validation on the per-pair path ---------------------------------------------
 
 
-def _count_validations(monkeypatch):
-    """Record the name of every block ``invariants.validate_block`` sees."""
-    seen = []
-    real = invariants.validate_block
-    monkeypatch.setattr(
-        invariants, "validate_block", lambda block: seen.append(block.name) or real(block)
-    )
-    return seen
-
-
 CONSTRUCTIONS = [halic_construction, halic_construction_via_oracle]
 
 
 @pytest.mark.parametrize("construct", CONSTRUCTIONS, ids=lambda f: f.__name__)
-def test_a_checked_construction_validates_both_blocks_once(monkeypatch, construct):
+def test_a_checked_construction_validates_both_blocks_once(spy, construct):
     b1, b2 = elliptic_surface(2), knot_surgered_elliptic(3, 1)
-    seen = _count_validations(monkeypatch)
+    seen = spy(invariants, "validate_block")
     construct(b1, b2)
-    assert seen == [b1.name, b2.name]
+    assert [b.name for b, in seen] == [b1.name, b2.name]
     construct(b1, b2, check=False)
-    assert seen == [b1.name, b2.name]  # check=False validates nothing
+    assert [b.name for b, in seen] == [b1.name, b2.name]  # check=False validates nothing
 
 
-def test_one_audited_pair_validates_four_blocks(monkeypatch):
+def test_one_audited_pair_validates_four_blocks(spy):
     # What one oracle-check pair runs: two checked constructions, two blocks each.
     b1, b2 = elliptic_surface(2), ruled_spheres()
-    seen = _count_validations(monkeypatch)
+    seen = spy(invariants, "validate_block")
     assert halic_construction(b1, b2) == halic_construction_via_oracle(b1, b2)
-    assert seen == [b1.name, b2.name] * 2
+    assert [b.name for b, in seen] == [b1.name, b2.name] * 2
 
 
 @pytest.mark.parametrize("construct", CONSTRUCTIONS, ids=lambda f: f.__name__)
-def test_a_construction_names_its_first_invalid_block(monkeypatch, construct):
+def test_a_construction_names_its_first_invalid_block(spy, construct):
     bad1, bad2 = (
         elliptic_surface(m)._replace(name=f"bad{m}", singular_fibers=1) for m in (1, 2)
     )
     good = ruled_spheres()
-    seen = _count_validations(monkeypatch)
+    seen = spy(invariants, "validate_block")
     with pytest.raises(BlockValidationError, match="^invalid block 'bad1': ") as info:
         construct(bad1, bad2)
-    assert info.value.block_name == "bad1" and seen == ["bad1"]
+    assert info.value.block_name == "bad1" and [b.name for b, in seen] == ["bad1"]
     seen.clear()
     with pytest.raises(BlockValidationError, match="^invalid block 'bad2': ") as info:
         construct(good, bad2)
-    assert info.value.block_name == "bad2" and seen == ["S2xS2", "bad2"]
+    assert info.value.block_name == "bad2" and [b.name for b, in seen] == ["S2xS2", "bad2"]
 
 
 _COUNT = st.integers(0, 12) | st.integers(0, 2 ** 70)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from cherngeo import geography
+from cherngeo import fibersum, geography, invariants, lattice
 from cherngeo.catalog import (
     FAMILIES,
     GenericGrid,
@@ -125,25 +125,16 @@ def test_search_matches_the_reference_scan(bounds, data):
     assert search_realizations(target, bounds) == _reference_search(target, bounds)
 
 
-def test_a_named_only_search_solves_its_pairs(monkeypatch):
+def test_a_named_only_search_solves_its_pairs(spy):
     # Named-family partners are solved for, so the closed form runs once per hit,
     # not once for each of the 5,000 * 5,001 / 2 candidate pairs.
-    from cherngeo import fibersum
-
-    calls = []
-    real = fibersum.halic_construction
-
-    def counting(b1, b2, **kwargs):
-        calls.append((b1.name, b2.name))
-        return real(b1, b2, **kwargs)
-
-    monkeypatch.setattr(fibersum, "halic_construction", counting)
+    calls = spy(fibersum, "halic_construction")
     bounds = SearchBounds(families=("elliptic", "ruled-spheres"), max_m=4999)
     results = search_realizations(ChernTriple(24000, 0, 24000), bounds)
     assert results == [
         Realization(elliptic_surface(1000), ruled_spheres(), ChernTriple(24000, 0, 24000))
     ]
-    assert calls == [("E(1000)", "S2xS2")]
+    assert [(b1.name, b2.name) for b1, b2 in calls] == [("E(1000)", "S2xS2")]
 
 
 # -- the result budget --------------------------------------------------------
@@ -157,31 +148,15 @@ _TEN_REALIZATIONS = {
 }
 
 
-def _count_constructions(monkeypatch):
-    """Count the calls of both constructions that the search makes."""
-    from cherngeo import fibersum
-
-    calls = {"closed form": 0, "oracle": 0}
-    for key, name in (("closed form", "halic_construction"),
-                      ("oracle", "halic_construction_via_oracle")):
-        real = getattr(fibersum, name)
-
-        def counting(b1, b2, *, _real=real, _key=key, **kwargs):
-            calls[_key] += 1
-            return _real(b1, b2, **kwargs)
-
-        monkeypatch.setattr(fibersum, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("where", _TEN_REALIZATIONS)
-def test_a_search_past_the_result_limit_is_refused_before_any_realization(monkeypatch, where):
+def test_a_search_past_the_result_limit_is_refused_before_any_realization(monkeypatch, spy, where):
     monkeypatch.setattr(geography, "SEARCH_RESULT_LIMIT", 9)
-    calls = _count_constructions(monkeypatch)
+    closed_form = spy(fibersum, "halic_construction")
+    oracle = spy(fibersum, "halic_construction_via_oracle")
     with pytest.raises(ValueError, match=r"more than 9 realizations of \(0, 0, 0\)"):
         search_realizations(ChernTriple(0, 0, 0), _TEN_REALIZATIONS[where])
     # The named solve calls no closed form; the scan stops at its tenth hit.
-    assert calls == {"closed form": 0 if where == "named solve" else 10, "oracle": 0}
+    assert (len(closed_form), len(oracle)) == (0 if where == "named solve" else 10, 0)
 
 
 @pytest.mark.parametrize("where", _TEN_REALIZATIONS)
@@ -193,15 +168,11 @@ def test_a_search_with_exactly_the_limit_passes(monkeypatch, where):
     assert results == _reference_search(ChernTriple(0, 0, 0), bounds)
 
 
-def test_the_named_solve_stops_at_the_limit(monkeypatch):
+def test_the_named_solve_stops_at_the_limit(monkeypatch, spy):
     # E(1) alone has 100 partners of (0, 0, 0) among E(1..100), and the solve
     # yields them before it solves the next block's system, so the search
     # passes a limit of 9 having solved one system, not 100.
-    from cherngeo import lattice
-
-    solved = []
-    real = lattice.box_solutions
-    monkeypatch.setattr(lattice, "box_solutions", lambda *args: solved.append(args) or real(*args))
+    solved = spy(lattice, "box_solutions")
     monkeypatch.setattr(geography, "SEARCH_RESULT_LIMIT", 9)
     with pytest.raises(ValueError, match="more than 9 realizations"):
         search_realizations(ChernTriple(0, 0, 0), SearchBounds(("elliptic",), max_m=100))
@@ -272,31 +243,16 @@ def test_generic_grid_candidates_are_valid_and_searchable():
         assert r.triple == ChernTriple(24, 0, 24)
 
 
-def _count_validations(monkeypatch):
-    """Record the name of every block ``validate_block`` sees."""
-    from cherngeo import invariants
-
-    seen = []
-    real = invariants.validate_block
-
-    def counting(block):
-        seen.append(block.name)
-        return real(block)
-
-    monkeypatch.setattr(invariants, "validate_block", counting)
-    return seen
-
-
-def test_search_validates_each_candidate_once(monkeypatch):
+def test_search_validates_each_candidate_once(spy):
     bounds = SearchBounds(families=("elliptic", "ruled-spheres"), max_m=5)
     names = [b.name for b in candidate_blocks(bounds)]
-    seen = _count_validations(monkeypatch)
+    seen = spy(invariants, "validate_block")
     results = search_realizations(ChernTriple(48, 0, 48), bounds)
     assert [(r.block1.name, r.block2.name) for r in results] == [("E(2)", "S2xS2")]
-    assert seen == names  # one call per candidate, not two per pair
+    assert [b.name for b, in seen] == names  # one call per candidate, not two per pair
 
 
-def test_search_raises_on_the_first_invalid_candidate(monkeypatch):
+def test_search_raises_on_the_first_invalid_candidate(monkeypatch, spy):
     from cherngeo.invariants import BlockValidationError
 
     bad = [
@@ -305,11 +261,22 @@ def test_search_raises_on_the_first_invalid_candidate(monkeypatch):
     ]
     blocks = [elliptic_surface(1), bad[0], ruled_spheres(), bad[1]]
     monkeypatch.setattr(geography, "candidate_blocks", lambda bounds: blocks)
-    seen = _count_validations(monkeypatch)
+    seen = spy(invariants, "validate_block")
     with pytest.raises(BlockValidationError, match="'bad2'") as info:
         search_realizations(ChernTriple(24, 0, 24), SearchBounds())
     assert info.value.block_name == "bad2"
-    assert seen == ["E(1)", "bad2"]  # in list order, stopping at the first invalid one
+    # In list order, stopping at the first invalid one.
+    assert [b.name for b, in seen] == ["E(1)", "bad2"]
+
+
+def test_search_raises_when_the_closed_form_and_the_oracle_disagree(monkeypatch):
+    # Each hit is verified by the oracle; a disagreement would be a formula bug.
+    monkeypatch.setattr(
+        fibersum, "halic_construction_via_oracle", lambda b1, b2, check=True: ChernTriple(26, 2, 26)
+    )
+    bounds = SearchBounds(families=("elliptic", "ruled-spheres"), max_m=1)
+    with pytest.raises(AssertionError, match=r"disagree on \(E\(1\), S2xS2\)$"):
+        search_realizations(ChernTriple(24, 0, 24), bounds)
 
 
 def test_bounds_from_json():

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from cherngeo.catalog import elliptic_surface, generic_block
 from cherngeo.invariants import (
     FourManifoldInvariants,
-    LefschetzBlock,
     SurfaceInvariants,
     block_from_json,
     block_to_json,
@@ -64,27 +64,23 @@ def test_surface_invariants():
         SurfaceInvariants(-1)
 
 
-def _block(chi_h, c1_sq, g, n, sc=True, name="test"):
-    return LefschetzBlock(name, FourManifoldInvariants(chi_h, c1_sq), g, n, sc)
-
-
 def test_validate_block_valid_elliptic():
-    assert validate_block(_block(1, 0, 1, 12)) == []
+    assert validate_block(generic_block(1, 0, 1, 12, True)) == []
 
 
 def test_validate_block_simple_connectivity():
-    violations = validate_block(_block(1, 0, 1, 1))
+    violations = validate_block(generic_block(1, 0, 1, 1, True))
     assert any("n > 2g" in v for v in violations)
 
 
 def test_validate_block_euler_mismatch():
-    violations = validate_block(_block(1, 0, 1, 0, sc=True))
+    violations = validate_block(generic_block(1, 0, 1, 0, True))
     assert any("2(2-2g)+n" in v for v in violations)
 
 
 def test_no_singular_fibers_waives_connectivity_rule():
     # a sphere bundle: n = 0, simply connected by family knowledge
-    assert validate_block(_block(1, 8, 0, 0)) == []
+    assert validate_block(generic_block(1, 8, 0, 0, True)) == []
 
 
 @given(
@@ -96,20 +92,20 @@ def test_fibration_roundtrip(g, n):
     # pick chi_h, c1_sq producing that euler number when 4 | sigma + e
     chi_h = 0
     c1_sq = -e  # euler = 12*chi_h - c1_sq
-    block = _block(chi_h, c1_sq, g, n, sc=(n > 2 * g))
+    block = generic_block(chi_h, c1_sq, g, n, n > 2 * g)
     assert block.invariants.euler == e
     assert validate_block(block) == []
 
 
 def test_block_rejects_negative_data():
     with pytest.raises(ValueError):
-        _block(1, 0, -1, 12)
+        generic_block(1, 0, -1, 12, True)
     with pytest.raises(ValueError):
-        _block(1, 0, 1, -3)
+        generic_block(1, 0, 1, -3, True)
 
 
 def test_json_roundtrip_recomputes_derived_fields():
-    block = _block(2, 0, 1, 24, name="E(2)")
+    block = elliptic_surface(2)
     data = block_to_json(block)
     assert set(data) == {
         "name", "chi_h", "c1_sq", "fiber_genus", "singular_fibers", "simply_connected",
@@ -133,10 +129,6 @@ def _reference_validate_block(block):
     return out
 
 
-def _raw(chi_h, c1_sq, g, n, sc):
-    return LefschetzBlock("raw", FourManifoldInvariants(chi_h, c1_sq), g, n, sc)
-
-
 small = st.integers(min_value=-60, max_value=60)
 
 
@@ -145,27 +137,27 @@ def validation_blocks(draw):
     """Blocks with arbitrary records, or with fitting ones nudged in at most one field."""
     g, n, sc = draw(st.integers(0, 12)), draw(st.integers(0, 60)), draw(st.booleans())
     if draw(st.booleans()):
-        return _raw(draw(small), draw(small), g, n, sc)
+        return generic_block(draw(small), draw(small), g, n, sc)
     # A record whose Euler number 12*chi_h - c1^2 is the fibration's: chi_h free.
     chi_h = draw(small)
     record = [chi_h, 12 * chi_h - euler_from_fibration(g, n)]
     field = draw(st.integers(0, 2))  # 2: none nudged
     if field < 2:
         record[field] += draw(small.filter(bool))
-    return _raw(*record, g, n, sc)
+    return generic_block(*record, g, n, sc)
 
 
 # E(1): chi_h 1, c1^2 0 (euler 12), torus fibers, 12 nodal fibers.
-@example(block=_raw(1, 0, 1, 12, True))
-@example(block=_raw(1, 0, 1, 13, True))  # euler = 2(2-2g)+n alone fails
+@example(block=generic_block(1, 0, 1, 12, True))
+@example(block=generic_block(1, 0, 1, 13, True))  # euler = 2(2-2g)+n alone fails
 # genus 2 with n = 0, 2g and 2g + 1 nodal fibers, each record fitting its fibration
-@example(block=_raw(0, 4, 2, 0, True))
-@example(block=_raw(0, 4, 2, 0, False))
-@example(block=_raw(0, 0, 2, 4, True))  # n > 2g alone fails
-@example(block=_raw(0, 0, 2, 4, False))
-@example(block=_raw(1, 11, 2, 5, True))
-@example(block=_raw(1, 11, 2, 5, False))
-@example(block=_raw(0, 0, 2, 3, True))  # both rules fail
+@example(block=generic_block(0, 4, 2, 0, True))
+@example(block=generic_block(0, 4, 2, 0, False))
+@example(block=generic_block(0, 0, 2, 4, True))  # n > 2g alone fails
+@example(block=generic_block(0, 0, 2, 4, False))
+@example(block=generic_block(1, 11, 2, 5, True))
+@example(block=generic_block(1, 11, 2, 5, False))
+@example(block=generic_block(0, 0, 2, 3, True))  # both rules fail
 @given(block=validation_blocks())
 def test_validate_block_matches_reference(block):
     assert validate_block(block) == _reference_validate_block(block)
@@ -175,10 +167,10 @@ def test_validate_block_matches_reference(block):
     "block",
     [
         # records fitting the fibration, so that only the sign of the negative value is wrong
-        _raw(2, 16, 0, 0, False)._replace(fiber_genus=-1),
-        _raw(1, 9, 0, 0, False)._replace(singular_fibers=-1),
-        _block(1, 0, 1, 12)._replace(fiber_genus=-3),
-        _block(1, 0, 1, 12)._replace(singular_fibers=-12),
+        generic_block(2, 16, 0, 0, False)._replace(fiber_genus=-1),
+        generic_block(1, 9, 0, 0, False)._replace(singular_fibers=-1),
+        generic_block(1, 0, 1, 12, True)._replace(fiber_genus=-3),
+        generic_block(1, 0, 1, 12, True)._replace(singular_fibers=-12),
     ],
     ids=["genus", "count", "genus-of-E(1)", "count-of-E(1)"],
 )

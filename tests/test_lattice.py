@@ -3,9 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cherngeo.catalog import FAMILIES
+from cherngeo.catalog import FAMILIES, generic_block
 from cherngeo.fibersum import halic_construction
-from cherngeo.invariants import FourManifoldInvariants, LefschetzBlock
 from cherngeo.lattice import box_solutions, family_partners, family_steps
 
 _COEFFICIENTS = st.integers(-4, 4) | st.integers(-(2**70), 2**70)
@@ -60,12 +59,6 @@ def test_each_family_row_is_affine(family):
 _WIDE = st.integers(-30, 30) | st.integers(-(2**80), 2**80)
 
 
-def _raw_block(chi_h, c1_sq, genus):
-    """A block for formula sweeps; fibration data is not meaningful."""
-    return LefschetzBlock(
-        f"raw({chi_h},{c1_sq},{genus})", FourManifoldInvariants(chi_h, c1_sq), genus, 0, False
-    )
-
 
 def _partners_by_walk(b1, a, b, family, spans):
     """The offsets of every partner of b1 in the family's box whose fiber sum has A = a, B = b."""
@@ -73,7 +66,7 @@ def _partners_by_walk(b1, a, b, family, spans):
     least = [lo for lo, _, _ in params.values()]
     found = []
     for offsets in itertools.product(*(range(span + 1) for span in spans)):
-        partner = _raw_block(*signature(*(lo + d for lo, d in zip(least, offsets))))
+        partner = generic_block(*signature(*(lo + d for lo, d in zip(least, offsets))), 0, False)
         _, c1_cubed, c1c2 = halic_construction(b1, partner, check=False)
         if (c1c2 // 24, c1_cubed // 6) == (a, b):
             found.append(offsets)
@@ -91,12 +84,12 @@ def test_family_partners_match_a_walk_of_the_box(family, data):
     genus = 1 if shape == "f1 = 0" else data.draw(st.integers(0, 5) | st.integers(0, 2**80))
     chi1 = data.draw(_WIDE, label="chi1")
     c1sq1 = 8 * (1 - genus) if shape == "c1sq1 = 8*f1" else data.draw(_WIDE, label="c1sq1")
-    b1 = _raw_block(chi1, c1sq1, genus)
+    b1 = generic_block(chi1, c1sq1, genus, 0, False)
     spans = tuple(data.draw(st.integers(-1, 6), label=f"span of {p}") for p in params)
     boxed = all(span >= 0 for span in spans)
     if boxed and data.draw(st.booleans(), label="A and B of a partner in the box"):
         offsets = [data.draw(st.integers(0, span), label="offset") for span in spans]
-        partner = _raw_block(*signature(*(lo + d for lo, d in zip(least, offsets))))
+        partner = generic_block(*signature(*(lo + d for lo, d in zip(least, offsets))), 0, False)
         _, c1_cubed, c1c2 = halic_construction(b1, partner, check=False)
         a, b = c1c2 // 24, c1_cubed // 6
     else:

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cherngeo import geography
+from cherngeo import geography, plot
 from cherngeo.geography import (
     ELLIPTIC_AXIS,
     REGIONS,
@@ -238,7 +238,7 @@ def test_basic_class_count_is_the_classifiers(chi, c1sq):
     ((3, 3), (-2, 2)),
     ((20, 40), (0, 35)),
 ])
-def test_grid_csv_classifies_once_per_run_key(monkeypatch, chi_range, c1sq_range):
+def test_grid_csv_classifies_once_per_run_key(spy, chi_range, c1sq_range):
     # Strip runs read their count from basic_class_count, so each distinct
     # run key of the window is classified once and no run is classified again.
     keys = {
@@ -246,13 +246,7 @@ def test_grid_csv_classifies_once_per_run_key(monkeypatch, chi_range, c1sq_range
         for chi in range(chi_range[0], chi_range[1] + 1)
         for _, _, key in column_runs(chi, *c1sq_range)
     }
-    calls = []
-
-    def counted(chi, c1sq):
-        calls.append((chi, c1sq))
-        return classify_geography_point(chi, c1sq)
-
-    monkeypatch.setattr("cherngeo.plot.classify_geography_point", counted)
+    calls = spy(plot, "classify_geography_point")
     assert grid_csv(chi_range, c1sq_range) == _reference_grid_csv(chi_range, c1sq_range)
     assert len(calls) == len(keys)
 
