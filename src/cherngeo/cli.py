@@ -240,7 +240,7 @@ def _explain_fibersum(block1: LefschetzBlock, block2: LefschetzBlock) -> None:
 
     g1, g2 = block1.fiber_genus, block2.fiber_genus
     parts = product1, product2, corrections = fiber_sum_parts(block1, block2)
-    cross = cross_section_of_surfaces(g1, g2)
+    c1_sq, c2 = cross_section_of_surfaces(g1, g2)
     # Each correction as the table's nonzero terms, e.g. (-2, -2) as "-2*c1^2 - 2*c2".
     terms = (
         " + ".join(f"{k}*{n}" for k, n in zip(ks, ("c1^2", "c2")) if k).replace("+ -", "- ")
@@ -250,7 +250,7 @@ def _explain_fibersum(block1: LefschetzBlock, block2: LefschetzBlock) -> None:
         f"X1 x S2 = {block1.name} x (genus {g2} surface): {_triple_text(product1)}",
         f"X2 x S1 = {block2.name} x (genus {g1} surface): {_triple_text(product2)}",
         f"S1 x S2 = (genus {g1} surface) x (genus {g2} surface): "
-        f"c1^2={cross.c1_sq} c2={cross.c2}",
+        f"c1^2={c1_sq} c2={c2}",
         "corrections along S1 x S2 (Gompf's symplectic sum, Annals 142, 1995; trivial "
         "normal bundle): "
         + ", ".join(map("{} += {} = {}".format, ("c3", "c1^3", "c1c2"), terms, corrections)),

@@ -27,15 +27,6 @@ from . import invariants
 from .invariants import ChernTriple, LefschetzBlock, SurfaceInvariants
 
 
-class CrossSectionInvariants(namedtuple("CrossSectionInvariants", "c1_sq c2")):
-    """c1^2 and c2 of the codimension-two locus both pieces are glued along.
-
-    Fields (both ``int``): c1_sq, c2.
-    """
-
-    __slots__ = ()
-
-
 # The corrections along S1 x S2 (trivial normal bundle on both sides) to c3, c1^3 and c1c2
 # in turn, as coefficients of the locus's (c1^2, c2); the oracle and --explain read them.
 CORRECTIONS = ((0, -2), (-6, 0), (-2, -2))
@@ -47,15 +38,6 @@ def _cross_section_classes() -> tuple:
 
     first = algebra.c1("S1") + algebra.c1("S2")
     return first * first, algebra.c1("S1") * algebra.c1("S2")
-
-
-@functools.cache
-def _cross_section_kernel():
-    """One kernel for c1^2 and c2 of S1 x S2, expanded on first use, not at import."""
-    from . import algebra
-
-    surfaces = ("S1", "S2")
-    return algebra.compile_kernel([(_cross_section_classes(), (), surfaces)], (), surfaces)
 
 
 # The oracle's factors, 4-manifolds then surfaces, as algebra.compile_kernel takes them.
@@ -98,14 +80,18 @@ def _surface(genus: int) -> _Surface:
     return _Surface(SurfaceInvariants(genus).euler)
 
 
-def cross_section_of_surfaces(g1: int, g2: int) -> CrossSectionInvariants:
-    """Invariants of the product surface S1 x S2, via the class algebra.
+def cross_section_of_surfaces(g1: int, g2: int) -> tuple[int, int]:
+    """c1^2 and c2 of the product surface S1 x S2, via the class algebra.
 
     c2 is the top Chern class c1(S1)c1(S2); c1^2 is (c1(S1)+c1(S2))^2.
-    Both are evaluated symbolically rather than hard-coded.
+    Both are evaluated symbolically rather than hard-coded, by a kernel
+    compiled on every call, as in :func:`fiber_sum_parts`.
     """
-    c1_sq, c2 = _cross_section_kernel()(_surface(g1), _surface(g2))
-    return CrossSectionInvariants(c1_sq, c2)
+    from . import algebra
+
+    surfaces = ("S1", "S2")
+    kernel = algebra.compile_kernel([(_cross_section_classes(), (), surfaces)], (), surfaces)
+    return kernel(_surface(g1), _surface(g2))
 
 
 def fiber_sum_parts(b1: LefschetzBlock, b2: LefschetzBlock) -> tuple[ChernTriple, ...]:

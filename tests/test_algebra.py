@@ -1,10 +1,6 @@
 import itertools
-import os
 import re
-import subprocess
-import sys
 from collections import namedtuple
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -506,18 +502,3 @@ def test_cached_product_kernel_serves_each_record():
     assert second == _reference_product(*b)
     assert first != second
 
-
-def test_importing_the_cli_builds_no_plan():
-    code = (
-        "import cherngeo.cli\n"
-        "from cherngeo import algebra, fibersum\n"
-        "print(algebra._product_kernel.cache_info().currsize,"
-        " fibersum._cross_section_kernel.cache_info().currsize,"
-        " fibersum._fiber_sum_kernel.cache_info().currsize)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.split() == ["0", "0", "0"]

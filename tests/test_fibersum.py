@@ -8,7 +8,6 @@ from cherngeo import algebra, cli, fibersum, invariants
 from cherngeo.catalog import elliptic_surface, generic_block, knot_surgered_elliptic, ruled_spheres
 from cherngeo.fibersum import (
     ChernTriple,
-    CrossSectionInvariants,
     cross_section_of_surfaces,
     fiber_sum_parts,
     halic_construction,
@@ -24,16 +23,16 @@ from cherngeo.invariants import (
 
 
 def test_cross_section_examples():
-    assert cross_section_of_surfaces(1, 1) == CrossSectionInvariants(0, 0)
-    assert cross_section_of_surfaces(0, 0) == CrossSectionInvariants(8, 4)
-    assert cross_section_of_surfaces(1, 0) == CrossSectionInvariants(0, 0)
+    assert cross_section_of_surfaces(1, 1) == (0, 0)
+    assert cross_section_of_surfaces(0, 0) == (8, 4)
+    assert cross_section_of_surfaces(1, 0) == (0, 0)
 
 
 @given(g1=st.integers(0, 8), g2=st.integers(0, 8))
 def test_cross_section_closed_form(g1, g2):
-    x = cross_section_of_surfaces(g1, g2)
-    assert x.c2 == (2 - 2 * g1) * (2 - 2 * g2)
-    assert x.c1_sq == 2 * (2 - 2 * g1) * (2 - 2 * g2)
+    c1_sq, c2 = cross_section_of_surfaces(g1, g2)
+    assert c2 == (2 - 2 * g1) * (2 - 2 * g2)
+    assert c1_sq == 2 * (2 - 2 * g1) * (2 - 2 * g2)
 
 
 # The slow reference's corrections, with Gompf's coefficients written here rather
@@ -51,20 +50,20 @@ def _reference_fiber_sum(m1, m2, x):
 
 def test_corrections_zero_case():
     zero = ChernTriple(0, 0, 0)
-    assert _reference_fiber_sum(zero, zero, CrossSectionInvariants(0, 0)) == zero
+    assert _reference_fiber_sum(zero, zero, (0, 0)) == zero
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_corrections_elliptic_decomposition(m):
     m1 = ChernTriple(24 * m, 0, 24 * m)
     m2 = ChernTriple(0, 0, 0)
-    out = _reference_fiber_sum(m1, m2, CrossSectionInvariants(0, 0))
+    out = _reference_fiber_sum(m1, m2, (0, 0))
     assert out == ChernTriple(24 * m, 0, 24 * m)
 
 
 def test_corrections_genus_zero_self_sum():
     summand = ChernTriple(8, 48, 24)
-    out = _reference_fiber_sum(summand, summand, CrossSectionInvariants(8, 4))
+    out = _reference_fiber_sum(summand, summand, (8, 4))
     assert out == ChernTriple(8, 48, 24)
 
 
@@ -394,8 +393,9 @@ def test_the_oracle_is_its_parts_summed_and_the_closed_form():
 def test_cached_records_equal_uncached(g1, g2, chi):
     # The cache stores each genus's Euler number, the one invariant the kernels read.
     assert fibersum._surface(g1).euler == SurfaceInvariants(g1).euler
-    x = cross_section_of_surfaces(g1, g2)
-    assert (x.c1_sq, x.c2) == (2 * (2 - 2 * g1) * (2 - 2 * g2), (2 - 2 * g1) * (2 - 2 * g2))
+    assert cross_section_of_surfaces(g1, g2) == (
+        2 * (2 - 2 * g1) * (2 - 2 * g2), (2 - 2 * g1) * (2 - 2 * g2)
+    )
     b1, b2 = generic_block(chi, 3, g1, 0, False), generic_block(2, chi, g2, 0, False)
     assert halic_construction_via_oracle(b1, b2, check=False) == halic_construction(
         b1, b2, check=False
@@ -403,14 +403,16 @@ def test_cached_records_equal_uncached(g1, g2, chi):
 
 
 def test_cache_sizes_are_fixed():
-    # The surface records are the module's one bounded cache; the kernels are
-    # built once each (functools.cache, no bound) and nothing caches per genus pair.
-    bounded = {
+    # What the module keeps for the life of the process: the oracle's fused kernel
+    # (functools.cache, no bound) and the bounded surface records.  The kernels of
+    # fiber_sum_parts and cross_section_of_surfaces are compiled on every call, and
+    # nothing caches per genus pair.
+    caches = {
         name: obj.cache_info().maxsize
         for name, obj in vars(fibersum).items()
-        if hasattr(obj, "cache_info") and obj.cache_info().maxsize is not None
+        if hasattr(obj, "cache_info")
     }
-    assert bounded == {"_surface": fibersum._SURFACES_CACHED}
+    assert caches == {"_fiber_sum_kernel": None, "_surface": fibersum._SURFACES_CACHED}
     assert type(fibersum._SURFACES_CACHED) is int and fibersum._SURFACES_CACHED > 0
 
 

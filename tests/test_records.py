@@ -33,11 +33,7 @@ from hypothesis import given, strategies as st
 import cherngeo
 from cherngeo.algebra import ClassGenerator
 from cherngeo.catalog import FAMILIES, GenericGrid, SearchBounds, elliptic_surface
-from cherngeo.fibersum import (
-    CrossSectionInvariants,
-    halic_construction,
-    halic_construction_via_oracle,
-)
+from cherngeo.fibersum import halic_construction, halic_construction_via_oracle
 from cherngeo.geography import (
     DivisibilityReport,
     GeographyClassification,
@@ -61,7 +57,6 @@ RECORDS = [
     E2,
     ChernTriple(24, 0, 24),
     ClassGenerator("X", "c1"),
-    CrossSectionInvariants(4, 2),
     DivisibilityReport(True, True, False),
     GRID,
     SearchBounds(generic=GRID),
@@ -74,7 +69,7 @@ def test_every_record_type_is_listed():
     types = {type(r) for r in RECORDS}
     assert types == {
         FourManifoldInvariants, SurfaceInvariants, LefschetzBlock, ChernTriple,
-        ClassGenerator, CrossSectionInvariants, DivisibilityReport,
+        ClassGenerator, DivisibilityReport,
         GenericGrid, SearchBounds, Realization, GeographyClassification,
     }
 
