@@ -10,10 +10,12 @@ classifier reproduces the standard region picture of 4-manifold geography
 in the (chi_h, c1^2) plane; region boundaries are closed on both sides, so
 boundary points carry every adjacent label.
 
-The plane classifier and :mod:`cherngeo.plot` use neither the fiber sum nor
-the block catalog, so this module imports both where the search uses them.
-``geography.SearchBounds`` and ``geography.GenericGrid`` still name the
-catalog's classes, loading the catalog on first use.
+The plane classifier and :mod:`cherngeo.plot` use neither the fiber sum,
+the block catalog nor the invariant records, so this module imports each
+where the search uses it, and names the records' types in docstrings, not
+annotations: a process that imports only the plot loads only this module
+and the plot.  ``geography.SearchBounds`` and ``geography.GenericGrid``
+still name the catalog's classes, loading the catalog on first use.
 """
 
 from __future__ import annotations
@@ -22,14 +24,6 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-
-from .invariants import (
-    ChernTriple,
-    FourManifoldInvariants,
-    LefschetzBlock,
-    euler_from_fibration,
-    require_valid,
-)
 
 
 def __getattr__(name: str):
@@ -83,7 +77,8 @@ class DivisibilityReport(namedtuple("DivisibilityReport", "c3_even c1cubed_even 
     all_pass = property(all)
 
 
-def halic_divisibility_check(t: ChernTriple) -> DivisibilityReport:
+def halic_divisibility_check(t) -> DivisibilityReport:
+    """The three divisibility conditions of the Chern triple ``t`` (a ``ChernTriple``)."""
     c3, c1_cubed, c1c2 = t
     # tuple.__new__ builds the record in one C call (see the invariants module).
     return tuple.__new__(DivisibilityReport, (
@@ -93,8 +88,10 @@ def halic_divisibility_check(t: ChernTriple) -> DivisibilityReport:
     ))
 
 
-def construction_obstruction(t: ChernTriple) -> list[str]:
+def construction_obstruction(t) -> list[str]:
     """Why ``t`` is not a triple of the fiber-sum construction, one message per failed condition.
+
+    ``t`` is a ``ChernTriple``.
 
     The conditions are the three divisibility checks, 6 | c1^3 and the plane
     3*c3 = 3*c1c2 - c1^3, its sides compared times three so that no division
@@ -152,18 +149,20 @@ def _selected_families(bounds) -> list[tuple[str, list[range]]]:
     return selected
 
 
-def candidate_blocks(bounds) -> list[LefschetzBlock]:
+def candidate_blocks(bounds) -> list:
     """All blocks within bounds: the named families in registry order, then the generic grid.
 
-    ``bounds`` is a ``catalog.SearchBounds``.  Bounds that allow more than
+    ``bounds`` is a ``catalog.SearchBounds``; the blocks are
+    ``LefschetzBlock``s.  Bounds that allow more than
     :data:`SEARCH_BLOCK_LIMIT` blocks raise ValueError before any block is
     built.  The count is an upper bound: the product of the search ranges of
     each selected family, plus the size of the generic grid before genera
     without a fibration are dropped.  A family with an empty range has no
     blocks, and no range of it is read.
     """
-    # Imported here, so that the plane classifier and plot load no catalog.
+    # Imported here, so that the plane classifier and plot load no catalog or invariants.
     from .catalog import INPUT_DIGITS, family_block, generic_block
+    from .invariants import FourManifoldInvariants, euler_from_fibration
 
     selected = _selected_families(bounds)
     # Ranges are non-empty with step 1; len() refuses a range past sys.maxsize.
@@ -179,7 +178,7 @@ def candidate_blocks(bounds) -> list[LefschetzBlock]:
             f"search bounds allow {shown} candidate blocks, more than the limit of "
             f"{SEARCH_BLOCK_LIMIT}"
         )
-    blocks: list[LefschetzBlock] = []
+    blocks = []
     for name, ranges in selected:
         blocks.extend(family_block(name, *args) for args in itertools.product(*ranges))
     if bounds.generic is not None:
@@ -195,30 +194,32 @@ def candidate_blocks(bounds) -> list[LefschetzBlock]:
     return blocks
 
 
-def search_realizations(target: ChernTriple, bounds) -> list[Realization]:
+def search_realizations(target, bounds) -> list[Realization]:
     """All unordered block pairs within bounds realizing the target exactly.
 
-    ``bounds`` is a ``catalog.SearchBounds``.  Symmetric pairs are
-    deduplicated by canonical ordering of the candidate list, and the pairs
-    come in that order.  Every candidate is validated once, in list order,
-    before any pair is examined; the first invalid one is the one a scan
-    would meet first.  A target with a :func:`construction_obstruction`
-    gives no pairs; otherwise the image test makes A = c1c2/24 and
-    B = c1^3/6 exact, and ``lattice.family_partners`` solves for each
-    candidate's partners in each selected family from them.  Only pairs of
-    two generic-grid blocks go through the closed form one by one.  Every
-    hit is then computed by the closed form and recomputed through the
-    independent symbolic path before emission.  Bounds that select no
-    candidate block raise ValueError, so that an empty result always means
-    a search found nothing.
+    ``target`` is a ``ChernTriple`` and ``bounds`` a
+    ``catalog.SearchBounds``.  Symmetric pairs are deduplicated by canonical
+    ordering of the candidate list, and the pairs come in that order.  Every
+    candidate is validated once, in list order, before any pair is examined;
+    the first invalid one is the one a scan would meet first.  A target with
+    a :func:`construction_obstruction` gives no pairs; otherwise the image
+    test makes A = c1c2/24 and B = c1^3/6 exact, and
+    ``lattice.family_partners`` solves for each candidate's partners in each
+    selected family from them.  Only pairs of two generic-grid blocks go
+    through the closed form one by one.  Every hit is then computed by the
+    closed form and recomputed through the independent symbolic path before
+    emission.  Bounds that select no candidate block raise ValueError, so
+    that an empty result always means a search found nothing.
     """
     if construction_obstruction(target):
         return []
     blocks = candidate_blocks(bounds)
     if not blocks:
         raise ValueError(f"search bounds select no candidate block: {bounds!r}")
-    # Imported here, so that the plane classifier and plot load no fiber sum or algebra.
+    # Imported here, so that the plane classifier and plot load no fiber sum, algebra
+    # or invariants; require_valid is read from invariants at each call.
     from .fibersum import halic_construction, halic_construction_via_oracle
+    from .invariants import require_valid
     from .lattice import family_partners
 
     require_valid(*blocks)

@@ -9,7 +9,10 @@ the CLI loads neither ``dataclasses`` nor ``inspect``.  The records the
 per-pair path builds by ``tuple.__new__`` are the records their
 constructors make, and importing the invariants or the plot loads no
 ``functools``.  The plot and the plane classifier load neither the fiber
-sum nor the catalog, though ``geography.SearchBounds`` still names the
+sum, the catalog nor the invariant records, not even while they classify
+and render; ``geography`` imports the records where the search uses them,
+so a search run after importing only ``geography`` and the catalog finds
+the same realizations, and ``geography.SearchBounds`` still names the
 catalog's class.  Each subcommand, run in a fresh interpreter, loads only the
 package modules it uses, and the human formats load no ``json``; the
 closed form loads no ``algebra``, which only the oracle's first call loads,
@@ -40,6 +43,7 @@ from cherngeo.geography import (
     Realization,
     classify_geography_point,
     halic_divisibility_check,
+    search_realizations,
 )
 from cherngeo.invariants import (
     ChernTriple,
@@ -302,10 +306,52 @@ def test_only_the_oracle_loads_the_algebra(construction, loaded):
 
 
 def test_importing_plot_loads_no_fiber_sum():
-    # The plane's classifier and plot load neither the fiber sum nor the block catalog.
-    absent = ("cherngeo.fibersum", "cherngeo.catalog")
+    # The plane's classifier and plot load neither the fiber sum, the block catalog
+    # nor the invariant records.
+    absent = ("cherngeo.fibersum", "cherngeo.catalog", "cherngeo.invariants")
     for module in ("cherngeo.plot", "cherngeo.geography"):
         assert _loaded_in_fresh_interpreter(f"import {module}", absent) == [], module
+
+
+def test_the_plane_classifies_and_renders_without_the_invariants():
+    statements = (
+        "from cherngeo.geography import classify_geography_point, column_runs\n"
+        "from cherngeo.plot import geography_svg, grid_csv\n"
+        "assert classify_geography_point(2, 0).labels\n"
+        "assert column_runs(5, -10, 50)\n"
+        "assert grid_csv((-2, 6), (-4, 30))\n"
+        "assert geography_svg((-2, 6), (-4, 30))\n"
+    )
+    assert _loaded_in_fresh_interpreter(statements, ("cherngeo.invariants",)) == []
+
+
+def test_a_search_after_importing_only_geography_and_the_catalog():
+    # A search over two named families and a generic grid, in a process that
+    # imported geography before anything loaded the invariants.
+    statements = (
+        "from cherngeo import geography\n"
+        "assert 'cherngeo.invariants' not in sys.modules\n"
+        "from cherngeo import catalog\n"
+        "from cherngeo.invariants import ChernTriple\n"
+        "grid = catalog.GenericGrid((1, 1), (0, 1), (0, 1))\n"
+        "bounds = catalog.SearchBounds(('elliptic', 'ruled-spheres'), max_m=2, generic=grid)\n"
+        "print(repr(geography.search_realizations(ChernTriple(24, 0, 24), bounds)))\n"
+    )
+    printed = _fresh_interpreter(statements).strip()
+    bounds = SearchBounds(
+        ("elliptic", "ruled-spheres"), max_m=2, generic=GenericGrid((1, 1), (0, 1), (0, 1))
+    )
+    results = search_realizations(ChernTriple(24, 0, 24), bounds)
+    assert printed == repr(results)
+    assert [(r.block1.name, r.block2.name) for r in results] == [
+        ("E(1)", "S2xS2"),
+        ("E(1)", "generic(chi_h=1,c1_sq=0,g=0,n=8)"),
+        ("E(1)", "generic(chi_h=1,c1_sq=1,g=0,n=7)"),
+        ("S2xS2", "generic(chi_h=1,c1_sq=0,g=0,n=8)"),
+        ("S2xS2", "generic(chi_h=1,c1_sq=0,g=1,n=12)"),
+        ("generic(chi_h=1,c1_sq=0,g=0,n=8)", "generic(chi_h=1,c1_sq=0,g=1,n=12)"),
+        ("generic(chi_h=1,c1_sq=0,g=1,n=12)", "generic(chi_h=1,c1_sq=1,g=0,n=7)"),
+    ]
 
 
 def test_geography_names_the_catalogs_search_bounds():
